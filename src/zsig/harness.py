@@ -13,9 +13,10 @@ import csv
 import io
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -179,20 +180,29 @@ class ScanSummary:
     runtime_seconds: float
 
 
+def _worker_count(requested: int, grid_size: int) -> int:
+    """Worker processes for a scan: no more than the grid points or the CPUs."""
+    return max(1, min(requested, grid_size, os.cpu_count() or 1))
+
+
 def run_scan(config: ScanConfig) -> ScanSummary:
     """Run the full grid; ZSIG_THREADS overrides config.parallelism."""
-    workers = config.parallelism
+    requested = config.parallelism
     env = os.environ.get("ZSIG_THREADS")
     if env is not None:
-        workers = int(env)
-        if workers < 1:
+        requested = int(env)
+        if requested < 1:
             raise ValueError("ZSIG_THREADS must be a positive integer")
     started = time.perf_counter()
     payloads = [
         (config.poly.coeffs, c.numerator, c.denominator, config.horizon, config.bit_cap)
         for c in grid(config)
     ]
-    if workers > 1 and len(payloads) > 1:
+    workers = _worker_count(requested, len(payloads))
+    if workers < requested:
+        print(f"zsig: {requested} workers requested, using {workers} "
+              f"({len(payloads)} grid points, {os.cpu_count() or 1} CPUs)", file=sys.stderr)
+    if workers > 1:
         chunk = max(1, len(payloads) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_scan_one, payloads, chunksize=chunk))

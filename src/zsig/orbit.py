@@ -65,15 +65,36 @@ class OrbitRecord:
         return [e.num for e in self.entries]
 
 
-def _denominator_support(c: Fraction) -> tuple[int, ...]:
+def _lead_valuations(g: X2DivisiblePoly, c: Fraction) -> dict[int, int]:
+    """val_p(lead) for each prime p of den(c), keyed in ascending order of p."""
     if c.denominator == 1:
-        return ()
+        return {}
     fac = factor_small(c.denominator)
     if not fac.complete:
         raise ValueError(
             f"cannot certify denominator prime support of c: {fac.cofactor} unfactored"
         )
-    return fac.primes
+    return {p: val_p(g.lead, p) if g.lead % p == 0 else 0 for p in fac.primes}
+
+
+def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
+    """val_p(den) at the support primes where it exceeds val_p(lead)."""
+    vals = {p: val_p(den, p) for p in lead_vals if den % p == 0}
+    return {p: e for p, e in vals.items() if e > lead_vals[p]}
+
+
+def _orbit_pairs(g: X2DivisiblePoly, c: Fraction):
+    """Reduced (num, den) of entries 1, 2, 3, ...; each step runs on demand."""
+    c_num, c_den = c.numerator, c.denominator
+    num, den = c_num, c_den
+    while True:
+        yield num, den
+        p_raw, q_raw = g.eval_int_pair(num, den)
+        num = p_raw * c_den + c_num * q_raw
+        den = q_raw * c_den
+        shrink = math.gcd(num, den)
+        num //= shrink
+        den //= shrink
 
 
 def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = 2_000_000) -> OrbitRecord:
@@ -85,29 +106,12 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = 2_000_000) -> Or
     c = Fraction(c)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    support = _denominator_support(c)
-    lead_vals = {p: val_p(g.lead, p) if g.lead % p == 0 else 0 for p in support}
-    c_num, c_den = c.numerator, c.denominator
+    lead_vals = _lead_valuations(g, c)
 
     entries: list[OrbitEntry] = []
     capped_at = None
-    num, den = 0, 1
-    for n in range(1, horizon + 1):
-        if n == 1:
-            num, den = c_num, c_den
-        else:
-            p_raw, q_raw = g.eval_int_pair(num, den)
-            num = p_raw * c_den + c_num * q_raw
-            den = q_raw * c_den
-            shrink = math.gcd(num, den)
-            num //= shrink
-            den //= shrink
-        deep = {}
-        for p in support:
-            if den % p == 0:
-                e = val_p(den, p)
-                if e > lead_vals[p]:
-                    deep[p] = e
+    for n, (num, den) in zip(range(1, horizon + 1), _orbit_pairs(g, c)):
+        deep = _deep_valuations(den, lead_vals)
         entries.append(OrbitEntry(n, num, den, ln_abs_ratio(num, den), deep))
         if max(num.bit_length(), den.bit_length()) > bit_cap:
             capped_at = n
@@ -119,7 +123,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = 2_000_000) -> Or
         bit_cap=bit_cap,
         entries=tuple(entries),
         capped_at=capped_at,
-        den_prime_support=support,
+        den_prime_support=tuple(lead_vals),
     )
 
 
@@ -208,20 +212,15 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
     space and must repeat within the state-space bound.
     """
     c = Fraction(c)
-    support = _denominator_support(c)
-    lead_vals = {p: val_p(g.lead, p) if g.lead % p == 0 else 0 for p in support}
+    lead_vals = _lead_valuations(g, c)
     radius = escape_radius(g, c)
     if max_steps is None:
         max_steps = _state_space_bound(g, radius)
-    c_num, c_den = c.numerator, c.denominator
 
     seen: dict[tuple[int, int], int] = {}
-    num, den = c_num, c_den
-    n = 1
-    while n <= max_steps:
-        key = (num, den)
-        if key in seen:
-            first = seen[key]
+    for n, (num, den) in zip(range(1, max_steps + 1), _orbit_pairs(g, c)):
+        if (num, den) in seen:
+            first = seen[num, den]
             return MembershipDecision(
                 poly=g, c=c, verdict=Verdict.FINITE_ORBIT, steps_used=n,
                 tail=first, cycle=n - first,
@@ -231,20 +230,12 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
                 poly=g, c=c, verdict=Verdict.INFINITE_ESCAPE, steps_used=n,
                 escape_index=n - 1,
             )
-        for p in support:
-            if den % p == 0 and val_p(den, p) > lead_vals[p]:
-                return MembershipDecision(
-                    poly=g, c=c, verdict=Verdict.INFINITE_DENOMINATOR, steps_used=n,
-                    trigger_index=n, trigger_prime=p,
-                )
-        seen[key] = n
-        p_raw, q_raw = g.eval_int_pair(num, den)
-        num = p_raw * c_den + c_num * q_raw
-        den = q_raw * c_den
-        shrink = math.gcd(num, den)
-        num //= shrink
-        den //= shrink
-        n += 1
+        if deep := _deep_valuations(den, lead_vals):
+            return MembershipDecision(
+                poly=g, c=c, verdict=Verdict.INFINITE_DENOMINATOR, steps_used=n,
+                trigger_index=n, trigger_prime=min(deep),
+            )
+        seen[num, den] = n
     raise ArithmeticError(
         f"no verdict after {max_steps} steps; state-space bound violated"
     )

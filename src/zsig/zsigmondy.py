@@ -10,15 +10,16 @@ that make it finite for the non-preperiodic parameters.
 Primitivity is decided by gcd-stripping, never by factoring orbit values:
 the n-th numerator loses every prime it shares with an earlier numerator,
 and whatever is left (if anything) is a product of primitive primes.
-Factoring only happens on that residue, and only to name a witness.
+Factoring only happens on that residue, and only when a caller reads
+the witness prime.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -43,17 +44,29 @@ from .poly import X2DivisiblePoly, length
 class PrimitiveDivisorVerdict:
     """Outcome of the primitivity test at one index.
 
-    witness_prime is the smallest identified prime of the stripped
-    residue; it can be None even when a primitive prime exists, if the
-    residue resists factoring or is too large for naming to be worth the
-    cost.  Set membership never depends on it.  stripped_remainder_bits
-    sizes the residue (0 when there is none).
+    residue is N_n stripped of every prime it shares with an earlier
+    numerator, so it is 1 exactly when no primitive prime exists.
+    witness_prime, the smallest identifiable prime of the residue, is named
+    on its first read and never before: scans never name one.  It can be
+    None even when a primitive prime exists, if the residue resists
+    factoring or is too large for naming to be worth the cost.
     """
 
     n: int
-    has_primitive: bool
-    witness_prime: Optional[int]
-    stripped_remainder_bits: int
+    residue: int = field(repr=False)
+
+    @property
+    def has_primitive(self) -> bool:
+        return self.residue > 1
+
+    @property
+    def stripped_remainder_bits(self) -> int:
+        return self.residue.bit_length() if self.has_primitive else 0
+
+    @cached_property
+    def witness_prime(self) -> Optional[int]:
+        bits = self.stripped_remainder_bits
+        return _bounded_witness(self.residue) if 0 < bits <= _WITNESS_BIT_LIMIT else None
 
 
 # residues above this size keep has_primitive but skip witness naming
@@ -90,22 +103,19 @@ def _bounded_witness(residue: int) -> Optional[int]:
     return residue if is_probable_prime(residue) else None
 
 
+def _strip_index(nums: Sequence[int], n: int) -> int:
+    """N_n without the primes it shares with N_1 .. N_(n-1); 1 if none is left."""
+    residue = nums[n - 1]
+    for k in range(n - 1):
+        if residue == 1:
+            break
+        residue = strip_common_primes(residue, nums[k])
+    return residue
+
+
 def _verdicts_from_abs(nums: Sequence[int]) -> tuple[PrimitiveDivisorVerdict, ...]:
-    out = []
-    for n in range(1, len(nums) + 1):
-        residue = nums[n - 1]
-        for k in range(n - 1):
-            if residue == 1:
-                break
-            residue = strip_common_primes(residue, nums[k])
-        if residue > 1:
-            witness = None
-            if residue.bit_length() <= _WITNESS_BIT_LIMIT:
-                witness = _bounded_witness(residue)
-            out.append(PrimitiveDivisorVerdict(n, True, witness, residue.bit_length()))
-        else:
-            out.append(PrimitiveDivisorVerdict(n, False, None, 0))
-    return tuple(out)
+    return tuple(PrimitiveDivisorVerdict(n, _strip_index(nums, n))
+                 for n in range(1, len(nums) + 1))
 
 
 def primitive_divisor_verdicts(values: Iterable, horizon: Optional[int] = None
@@ -124,12 +134,10 @@ def zsigmondy_of_values(values: Iterable, horizon: Optional[int] = None) -> tupl
 
 def primitive_prime_exists(orbit: OrbitRecord, n: int) -> tuple[bool, Optional[int]]:
     """Does orbit numerator n have a primitive prime?  (answer, witness or None)."""
-    nums = [abs(e.num) for e in orbit.entries[:n]]
-    if any(a == 0 for a in nums):
-        raise ValueError("orbit hits zero; primitivity is undefined past a zero")
+    nums = _abs_numerators(e.num for e in orbit.entries[:n])
     if len(nums) < n:
         raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    v = _verdicts_from_abs(nums)[-1]
+    v = PrimitiveDivisorVerdict(n, _strip_index(nums, n))
     return v.has_primitive, v.witness_prime
 
 
@@ -139,20 +147,18 @@ class KriegerStatus(str, Enum):
     VACUOUS = "vacuous"
 
 
-def _rin_holds(nums: Sequence[int], n: int) -> bool:
+def _quotient_product(nums: Sequence[int], n: int) -> int:
+    """Product of N_(n/p) over the primes p | n (the empty product is 1)."""
     prod = 1
     for p in distinct_prime_factors(n):
         prod *= nums[n // p - 1]
-    return nums[n - 1] > prod
+    return prod
 
 
-def _krieger_status(nums: Sequence[int], n: int, has_primitive: bool) -> KriegerStatus:
+def _krieger_status(num: int, prod: int, has_primitive: bool) -> KriegerStatus:
     if has_primitive:
         return KriegerStatus.VACUOUS
-    prod = 1
-    for p in distinct_prime_factors(n):
-        prod *= nums[n // p - 1]
-    return KriegerStatus.HOLDS if prod % nums[n - 1] == 0 else KriegerStatus.FAILS
+    return KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS
 
 
 def check_rin_inequality(orbit: OrbitRecord, n: int) -> bool:
@@ -162,7 +168,7 @@ def check_rin_inequality(orbit: OrbitRecord, n: int) -> bool:
         raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
     if any(a == 0 for a in nums):
         return False
-    return _rin_holds(nums, n)
+    return nums[n - 1] > _quotient_product(nums, n)
 
 
 def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
@@ -170,13 +176,10 @@ def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
 
     Vacuous when a primitive prime exists at n.
     """
-    nums = [abs(e.num) for e in orbit.entries[:n]]
-    if len(nums) < n:
+    if len(orbit.entries) < n:
         raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    if any(a == 0 for a in nums):
-        raise ValueError("orbit hits zero; divisibility test undefined")
-    has_prim = _verdicts_from_abs(nums)[-1].has_primitive
-    return _krieger_status(nums, n, has_prim)
+    nums = _abs_numerators(e.num for e in orbit.entries[:n])
+    return _krieger_status(nums[n - 1], _quotient_product(nums, n), _strip_index(nums, n) > 1)
 
 
 @dataclass(frozen=True)
@@ -202,23 +205,18 @@ def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> Zsigmond
     n_max = len(orbit.entries) if horizon is None else min(horizon, len(orbit.entries))
     if n_max < 1:
         raise ValueError("empty window")
-    nums = []
-    for e in orbit.entries[:n_max]:
-        if e.num == 0:
-            raise ValueError(
-                f"orbit value {e.n} is zero; Zsigmondy set undefined for preperiodic orbits"
-            )
-        nums.append(abs(e.num))
+    nums = _abs_numerators(e.num for e in orbit.entries[:n_max])
     verdicts = _verdicts_from_abs(nums)
     zset = tuple(v.n for v in verdicts if not v.has_primitive)
-    rin_failures = tuple(n for n in range(1, n_max + 1) if not _rin_holds(nums, n))
-    krieger = tuple(
-        (n, _krieger_status(nums, n, verdicts[n - 1].has_primitive))
-        for n in range(1, n_max + 1)
-    )
+    rin_failures, krieger = [], []
+    for v, num in zip(verdicts, nums):
+        prod = _quotient_product(nums, v.n)
+        if num <= prod:
+            rin_failures.append(v.n)
+        krieger.append((v.n, _krieger_status(num, prod, v.has_primitive)))
     return ZsigmondyReport(
-        poly=orbit.poly, c=orbit.c, horizon=n_max,
-        verdicts=verdicts, zset=zset, rin_failures=rin_failures, krieger_checks=krieger,
+        poly=orbit.poly, c=orbit.c, horizon=n_max, verdicts=verdicts, zset=zset,
+        rin_failures=tuple(rin_failures), krieger_checks=tuple(krieger),
     )
 
 

@@ -1,19 +1,23 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+import zsig.zsigmondy
 from zsig.harness import (
     CSV_HEADER,
     ScanConfig,
+    _worker_count,
     csv_text,
     grid,
     json_text,
     run_scan,
     write_output,
 )
+from zsig.orbit import iterate
 from zsig.poly import X2DivisiblePoly
 
 F = Fraction
@@ -192,3 +196,32 @@ def test_write_output_path(tmp_path):
     text = write_output(run_scan(cfg))
     assert out.read_text() == text
     assert text.startswith("c_num,")
+
+
+def test_scans_name_no_witnesses(monkeypatch):
+    orbit = iterate(CUBIC, F(-5, 3), horizon=6)
+
+    def facts(report):
+        return report.zset, [(v.has_primitive, v.stripped_remainder_bits)
+                             for v in report.verdicts]
+
+    base_csv = csv_text(run_scan(_cfg()))
+    base_facts = facts(zsig.zsigmondy.zsigmondy_set(orbit))
+
+    def refuse(residue):
+        raise AssertionError(f"witness named for residue {residue}")
+
+    monkeypatch.setattr(zsig.zsigmondy, "_bounded_witness", refuse)
+    assert csv_text(run_scan(_cfg())) == base_csv
+    assert facts(zsig.zsigmondy.zsigmondy_set(orbit)) == base_facts
+    assert any(has for has, _ in base_facts[1])
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(10**6, 10**6) == 4
+    assert _worker_count(10**6, 3) == 3
+    assert _worker_count(2, 100) == 2
+    assert _worker_count(3, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10**6, 10**6) == 1

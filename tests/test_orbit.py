@@ -39,6 +39,12 @@ def test_iterate_rational_orbit_deep_denominators():
     assert (orbit.entry(2).num, orbit.entry(2).den) == (7, 8)
     assert orbit.entry(1).deep_valuations == {2: 1}
     assert orbit.entry(2).deep_valuations == {2: 3}
+    # two-prime denominator support: both primes stay deep and triple each step
+    orbit = iterate(CUBIC, F(1, 6), horizon=3)
+    assert orbit.den_prime_support == (2, 3)
+    assert [e.deep_valuations for e in orbit.entries] == [
+        {2: 1, 3: 1}, {2: 3, 3: 3}, {2: 9, 3: 9},
+    ]
 
 
 def test_iterate_square_orbit():
@@ -130,6 +136,13 @@ def test_decide_membership_frozen_cases():
 
     d = decide_membership(CUBIC, 9)
     assert d.verdict is Verdict.INFINITE_ESCAPE and d.escape_index == 0
+
+    # two-prime denominators: the trigger is the smallest deep prime
+    for poly, text in (("x^3+x^2", "n=1;p=2"), ("2*x^3+x^2", "n=1;p=3"),
+                       ("6*x^3+x^2", "n=2;p=3")):
+        d = decide_membership(X2DivisiblePoly.parse(poly), F(1, 6))
+        assert d.verdict is Verdict.INFINITE_DENOMINATOR
+        assert d.witness_text() == text
 
 
 def test_decide_membership_lead_two():

@@ -109,7 +109,7 @@ def test_zsigmondy_refuses_zero_numerators():
 
 def test_witness_primes_are_really_primitive():
     rng = random.Random(404)
-    checked = 0
+    checked = named = 0
     while checked < 20:
         c = F(rng.randrange(-9, 10), rng.randrange(1, 6))
         if c == 0:
@@ -123,11 +123,15 @@ def test_witness_primes_are_really_primitive():
         ):
             if verdict.witness_prime is None:
                 continue
+            named += 1
             p = verdict.witness_prime
             assert nums[verdict.n - 1] % p == 0
             for k in range(verdict.n - 1):
                 assert nums[k] % p != 0
+        for v in zsigmondy_set(orbit).verdicts:
+            assert primitive_prime_exists(orbit, v.n) == (v.has_primitive, v.witness_prime)
         checked += 1
+    assert named > 0, "no witness was named, so nothing was checked"
 
 
 # ---------------------------------------------------------------- rin + krieger
