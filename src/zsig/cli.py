@@ -104,34 +104,25 @@ def _cmd_zsigmondy(args) -> int:
     return 0
 
 
+_SCAN_OPTIONS = ("num_bound", "den_bound", "horizon", "bit_cap", "parallelism",
+                 "format", "output")
+
+
 def _cmd_scan(args) -> int:
-    if args.config is not None:
-        cfg = ScanConfig.from_file(args.config)
-        updates = {}
-        if args.poly is not None or args.coeffs is not None:
-            updates["poly"] = _model_poly(args)
-        for name in ("num_bound", "den_bound", "horizon", "bit_cap",
-                     "parallelism", "format", "output"):
-            val = getattr(args, name)
-            if val is not None:
-                updates[name] = val
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
-    else:
+    if args.config is None:
         if args.poly is None and args.coeffs is None:
             raise ValueError("scan needs --config, or --poly/--coeffs with bounds")
         if args.num_bound is None or args.den_bound is None:
             raise ValueError("scan needs --num-bound and --den-bound")
-        cfg = ScanConfig(
-            poly=_model_poly(args),
-            num_bound=args.num_bound,
-            den_bound=args.den_bound,
-            horizon=args.horizon if args.horizon is not None else 8,
-            bit_cap=args.bit_cap if args.bit_cap is not None else 2_000_000,
-            parallelism=args.parallelism if args.parallelism is not None else 1,
-            output=args.output,
-            format=args.format if args.format is not None else "csv",
-        )
+    # only the options given override the config file or the ScanConfig defaults
+    given = {name: getattr(args, name) for name in _SCAN_OPTIONS
+             if getattr(args, name) is not None}
+    if args.poly is not None or args.coeffs is not None:
+        given["poly"] = _model_poly(args)
+    if args.config is not None:
+        cfg = dataclasses.replace(ScanConfig.from_file(args.config), **given)
+    else:
+        cfg = ScanConfig(**given)
     summary = run_scan(cfg)
     text = write_output(summary)
     if cfg.output is None:
@@ -216,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("orbit", help="print one critical orbit with denominator data")
     _add_poly_options(p)
-    p.add_argument("--c", type=_fraction, required=True, help="parameter, e.g. 1 or -3/2")
+    p.add_argument("--c", type=_fraction, required=True, help="parameter, e.g. 1 or --c=-3/2")
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--bit-cap", dest="bit_cap", type=int, default=2_000_000)
     p.set_defaults(func=_cmd_orbit)
@@ -266,10 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ZeroDivisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -2,42 +2,55 @@
 
 Entries are 1-indexed: value(1) = g_c(0) = c, value(n+1) = g(value(n)) + c.
 Everything is exact integer arithmetic on reduced numerator/denominator
-pairs; floats appear only in the cached ln |value| used by the analytic
-bound checkers.
+pairs; floats appear only in ln |value|, which the analytic bound checkers
+read and which an entry works out on first read.
 
 A reduced denominator M_n can only contain primes dividing den(c), so the
-support is factored once up front and per-entry valuations are tracked
-only there.  The "deep" part of a denominator, the primes whose valuation
-exceeds their valuation in the leading coefficient, is what triggers the
-InfiniteDenominator verdict: once val_p(M_n) > val_p(u_d) the recursion
-val_p(M_{n+1}) = d*val_p(M_n) - val_p(u_d) forces strict growth forever.
+support is factored once up front, and an entry derives its valuations
+there from its denominator on first read.  The "deep" part of a
+denominator, the primes whose valuation exceeds their valuation in the
+leading coefficient, is what triggers the InfiniteDenominator verdict:
+once val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
+d*val_p(M_n) - val_p(u_d) forces strict growth forever.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .arith import factor_small, ln_abs_int, ln_abs_ratio, val_p
-from .poly import RatPolynomial, X2DivisiblePoly, length
+from .poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, length
 
 
 @dataclass(frozen=True)
 class OrbitEntry:
-    """One orbit value as a reduced fraction num/den, den > 0."""
+    """One orbit value as a reduced fraction num/den, den > 0.
+
+    lead_valuations maps each prime p of den(c) to val_p(lead); one dict is
+    shared by every entry of an orbit.  ln_abs and deep_valuations (val_p(den)
+    at the primes where it exceeds val_p(lead)) are worked out on first read.
+    """
 
     n: int
     num: int
     den: int
-    ln_abs: float
-    # valuations of den at support primes p with val_p(den) > val_p(lead)
-    deep_valuations: dict
+    lead_valuations: dict = field(repr=False, compare=False)
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+    @cached_property
+    def ln_abs(self) -> float:
+        return ln_abs_ratio(self.num, self.den)
+
+    @cached_property
+    def deep_valuations(self) -> dict[int, int]:
+        return _deep_valuations(self.den, self.lead_valuations)
 
 
 @dataclass(frozen=True)
@@ -60,9 +73,6 @@ class OrbitRecord:
 
     def value(self, n: int) -> Fraction:
         return self.entry(n).value
-
-    def numerators(self) -> list[int]:
-        return [e.num for e in self.entries]
 
 
 def _lead_valuations(g: X2DivisiblePoly, c: Fraction) -> dict[int, int]:
@@ -111,8 +121,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = 2_000_000) -> Or
     entries: list[OrbitEntry] = []
     capped_at = None
     for n, (num, den) in zip(range(1, horizon + 1), _orbit_pairs(g, c)):
-        deep = _deep_valuations(den, lead_vals)
-        entries.append(OrbitEntry(n, num, den, ln_abs_ratio(num, den), deep))
+        entries.append(OrbitEntry(n, num, den, lead_vals))
         if max(num.bit_length(), den.bit_length()) > bit_cap:
             capped_at = n
             break
@@ -190,15 +199,8 @@ def _state_space_bound(g: X2DivisiblePoly, radius: Fraction) -> int:
     reduced fractions with each divisor of |lead| as denominator bounds
     the reachable states; two extra steps cover the start and the repeat.
     """
-    lead = abs(g.lead)
-    fac = factor_small(lead)
-    if not fac.complete:
-        raise ValueError(f"cannot factor leading coefficient {lead}")
-    divisors = [1]
-    for p, e in fac.factors:
-        divisors = [m * p**k for m in divisors for k in range(e + 1)]
     total = 0
-    for m in divisors:
+    for m in _divisors_from_factorization(g.lead):
         total += 2 * int(radius * m) + 1
     return total + 2
 
@@ -304,13 +306,11 @@ def check_valuation_recursion(orbit: OrbitRecord) -> list[str]:
     For p deep at entry n: val_p(M_{n+1}) = d * val_p(M_n) - val_p(u_d),
     and the new valuation must stay deep (persistence).
     """
-    g = orbit.poly
-    d = g.degree
+    d = orbit.poly.degree
     bad: list[str] = []
     for prev, cur in zip(orbit.entries, orbit.entries[1:]):
         for p, e in prev.deep_valuations.items():
-            lead_val = val_p(g.lead, p) if g.lead % p == 0 else 0
-            expected = d * e - lead_val
+            expected = d * e - prev.lead_valuations[p]
             got = cur.deep_valuations.get(p)
             if got is None:
                 bad.append(f"p={p} deep at n={prev.n} but not at n={cur.n}")

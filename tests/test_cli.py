@@ -11,6 +11,8 @@ import pytest
 import zsig
 import zsig.cli as cli
 from zsig.cli import cli_dispatch, main
+from zsig.harness import ScanConfig, csv_text, run_scan
+from zsig.poly import X2DivisiblePoly
 from zsig.verification import CheckResult
 
 
@@ -93,6 +95,13 @@ def test_scan_config_file_with_override(capsys, tmp_path):
     assert out2 == out3
 
 
+def test_scan_defaults_come_from_scan_config(capsys):
+    rc, out, _ = run(capsys, "scan", "--poly", "x^3+x^2", "--num-bound", "3",
+                     "--den-bound", "2")
+    assert rc == 0
+    assert out == csv_text(run_scan(ScanConfig(X2DivisiblePoly.parse("x^3+x^2"), 3, 2)))
+
+
 def test_scan_missing_bounds_is_usage_error(capsys):
     rc, _, err = run(capsys, "scan", "--poly", "x^2")
     assert rc == 2
@@ -158,9 +167,11 @@ def test_normalize_maps_parameter(capsys):
 
 
 def test_malformed_polynomial_exits_two(capsys):
-    rc, _, err = run(capsys, "orbit", "--poly", "x^+2", "--c", "1")
-    assert rc == 2
-    assert "error:" in err
+    for argv in (("--poly", "x^+2"), ("--coeffs", "0,0,1/0")):
+        rc, _, err = run(capsys, "orbit", *argv, "--c", "1")
+        assert rc == 2, argv
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 def test_non_model_polynomial_exits_two(capsys):

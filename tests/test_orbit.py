@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zsig.orbit as orbit_module
 from zsig.orbit import (
     MembershipDecision,
     Verdict,
@@ -20,6 +23,7 @@ from zsig.orbit import (
     iterate_rational,
 )
 from zsig.poly import RatPolynomial, X2DivisiblePoly, length
+from zsig.zsigmondy import zsigmondy_set
 
 F = Fraction
 CUBIC = X2DivisiblePoly.parse("x^3+x^2")
@@ -106,6 +110,64 @@ def test_ln_abs_value_accuracy():
         assert e.ln_abs == pytest.approx(
             math.log(abs(e.num)) - math.log(e.den), rel=1e-12
         )
+
+
+def test_iterate_and_zset_compute_no_valuation_or_log(monkeypatch):
+    """Depth and ln|value| are computed only when an entry's field is read."""
+    def window(orbit):
+        report = zsigmondy_set(orbit)
+        return report.zset, [(v.has_primitive, v.stripped_remainder_bits)
+                             for v in report.verdicts]
+
+    expected = window(iterate(CUBIC, F(1, 6), horizon=8))
+
+    def refuse(*args):
+        raise RuntimeError("computed on read only")
+
+    monkeypatch.setattr(orbit_module, "val_p", refuse)
+    monkeypatch.setattr(orbit_module, "ln_abs_ratio", refuse)
+    orbit = iterate(CUBIC, F(1, 6), horizon=8)
+    assert window(orbit) == expected
+    with pytest.raises(RuntimeError, match="on read only"):
+        orbit.entry(2).deep_valuations
+    with pytest.raises(RuntimeError, match="on read only"):
+        orbit.entry(2).ln_abs
+
+
+def _plain_val(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    middle=st.lists(st.integers(-4, 4), min_size=0, max_size=2),
+    lead=st.integers(-12, 12).filter(bool),
+    c_num=st.integers(-12, 12),
+    c_den=st.integers(1, 12),
+    horizon=st.integers(1, 5),
+)
+def test_lazy_entry_fields_match_plain_fractions(middle, lead, c_num, c_den, horizon):
+    """deep_valuations and ln_abs agree with values rebuilt from plain Fractions."""
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    c = F(c_num, c_den)
+    support = [p for p in (2, 3, 5, 7, 11) if c.denominator % p == 0]
+    orbit = iterate(g, c, horizon=horizon)
+    values = iterate_rational(g.as_rational(), c, c, horizon - 1)
+    assert len(orbit.entries) == horizon
+    for e, v in zip(orbit.entries, values):
+        vals = {p: _plain_val(v.denominator, p) for p in support}
+        assert e.deep_valuations == {
+            p: k for p, k in vals.items() if k > _plain_val(g.lead, p)
+        }
+        if v == 0:
+            assert e.ln_abs == float("-inf")
+        else:
+            expected = math.log(abs(v.numerator)) - math.log(v.denominator)
+            assert e.ln_abs == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
 def test_escape_radius():
@@ -233,6 +295,7 @@ def test_checkers_report_fabricated_violations():
     orbit = iterate(CUBIC, F(1, 2), horizon=5, bit_cap=10**5)
     bad_entries = list(orbit.entries)
     e = bad_entries[3]
-    bad_entries[3] = dataclasses.replace(e, deep_valuations={2: e.deep_valuations[2] + 1})
+    # the check must read depth from the denominator itself
+    bad_entries[3] = dataclasses.replace(e, den=2 * e.den)
     bad = dataclasses.replace(orbit, entries=tuple(bad_entries))
     assert check_valuation_recursion(bad) != []
