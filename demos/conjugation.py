@@ -39,5 +39,5 @@ print("f_c^n(1) - 1 equals the model orbit value(n) exactly for n = 1..8")
 source_window = zsigmondy_of_values(diffs)
 target_window = zsigmondy_set(h_orbit).zset
 print(f"source window {source_window}, target window {target_window}, "
-      f"count gap <= {cert.zsigmondy_distortion_bound} as certified")
-assert abs(len(source_window) - len(target_window)) <= cert.zsigmondy_distortion_bound
+      f"count gap <= {cert.distortion_bound} as certified")
+assert abs(len(source_window) - len(target_window)) <= cert.distortion_bound

@@ -15,7 +15,6 @@ from .arith import (
     ln_abs_ratio,
     omega,
     prime_quotient_power_sum,
-    s_d,
     strip_common_primes,
     val_p,
 )
@@ -63,33 +62,24 @@ from .zsigmondy import (
     KriegerStatus,
     PrimitiveDivisorVerdict,
     ZsigmondyReport,
-    bound_N0,
-    bound_N1,
-    bound_N2,
     bound_report,
     check_cross_bound,
     check_krieger_divisibility,
     check_monomial_sandwich,
     check_rin_inequality,
     cross_bound_ok,
-    evertse_W,
     evertse_bound,
     excess_bound_ok,
     excess_primes,
     growth_threshold,
-    hat,
-    ideal_set,
     index_bound_n0,
     index_bound_n1,
     index_bound_n2,
     mahler_measure,
-    mahler_rational,
     power_sum_dominated,
     primitive_divisor_verdicts,
     primitive_prime_exists,
     root_bound,
-    root_bound_D,
-    threshold_solver,
     zsigmondy_of_values,
     zsigmondy_set,
 )
@@ -101,20 +91,18 @@ __all__ = [
     "KriegerStatus", "MembershipDecision", "NormalizationCertificate", "OrbitEntry",
     "OrbitRecord", "PolynomialSyntaxError", "PrimePowerFactorization",
     "PrimitiveDivisorVerdict", "RatPolynomial", "ScanConfig", "ScanRow", "ScanSummary",
-    "Verdict", "X2DivisiblePoly", "ZsigmondyReport", "bound_N0", "bound_N1",
-    "bound_N2", "bound_report", "brute_force_verdict", "check_cross_bound",
-    "check_denominator_lower_bound", "check_escape_growth",
-    "check_krieger_divisibility", "check_monomial_sandwich", "check_names",
-    "check_rin_inequality", "check_upper_bounds", "check_valuation_recursion",
-    "critical_points_rational", "cross_bound_ok", "csv_text", "decide_membership",
-    "escape_check", "escape_radius", "evertse_W", "evertse_bound", "excess_bound_ok",
-    "excess_primes", "factor_small", "grid", "growth_threshold", "hat", "ideal_set",
+    "Verdict", "X2DivisiblePoly", "ZsigmondyReport", "bound_report",
+    "brute_force_verdict", "check_cross_bound", "check_denominator_lower_bound",
+    "check_escape_growth", "check_krieger_divisibility", "check_monomial_sandwich",
+    "check_names", "check_rin_inequality", "check_upper_bounds",
+    "check_valuation_recursion", "critical_points_rational", "cross_bound_ok",
+    "csv_text", "decide_membership", "escape_check", "escape_radius", "evertse_bound",
+    "excess_bound_ok", "excess_primes", "factor_small", "grid", "growth_threshold",
     "index_bound_n0", "index_bound_n1", "index_bound_n2", "is_probable_prime",
     "iterate", "iterate_rational", "json_text", "length", "ln_abs_int", "ln_abs_ratio",
-    "mahler_measure", "mahler_rational", "normalize_to_x2_divisible", "omega",
-    "power_sum_dominated", "prime_quotient_power_sum", "primitive_divisor_verdicts",
-    "primitive_prime_exists", "root_bound", "root_bound_D", "run_all", "run_scan",
-    "s_d", "scale_to_integer", "shift_to_origin", "strip_common_primes",
-    "threshold_solver", "val_p", "write_output", "zsigmondy_of_values",
+    "mahler_measure", "normalize_to_x2_divisible", "omega", "power_sum_dominated",
+    "prime_quotient_power_sum", "primitive_divisor_verdicts", "primitive_prime_exists",
+    "root_bound", "run_all", "run_scan", "scale_to_integer", "shift_to_origin",
+    "strip_common_primes", "val_p", "write_output", "zsigmondy_of_values",
     "zsigmondy_set",
 ]

@@ -292,25 +292,13 @@ def strip_common_primes(r: int, s: int) -> int:
     return r
 
 
-def prime_quotient_power_sum(d: int, n: int, n_primes: tuple[int, ...] | None = None) -> int:
-    """Sum of d^(n/p) over the distinct primes p dividing n (exact integer).
-
-    n_primes can pass a precomputed prime list for n (the exhaustive
-    suites drive this from a sieve); otherwise n is factored here.
-    """
+def prime_quotient_power_sum(d: int, n: int) -> int:
+    """Sum of d^(n/p) over the distinct primes p dividing n (exact integer)."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if n < 2:
         raise ValueError("n must be >= 2")
-    primes = n_primes if n_primes is not None else distinct_prime_factors(n)
-    return sum(d ** (n // p) for p in primes)
-
-
-def s_d(n: int, d: int) -> int:
-    """Short name for the same sum, with the empty case s_d(1) = 0."""
-    if n == 1:
-        return 0
-    return prime_quotient_power_sum(d, n)
+    return sum(d ** (n // p) for p in distinct_prime_factors(n))
 
 
 def ln_abs_int(n: int) -> float:

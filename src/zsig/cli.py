@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .harness import ScanConfig, run_scan, write_output
-from .orbit import Verdict, decide_membership, escape_radius, iterate
+from .orbit import DEFAULT_BIT_CAP, decide_membership, escape_radius, iterate
 from .poly import (
     RatPolynomial,
     X2DivisiblePoly,
@@ -209,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly_options(p)
     p.add_argument("--c", type=_fraction, required=True, help="parameter, e.g. 1 or --c=-3/2")
     p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=2_000_000)
+    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=DEFAULT_BIT_CAP)
     p.set_defaults(func=_cmd_orbit)
 
     p = subs.add_parser("zsigmondy", help="primitive divisor report for one parameter")
     _add_poly_options(p)
     p.add_argument("--c", type=_fraction, required=True)
     p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=2_000_000)
+    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=DEFAULT_BIT_CAP)
     p.set_defaults(func=_cmd_zsigmondy)
 
     p = subs.add_parser("scan", help="sweep a rational parameter grid")
@@ -263,9 +263,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-
-
-cli_dispatch = main
 
 
 if __name__ == "__main__":

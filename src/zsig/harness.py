@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .orbit import Verdict, decide_membership, iterate
+from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
 from .poly import X2DivisiblePoly
 from .zsigmondy import zsigmondy_set
 
@@ -42,7 +42,7 @@ class ScanConfig:
     num_bound: int
     den_bound: int
     horizon: int = 8
-    bit_cap: int = 2_000_000
+    bit_cap: int = DEFAULT_BIT_CAP
     parallelism: int = 1
     output: Optional[str] = None
     format: str = "csv"
@@ -186,13 +186,8 @@ def _worker_count(requested: int, grid_size: int) -> int:
 
 
 def run_scan(config: ScanConfig) -> ScanSummary:
-    """Run the full grid; ZSIG_THREADS overrides config.parallelism."""
+    """Run the full grid on up to config.parallelism worker processes."""
     requested = config.parallelism
-    env = os.environ.get("ZSIG_THREADS")
-    if env is not None:
-        requested = int(env)
-        if requested < 1:
-            raise ValueError("ZSIG_THREADS must be a positive integer")
     started = time.perf_counter()
     payloads = [
         (config.poly.coeffs, c.numerator, c.denominator, config.horizon, config.bit_cap)

@@ -25,6 +25,9 @@ from typing import Optional
 from .arith import factor_small, ln_abs_int, ln_abs_ratio, val_p
 from .poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, length
 
+# entries past this many bits stop an orbit (iterate, scans and the CLI share it)
+DEFAULT_BIT_CAP = 2_000_000
+
 
 @dataclass(frozen=True)
 class OrbitEntry:
@@ -107,7 +110,7 @@ def _orbit_pairs(g: X2DivisiblePoly, c: Fraction):
         den //= shrink
 
 
-def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = 2_000_000) -> OrbitRecord:
+def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP) -> OrbitRecord:
     """Compute orbit entries 1..horizon, stopping early at the bit cap.
 
     If an entry's numerator or denominator exceeds bit_cap bits it is still
@@ -275,11 +278,12 @@ def iterate_rational(f: RatPolynomial, c, start, horizon: int) -> list[Fraction]
     return out
 
 
-def _approx_le(a: float, b: float, rel_tol: float) -> bool:
-    return a <= b + rel_tol * max(1.0, abs(a), abs(b))
+def _approx_le(a: float, b: float) -> bool:
+    """a <= b up to a relative float slack of 1e-9."""
+    return a <= b + 1e-9 * max(1.0, abs(a), abs(b))
 
 
-def check_upper_bounds(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
+def check_upper_bounds(orbit: OrbitRecord) -> list[str]:
     """Violations of the growth ceilings; empty when the orbit obeys them.
 
     Denominators: ln M_n <= d^(n-1) ln M_1.  Values: ln |value(n)| <=
@@ -293,9 +297,9 @@ def check_upper_bounds(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
     ln_ceiling = ln_abs_ratio(ceiling.numerator, ceiling.denominator)
     for e in orbit.entries:
         scale = float(d) ** (e.n - 1)
-        if not _approx_le(ln_abs_int(e.den), scale * ln_m1, rel_tol):
+        if not _approx_le(ln_abs_int(e.den), scale * ln_m1):
             bad.append(f"denominator bound fails at n={e.n}")
-        if e.num != 0 and not _approx_le(e.ln_abs, scale * ln_ceiling, rel_tol):
+        if e.num != 0 and not _approx_le(e.ln_abs, scale * ln_ceiling):
             bad.append(f"value bound fails at n={e.n}")
     return bad
 
@@ -319,7 +323,7 @@ def check_valuation_recursion(orbit: OrbitRecord) -> list[str]:
     return bad
 
 
-def check_denominator_lower_bound(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
+def check_denominator_lower_bound(orbit: OrbitRecord) -> list[str]:
     """ln M_n >= (d^(n-n') / 3) ln(deep part of M_n') for degree >= 3.
 
     n' is the first entry with a deep denominator; the deep part is the
@@ -341,12 +345,12 @@ def check_denominator_lower_bound(orbit: OrbitRecord, rel_tol: float = 1e-9) -> 
     bad = []
     for e in orbit.entries[first.n - 1:]:
         need = (float(d) ** (e.n - first.n) / 3.0) * ln_hat
-        if not _approx_le(need, ln_abs_int(e.den), rel_tol):
+        if not _approx_le(need, ln_abs_int(e.den)):
             bad.append(f"denominator lower bound fails at n={e.n}")
     return bad
 
 
-def check_escape_growth(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
+def check_escape_growth(orbit: OrbitRecord) -> list[str]:
     """ln |value(k+1)| >= d^(k-k0) ln(|value(k0+1)| / 2) past the escape index k0."""
     g = orbit.poly
     d = g.degree
@@ -358,6 +362,6 @@ def check_escape_growth(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
     bad = []
     for e in orbit.entries[k0:]:
         need = float(d) ** (e.n - 1 - k0) * ln_floor
-        if not _approx_le(need, e.ln_abs, rel_tol):
+        if not _approx_le(need, e.ln_abs):
             bad.append(f"escape growth fails at n={e.n}")
     return bad

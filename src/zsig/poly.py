@@ -333,10 +333,6 @@ class NormalizationCertificate:
     krieger_regime: bool
     distortion_bound: int
 
-    @property
-    def zsigmondy_distortion_bound(self) -> int:
-        return self.distortion_bound
-
     def param_map(self, c) -> Fraction:
         return (_as_fraction(c) + self.shift_constant) / self.scale
 
@@ -346,11 +342,9 @@ class NormalizationCertificate:
         t = self.scale
         return self.target(x) - (self.source(t * x + self.u) - self.source(self.u)) / t
 
-    def verify(self, samples=None) -> bool:
-        """Check the defining identity at degree+1 points (or given samples)."""
-        if samples is None:
-            samples = [Fraction(k) for k in range(self.target.degree + 1)]
-        return all(self.identity_residual(x) == 0 for x in samples)
+    def verify(self) -> bool:
+        """Check the defining identity at the degree+1 points 0, 1, ..., degree."""
+        return all(self.identity_residual(k) == 0 for k in range(self.target.degree + 1))
 
 
 def normalize_to_x2_divisible(f: RatPolynomial, u) -> NormalizationCertificate:

@@ -36,7 +36,7 @@ from .arith import (
     strip_common_primes,
     val_p,
 )
-from .orbit import OrbitRecord
+from .orbit import OrbitRecord, _approx_le, _deep_valuations
 from .poly import X2DivisiblePoly, length
 
 
@@ -220,52 +220,27 @@ def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> Zsigmond
     )
 
 
-def excess_primes(a: int, lead: int, support: Optional[Iterable[int]] = None
-                  ) -> tuple[frozenset, int]:
+def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
     """Primes of a with valuation above their valuation in lead, plus their part.
 
-    Returns (I, hat) where I = {p : val_p(a) > val_p(lead)} and hat is the
-    product of p^val_p(a) over I.  With support given, only those primes
-    are examined (callers use the denominator support); otherwise a is
-    factored completely.
+    Returns (I, I_hat) where I = {p : val_p(a) > val_p(lead)} and I_hat is
+    the product of p^val_p(a) over I.  a is factored completely.
     """
     a = abs(a)
     if a == 0:
         raise ValueError("excess primes of zero are undefined")
-    if a == 1:
-        return frozenset(), 1
-    if support is None:
-        fac = factor_small(a)
-        if not fac.complete:
-            raise ValueError(f"cannot factor {a} to determine its excess part")
-        pairs = fac.factors
-    else:
-        pairs = [(p, val_p(a, p)) for p in support if a % p == 0]
-    deep = {}
-    for p, e in pairs:
-        lead_val = val_p(lead, p) if lead % p == 0 else 0
-        if e > lead_val:
-            deep[p] = e
-    hat = 1
-    for p, e in deep.items():
-        hat *= p**e
-    return frozenset(deep), hat
+    fac = factor_small(a)
+    if not fac.complete:
+        raise ValueError(f"cannot factor {a} to determine its excess part")
+    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p in fac.primes}
+    deep = _deep_valuations(a, lead_vals)
+    return frozenset(deep), math.prod(p**e for p, e in deep.items())
 
 
 def excess_bound_ok(a: int, lead: int) -> bool:
     """|a| <= |lead| * (excess part of a): shallow primes cannot beat the lead."""
-    _, hat = excess_primes(a, lead)
-    return abs(a) <= abs(lead) * hat
-
-
-def ideal_set(a: int, lead: int, support: Optional[Iterable[int]] = None) -> frozenset:
-    """Just the prime set from excess_primes."""
-    return excess_primes(a, lead, support)[0]
-
-
-def hat(a: int, lead: int, support: Optional[Iterable[int]] = None) -> int:
-    """Just the excess part from excess_primes; 1 when the set is empty."""
-    return excess_primes(a, lead, support)[1]
+    _, part = excess_primes(a, lead)
+    return abs(a) <= abs(lead) * part
 
 
 def power_sum_dominated(d: int, n: int, n_omega: Optional[int] = None) -> bool:
@@ -367,13 +342,13 @@ def _exact_log_ratio(ab: Fraction, beta: Fraction) -> Optional[int]:
 
 
 def _growth_exceeds(d: int, n: int, alpha: Fraction, beta: Fraction,
-                    exact_k: Optional[int], max_prec: int = 1 << 17) -> bool:
+                    exact_k: Optional[int]) -> bool:
     """Certified comparison d^(2n) (ln beta)^5 > 243 (ln(alpha beta))^5."""
     if exact_k is not None:
         return d ** (2 * n) > 243 * exact_k**5
     ab = alpha * beta
     prec = 64
-    while prec <= max_prec:
+    while prec <= 1 << 17:
         with mp.workprec(prec):
             ln_b = mp.log(mpf(beta.numerator)) - mp.log(mpf(beta.denominator))
             ln_ab = mp.log(mpf(ab.numerator)) - mp.log(mpf(ab.denominator))
@@ -416,9 +391,9 @@ def growth_threshold(d: int, alpha, beta) -> int:
 
 
 def ln_value_ceiling(orbit: OrbitRecord) -> float:
-    """ln of 2 |u_d|^2 B-hat max(|c|, 4L): the per-step numerator growth base.
+    """ln of 2 |u_d|^2 B_hat max(|c|, 4L): the per-step numerator growth base.
 
-    B-hat is the deep part of the first denominator, taken from the
+    B_hat is the deep part of the first denominator, taken from the
     recorded valuations so the integer itself is never built.
     """
     g = orbit.poly
@@ -429,8 +404,7 @@ def ln_value_ceiling(orbit: OrbitRecord) -> float:
     return ln_base + ln_hat
 
 
-def cross_bound_ok(ln_values: Sequence[float], d: int, ln_ceiling: float, n: int,
-                   rel_tol: float = 1e-9) -> bool:
+def cross_bound_ok(ln_values: Sequence[float], d: int, ln_ceiling: float, n: int) -> bool:
     """sum of ln|N_(n/p)| over primes p | n stays under d^(3n/5) * ln_ceiling.
 
     Compared in the log domain so the d^(3n/5) factor never overflows;
@@ -445,10 +419,10 @@ def cross_bound_ok(ln_values: Sequence[float], d: int, ln_ceiling: float, n: int
         return True
     log_lhs = math.log(lhs)
     log_rhs = (3 * n / 5) * math.log(d) + math.log(ln_ceiling)
-    return log_lhs <= log_rhs + rel_tol * max(1.0, abs(log_lhs), abs(log_rhs))
+    return _approx_le(log_lhs, log_rhs)
 
 
-def check_cross_bound(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
+def check_cross_bound(orbit: OrbitRecord) -> list[str]:
     """Violations of the cross bound at every computed index n >= 30."""
     lns = [ln_abs_int(abs(e.num)) if e.num != 0 else float("-inf") for e in orbit.entries]
     if any(x == float("-inf") for x in lns):
@@ -457,7 +431,7 @@ def check_cross_bound(orbit: OrbitRecord, rel_tol: float = 1e-9) -> list[str]:
     d = orbit.poly.degree
     bad = []
     for n in range(30, len(lns) + 1):
-        if not cross_bound_ok(lns, d, ceiling, n, rel_tol):
+        if not cross_bound_ok(lns, d, ceiling, n):
             bad.append(f"cross bound fails at n={n}")
     return bad
 
@@ -547,14 +521,3 @@ def bound_report(g: X2DivisiblePoly, parameter_height=None, preimage_depth: int 
         evertse_at_n0=evertse_bound(d**n0, Fraction(1, 10)),
         region_thresholds=thresholds,
     )
-
-
-# Symbolic spellings of the explicit constants.  Both names are public;
-# the long forms say what the quantity is, these match the usual symbols.
-mahler_rational = mahler_measure
-evertse_W = evertse_bound
-bound_N0 = index_bound_n0
-bound_N1 = index_bound_n1
-bound_N2 = index_bound_n2
-root_bound_D = root_bound
-threshold_solver = growth_threshold

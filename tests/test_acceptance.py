@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from zsig.arith import distinct_prime_factors, primes_up_to, s_d, val_p
+from zsig.arith import distinct_prime_factors, prime_quotient_power_sum, primes_up_to, val_p
 from zsig.harness import ScanConfig, csv_text, json_text, run_scan
 from zsig.orbit import (
     Verdict,
@@ -28,10 +28,10 @@ from zsig.orbit import (
 )
 from zsig.poly import RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible
 from zsig.zsigmondy import (
-    bound_N0,
     check_monomial_sandwich,
     check_rin_inequality,
-    evertse_W,
+    evertse_bound,
+    index_bound_n0,
     power_sum_dominated,
     zsigmondy_of_values,
     zsigmondy_set,
@@ -68,7 +68,7 @@ def _survey_scan(poly_text: str):
 
 
 def test_criterion_1_power_sum_domination_sweep():
-    """s_d(n)^5 <= d^(3n) and omega(n) <= log2 n for d in 2..10, 30 <= n <= 1e5."""
+    """(sum of d^(n/p) over p | n)^5 <= d^(3n), omega(n) <= log2 n: d <= 10, 30 <= n <= 1e5."""
     t0 = time.perf_counter()
     limit = 10**5
     om = [0] * (limit + 1)
@@ -89,13 +89,15 @@ def test_criterion_1_power_sum_domination_sweep():
     sample = list(range(30, 201)) + sorted(rng.sample(range(201, 2001), 30))
     for d in (2, 3, 10):
         for n in sample:
-            assert s_d(n, d) ** 5 <= d ** (3 * n), f"literal bound fails d={d}, n={n}"
+            assert prime_quotient_power_sum(d, n) ** 5 <= d ** (3 * n), (
+                f"literal bound fails d={d}, n={n}"
+            )
             literal += 1
     elapsed = time.perf_counter() - t0
     _gate(
         1,
         elapsed < 60.0,
-        f"s_d(n)^5 <= d^(3n) exactly for d in 2..10 and 30 <= n <= 10^5 "
+        f"(sum of d^(n/p) over p | n)^5 <= d^(3n) exactly for d in 2..10 and 30 <= n <= 10^5 "
         f"({checked} ladder checks, {literal} literal, omega(n) <= log2 n "
         f"throughout) in {elapsed:.1f}s (< 60s)",
     )
@@ -157,11 +159,9 @@ def test_criterion_3_growth_inequalities_random_orbits():
         c = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
         orbit = iterate(g, c, horizon=9)
         assert len(orbit) >= 8, f"fewer than 8 iterates for g={g}, c={c}"
-        failures += [f"{m} (g={g}, c={c})" for m in check_upper_bounds(orbit, 1e-9)]
-        failures += [
-            f"{m} (g={g}, c={c})" for m in check_denominator_lower_bound(orbit, 1e-9)
-        ]
-        failures += [f"{m} (g={g}, c={c})" for m in check_escape_growth(orbit, 1e-9)]
+        failures += [f"{m} (g={g}, c={c})" for m in check_upper_bounds(orbit)]
+        failures += [f"{m} (g={g}, c={c})" for m in check_denominator_lower_bound(orbit)]
+        failures += [f"{m} (g={g}, c={c})" for m in check_escape_growth(orbit)]
         failures += [f"{m} (g={g}, c={c})" for m in check_valuation_recursion(orbit)]
         entries_checked += len(orbit)
     sandwiches = 0
@@ -270,13 +270,13 @@ def test_criterion_5_membership_against_brute_force():
 
 
 def test_criterion_6_index_bound_and_unit_equation_constant():
-    """bound_N0 inequality for 2 <= d <= 64; evertse_W vs high precision."""
+    """index_bound_n0 inequality for 2 <= d <= 64; evertse_bound vs high precision."""
     for d in range(2, 65):
-        n0 = bound_N0(d)
+        n0 = index_bound_n0(d)
         assert 9 * (d - 1) ** (n0 - 1) <= d ** (n0 - 1), f"bound fails at d={d}"
         assert 9 * (d - 1) ** (n0 - 2) > d ** (n0 - 2), f"bound not minimal at d={d}"
-    assert bound_N0(3) == 7 and bound_N0(2) == 5
-    w = evertse_W(2187, Fraction(1, 10))
+    assert index_bound_n0(3) == 7 and index_bound_n0(2) == 5
+    w = evertse_bound(2187, Fraction(1, 10))
     with mpmath.workprec(120):
         outer = mpmath.log(4 * 2187)
         ref = 2 * 10**7 * mpmath.mpf(10) ** 4 * outer * mpmath.log(outer)
@@ -298,7 +298,7 @@ def test_criterion_7_conjugation_transfer():
     cert = normalize_to_x2_divisible(f, 1)
     h = cert.target
     assert h == X2DivisiblePoly.parse("x^3+3*x^2")
-    assert cert.scale == 1 and cert.zsigmondy_distortion_bound == 0
+    assert cert.scale == 1 and cert.distortion_bound == 0
     rng = random.Random(7)
     identities = 0
     windows = 0
@@ -321,7 +321,7 @@ def test_criterion_7_conjugation_transfer():
         target_window = zsigmondy_set(h_orbit, 8).zset
         gap = abs(len(source_window) - len(target_window))
         worst_gap = max(worst_gap, gap)
-        assert gap <= cert.zsigmondy_distortion_bound, (
+        assert gap <= cert.distortion_bound, (
             f"window counts differ by {gap} at c={c}"
         )
         windows += 1
@@ -330,7 +330,7 @@ def test_criterion_7_conjugation_transfer():
         True,
         f"f_c^n(1) - 1 equals the conjugate orbit exactly for n <= 6 "
         f"({identities} identities) and Zsigmondy window counts on [1, 8] "
-        f"differ by at most {cert.zsigmondy_distortion_bound} "
+        f"differ by at most {cert.distortion_bound} "
         f"(worst observed {worst_gap}) over {windows} parameters",
     )
 

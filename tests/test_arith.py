@@ -16,7 +16,6 @@ from zsig.arith import (
     omega,
     prime_quotient_power_sum,
     primes_up_to,
-    s_d,
     smallest_prime_factor_sieve,
     strip_common_primes,
     val_p,
@@ -151,8 +150,6 @@ def test_power_sum_frozen_and_wrapper():
     assert prime_quotient_power_sum(3, 6) == 36
     assert prime_quotient_power_sum(3, 5) == 3
     assert prime_quotient_power_sum(2, 12) == 80  # frozen: 2^6 + 2^4
-    assert s_d(6, 3) == 36
-    assert s_d(1, 5) == 0
     with pytest.raises(ValueError):
         prime_quotient_power_sum(1, 6)
 
@@ -163,7 +160,7 @@ def test_power_sum_matches_direct_formula():
         n = rng.randrange(2, 4000)
         d = rng.randrange(2, 7)
         expected = sum(d ** (n // p) for p in sympy.primefactors(n))
-        assert s_d(n, d) == expected
+        assert prime_quotient_power_sum(d, n) == expected
 
 
 def test_distinct_prime_factors():

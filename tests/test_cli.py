@@ -10,7 +10,7 @@ import pytest
 
 import zsig
 import zsig.cli as cli
-from zsig.cli import cli_dispatch, main
+from zsig.cli import main
 from zsig.harness import ScanConfig, csv_text, run_scan
 from zsig.poly import X2DivisiblePoly
 from zsig.verification import CheckResult
@@ -178,10 +178,6 @@ def test_non_model_polynomial_exits_two(capsys):
     # a linear term is outside the family
     rc, _, err = run(capsys, "orbit", "--poly", "x^3+x", "--c", "1")
     assert rc == 2
-
-
-def test_cli_dispatch_alias():
-    assert cli_dispatch is main
 
 
 ZSIGMONDY_ARGV = ["zsigmondy", "--poly", "x^3+x^2", "--c", "1", "--horizon", "4"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import zsig.harness
 import zsig.zsigmondy
 from zsig.harness import (
     CSV_HEADER,
@@ -124,13 +125,21 @@ def test_determinism_across_parallelism():
     assert texts[1] == texts[2] == texts[3]
 
 
-def test_zsig_threads_env_override(monkeypatch):
-    base = csv_text(run_scan(_cfg()))
-    monkeypatch.setenv("ZSIG_THREADS", "2")
-    assert csv_text(run_scan(_cfg())) == base
-    monkeypatch.setenv("ZSIG_THREADS", "0")
-    with pytest.raises(ValueError):
-        run_scan(_cfg())
+def test_parallelism_setting_starts_its_pool(monkeypatch):
+    # no environment variable may override the configured worker count
+    serial = csv_text(run_scan(_cfg()))
+    monkeypatch.setenv("ZSIG_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    real_pool = zsig.harness.ProcessPoolExecutor
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(zsig.harness, "ProcessPoolExecutor", recording_pool)
+    assert csv_text(run_scan(_cfg(parallelism=2))) == serial
+    assert started == [2]
 
 
 def test_bit_cap_recorded_per_row():

@@ -210,7 +210,6 @@ def test_normalize_frozen_certificates():
     quart = normalize_to_x2_divisible(RatPolynomial.parse("1/2*x^4"), 0)
     assert quart.target == X2DivisiblePoly.parse("4*x^4")
     assert quart.scale == 2 and quart.distortion_bound == 1
-    assert quart.zsigmondy_distortion_bound == 1
 
 
 def test_normalize_conjugacy_identity_random():

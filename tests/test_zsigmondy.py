@@ -1,6 +1,7 @@
 """Primitive divisors, Zsigmondy sets, and the explicit bound machinery."""
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -11,27 +12,24 @@ from zsig.orbit import iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
     KriegerStatus,
-    bound_N0,
-    bound_N1,
-    bound_N2,
     bound_report,
+    check_cross_bound,
     check_krieger_divisibility,
     check_monomial_sandwich,
     check_rin_inequality,
     cross_bound_ok,
-    evertse_W,
+    evertse_bound,
     excess_bound_ok,
     excess_primes,
     growth_threshold,
-    hat,
-    ideal_set,
     index_bound_n0,
-    mahler_rational,
+    index_bound_n1,
+    index_bound_n2,
+    mahler_measure,
     power_sum_dominated,
     primitive_divisor_verdicts,
     primitive_prime_exists,
-    root_bound_D,
-    threshold_solver,
+    root_bound,
     zsigmondy_of_values,
     zsigmondy_set,
 )
@@ -189,9 +187,11 @@ def test_zset_implies_rin_failure():
 # ---------------------------------------------------------------- excess parts
 
 def test_ideal_set_frozen():
-    assert ideal_set(12, 2) == frozenset({2, 3}) and hat(12, 2) == 12
-    assert ideal_set(2, 2) == frozenset() and hat(2, 2) == 1
-    assert ideal_set(8, 2) == frozenset({2}) and hat(8, 2) == 8
+    assert excess_primes(12, 2) == (frozenset({2, 3}), 12)
+    assert excess_primes(2, 2) == (frozenset(), 1)
+    assert excess_primes(8, 2) == (frozenset({2}), 8)
+    with pytest.raises(ValueError):
+        excess_primes(0, 2)
 
 
 def test_excess_primes_definition_random():
@@ -207,13 +207,6 @@ def test_excess_primes_definition_random():
             if p in primes:
                 assert h % p**va == 0 and h % p ** (va + 1) != 0
         assert excess_bound_ok(a, lead)
-
-
-def test_excess_primes_with_support_restriction():
-    primes, h = excess_primes(40, 2, support=(2,))
-    assert primes == frozenset({2}) and h == 8  # 5 never examined
-    with pytest.raises(ValueError):
-        excess_primes(0, 2)
 
 
 # ---------------------------------------------------------------- index lemmas
@@ -233,14 +226,14 @@ def test_power_sum_domination_holds_from_thirty():
 
 
 def test_mahler_rational():
-    assert mahler_rational(F(3, 2)) == 3
-    assert mahler_rational(F(0)) == 1
-    assert mahler_rational(F(-7, 8)) == 8
+    assert mahler_measure(F(3, 2)) == 3
+    assert mahler_measure(F(0)) == 1
+    assert mahler_measure(F(-7, 8)) == 8
 
 
 def test_evertse_bound_frozen():
-    assert evertse_W(1, F(1, 10)) == pytest.approx(90562246551.29185838852762, rel=1e-12)
-    assert evertse_W(2187, F(1, 10)) == pytest.approx(4004038152653.899089341588, rel=1e-12)
+    assert evertse_bound(1, F(1, 10)) == pytest.approx(90562246551.29185838852762, rel=1e-12)
+    assert evertse_bound(2187, F(1, 10)) == pytest.approx(4004038152653.899089341588, rel=1e-12)
 
 
 def test_evertse_bound_formula_and_domain():
@@ -252,49 +245,49 @@ def test_evertse_bound_formula_and_domain():
             d_mp = mpmath.mpf(delta.numerator) / delta.denominator
             want = float(2e7 / d_mp**4
                          * mpmath.log(4 * r) * mpmath.log(mpmath.log(4 * r)))
-        assert evertse_W(r, delta) == pytest.approx(want, rel=1e-11)
+        assert evertse_bound(r, delta) == pytest.approx(want, rel=1e-11)
     for bad in (0, 1, -2):
         with pytest.raises(ValueError):
-            evertse_W(5, bad)
+            evertse_bound(5, bad)
 
 
 def test_bound_N0_frozen_and_defining_inequality():
     expected = {2: 5, 3: 7, 4: 9, 5: 11, 10: 22, 64: 141}
     for d, n0 in expected.items():
-        assert bound_N0(d) == n0
+        assert index_bound_n0(d) == n0
     for d in range(2, 65):
-        n0 = bound_N0(d)
+        n0 = index_bound_n0(d)
         assert 9 * (d - 1) ** (n0 - 1) <= d ** (n0 - 1)
         # minimal: one step earlier the inequality fails
         assert 9 * (d - 1) ** (n0 - 2) > d ** (n0 - 2)
 
 
 def test_bound_N1_frozen():
-    assert bound_N1(3) == 12
-    assert bound_N1(2) == 12
+    assert index_bound_n1(3) == 12
+    assert index_bound_n1(2) == 12
     for d in range(2, 30):
-        k = bound_N1(d) - bound_N0(d)
+        k = index_bound_n1(d) - index_bound_n0(d)
         assert d**k >= 120 and d ** (k - 1) < 120
 
 
 def test_bound_N2_definition():
     for d, lead, D in [(3, 1, 4), (2, 1, 2), (3, 2, 7), (5, 6, 11)]:
         m = lead * lead * D + 1
-        k = bound_N2(d, lead, D) - 2 * bound_N0(d)
+        k = index_bound_n2(d, lead, D) - 2 * index_bound_n0(d)
         target = math.log2(m) ** 3
         assert d**k >= target and (k == 0 or d ** (k - 1) < target)
-    assert bound_N2(3, 1, 4) == 17
+    assert index_bound_n2(3, 1, 4) == 17
 
 
 def test_root_bound_frozen():
-    assert root_bound_D(CUBIC, 2, 1) == 4
-    assert root_bound_D(X2DivisiblePoly.parse("x^3"), 1, 1) == 2
-    assert root_bound_D(CUBIC, 2, 2) == 7
-    assert root_bound_D(CUBIC, 2, 3) == 10
+    assert root_bound(CUBIC, 2, 1) == 4
+    assert root_bound(X2DivisiblePoly.parse("x^3"), 1, 1) == 2
+    assert root_bound(CUBIC, 2, 2) == 7
+    assert root_bound(CUBIC, 2, 3) == 10
     # monotone in depth
     prev = 0
     for depth in range(1, 7):
-        cur = root_bound_D(CUBIC, 2, depth)
+        cur = root_bound(CUBIC, 2, depth)
         assert cur >= prev
         prev = cur
 
@@ -306,8 +299,8 @@ def test_root_bound_actually_bounds_preimages():
     rng = random.Random(12)
     for g_text, L in [("x^3+x^2", 2), ("x^3", 1), ("2*x^3+x^2", 2)]:
         g = X2DivisiblePoly.parse(g_text)
-        D1 = root_bound_D(g, L, 1)
-        D2 = root_bound_D(g, L, 2)
+        D1 = root_bound(g, L, 1)
+        D2 = root_bound(g, L, 2)
         gx = sum(co * x**i for i, co in enumerate(g.coeffs))
         for _ in range(25):
             c = F(rng.randrange(-L * 4, L * 4 + 1), rng.randrange(1, 4))
@@ -326,14 +319,14 @@ def test_root_bound_actually_bounds_preimages():
 # ---------------------------------------------------------------- growth thresholds
 
 def test_threshold_solver_frozen():
-    assert threshold_solver(3, 2, 4) == 30
-    assert threshold_solver(2, 2**2000, 2) == 32
-    assert threshold_solver(2, 10**1000, 2) == 34
-    assert threshold_solver(2, 2**1364, 2) == 30
-    assert threshold_solver(2, 2**1365, 2) == 31
-    assert threshold_solver(2, 2**1366, 2) == 31
-    assert threshold_solver(2, 2**2729, 2) == 33
-    assert threshold_solver(2, 2**2731, 2) == 33
+    assert growth_threshold(3, 2, 4) == 30
+    assert growth_threshold(2, 2**2000, 2) == 32
+    assert growth_threshold(2, 10**1000, 2) == 34
+    assert growth_threshold(2, 2**1364, 2) == 30
+    assert growth_threshold(2, 2**1365, 2) == 31
+    assert growth_threshold(2, 2**1366, 2) == 31
+    assert growth_threshold(2, 2**2729, 2) == 33
+    assert growth_threshold(2, 2**2731, 2) == 33
 
 
 def test_threshold_solver_is_least_solution():
@@ -349,29 +342,29 @@ def test_threshold_solver_is_least_solution():
         with mpmath.workprec(200):
             a_ln = mpmath.log(mpmath.mpmathify(alpha))
             b_ln = mpmath.log(mpmath.mpmathify(beta))
-        n = threshold_solver(d, alpha, beta)
+        n = growth_threshold(d, alpha, beta)
         assert holds(d, n, a_ln, b_ln), (d, alpha, beta)
         if n > 30:
             assert not holds(d, n - 1, a_ln, b_ln), (d, alpha, beta)
 
 
 def test_threshold_solver_monotone_in_alpha():
-    values = [threshold_solver(2, 2**k, 2) for k in (1, 600, 1365, 3000, 10000)]
+    values = [growth_threshold(2, 2**k, 2) for k in (1, 600, 1365, 3000, 10000)]
     assert values == sorted(values)
     assert values[0] == 30
 
 
 def test_threshold_solver_rejects_bad_domain():
     with pytest.raises(ValueError):
-        threshold_solver(1, 2, 2)
+        growth_threshold(1, 2, 2)
     with pytest.raises(ValueError):
-        threshold_solver(3, 2, 1)
+        growth_threshold(3, 2, 1)
     with pytest.raises(ValueError):
-        threshold_solver(3, F(1, 2), 2)
+        growth_threshold(3, F(1, 2), 2)
 
 
 def test_threshold_solver_huge_alpha():
-    assert threshold_solver(2, 2 ** (10**6), 2) == 54
+    assert growth_threshold(2, 2 ** (10**6), 2) == 54
 
 
 # ---------------------------------------------------------------- sandwiches + cross bound
@@ -416,6 +409,17 @@ def test_cross_bound_on_synthetic_sequences():
     # divisor terms past d^(3n/5) * ceiling must be rejected
     flat = [1e7] * 40
     assert not cross_bound_ok(flat, 2, 0.1, 36)
+
+
+def test_check_cross_bound_on_orbits():
+    # x^2 - 2 runs -2, 2, 2, ...: bounded values keep every n >= 30 in bounds
+    orbit = iterate(SQUARE, -2, horizon=35)
+    assert check_cross_bound(orbit) == []
+    # N_15 feeds n = 30 (through 30/2); inflating it must break n = 30 only
+    e = orbit.entries[14]
+    big = replace(e, num=e.num << 800_000)
+    tampered = replace(orbit, entries=orbit.entries[:14] + (big,) + orbit.entries[15:])
+    assert check_cross_bound(tampered) == ["cross bound fails at n=30"]
 
 
 # ---------------------------------------------------------------- bound report
