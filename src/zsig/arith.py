@@ -15,8 +15,9 @@ from functools import lru_cache
 
 _LN2 = math.log(2)
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witness set, valid for n < _MR_PROVEN_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 # Extra fixed witnesses applied above that range (probable-prime semantics).
 _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -72,7 +73,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < 3_317_044_064_679_887_385_961_981 else _MR_BASES + _MR_EXTRA
+    bases = _MR_BASES if n < _MR_PROVEN_LIMIT else _MR_BASES + _MR_EXTRA
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -84,6 +85,11 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_proven_prime(n: int) -> bool:
+    """Primality without a probable answer: Miller-Rabin where it is deterministic."""
+    return n < _MR_PROVEN_LIMIT and is_probable_prime(n)
 
 
 def _int_val(n: int, p: int) -> int:
@@ -155,7 +161,9 @@ def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
     Complete whenever |n| < bound^2 or every prime factor is < bound.
     A remaining cofactor below 2^128 is attacked with a deterministic
     Brent-rho split; anything larger (or a rare rho failure) is surfaced
-    via the cofactor field rather than guessed at.
+    via the cofactor field rather than guessed at.  Every recorded prime
+    is proven: a prime factor of 3.3 * 10^24 or more, which Miller-Rabin
+    can only call probable, stays in the cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -171,7 +179,7 @@ def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
                 e = _int_val(m, p)
                 found[p] = e
                 m //= p**e
-        if m > 1 and bound > 100_000 and not is_probable_prime(m):
+        if m > 1 and bound > 100_000 and not _is_proven_prime(m):
             # odd-step trial division above the sieved range; composite steps
             # are harmless because their prime parts are already stripped
             q = 100_001
@@ -183,7 +191,7 @@ def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
                 q += 2
     cofactor = 1
     if m > 1:
-        if m < bound * bound or is_probable_prime(m):
+        if m < bound * bound or _is_proven_prime(m):
             # no factor below bound survives, so m < bound^2 forces m prime
             found[m] = 1
         elif m < _RHO_LIMIT:
@@ -229,11 +237,12 @@ def _brent_rho(n: int) -> int | None:
 
 
 def _split_completely(n: int, depth: int = 0) -> list[int] | None:
-    # full prime split of n via recursive rho; None when a split fails
+    # full prime split of n via recursive rho; None when a split fails or
+    # leaves a prime too large to prove
     if n == 1:
         return []
     if is_probable_prime(n):
-        return [n]
+        return [n] if n < _MR_PROVEN_LIMIT else None
     if depth > 64:
         return None
     f = _brent_rho(n)

@@ -49,12 +49,21 @@ def _model_poly(args) -> X2DivisiblePoly:
     )
 
 
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, counted without converting it to a string.
+
+    From the bit length the count is k or k + 1, with k taken from a
+    20-digit truncation of log10(2); one comparison with 10^k decides.
+    """
+    n = abs(n)
+    k = max(n.bit_length() - 1, 0) * 30102999566398119521 // 10**20 + 1
+    return k + (n >= 10**k)
+
+
 def _format_value(num: int, den: int) -> str:
-    text = str(num) if den == 1 else f"{num}/{den}"
-    if len(text) <= 60:
-        return text
-    nd = len(str(abs(num)))
-    dd = len(str(den))
+    nd, dd = _decimal_digits(num), _decimal_digits(den)
+    if (num < 0) + nd + (0 if den == 1 else 1 + dd) <= 60:
+        return str(num) if den == 1 else f"{num}/{den}"
     return f"<{nd}-digit>/<{dd}-digit>" if den != 1 else f"<{nd}-digit>"
 
 

@@ -12,6 +12,11 @@ denominator, the primes whose valuation exceeds their valuation in the
 leading coefficient, is what triggers the InfiniteDenominator verdict:
 once val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
 d*val_p(M_n) - val_p(u_d) forces strict growth forever.
+
+The same support reduces each step.  With c = A/B and entry a/M, the raw
+step (P*B + A*M^d) / (M^d*B) can only share primes of B with itself, so
+it is divided by p^k over those primes, with k read off a small ledger of
+val_p(M) rather than found by a gcd of the million-bit raw pair.
 """
 from __future__ import annotations
 
@@ -78,16 +83,16 @@ class OrbitRecord:
         return self.entry(n).value
 
 
-def _lead_valuations(g: X2DivisiblePoly, c: Fraction) -> dict[int, int]:
-    """val_p(lead) for each prime p of den(c), keyed in ascending order of p."""
+def _den_support(g: X2DivisiblePoly, c: Fraction) -> tuple[tuple[int, int, int], ...]:
+    """(p, val_p(den(c)), val_p(lead)) for each prime p of den(c), ascending in p."""
     if c.denominator == 1:
-        return {}
+        return ()
     fac = factor_small(c.denominator)
     if not fac.complete:
         raise ValueError(
             f"cannot certify denominator prime support of c: {fac.cofactor} unfactored"
         )
-    return {p: val_p(g.lead, p) if g.lead % p == 0 else 0 for p in fac.primes}
+    return tuple((p, b, val_p(g.lead, p) if g.lead % p == 0 else 0) for p, b in fac.factors)
 
 
 def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
@@ -96,18 +101,39 @@ def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
     return {p: e for p, e in vals.items() if e > lead_vals[p]}
 
 
-def _orbit_pairs(g: X2DivisiblePoly, c: Fraction):
-    """Reduced (num, den) of entries 1, 2, 3, ...; each step runs on demand."""
+def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
+    """Reduced (num, den) of entries 1, 2, 3, ...; each step runs on demand.
+
+    support is _den_support(g, c).  The raw step shares p^k with its
+    denominator at each p | den(c).  With m = val_p(M) and b = val_p(den(c)),
+    a deep p (m > val_p(u_d)) has k = val_p(u_d) + b: u_d*a^d is the term of
+    P with least valuation, and a deep m is at least b, so d*m exceeds
+    val_p(u_d) + b.  A shallow p has k <= d*m + b = val_p(M^d*B), found by
+    exact division tests.  Integer c has no support and no reduction work.
+    """
+    d = g.degree
     c_num, c_den = c.numerator, c.denominator
+    ledger = {p: b for p, b, _ in support}  # val_p of the current denominator
     num, den = c_num, c_den
     while True:
         yield num, den
         p_raw, q_raw = g.eval_int_pair(num, den)
         num = p_raw * c_den + c_num * q_raw
         den = q_raw * c_den
-        shrink = math.gcd(num, den)
-        num //= shrink
-        den //= shrink
+        shrink = 1
+        for p, b, lead_val in support:
+            m = ledger[p]
+            if m > lead_val:
+                k = lead_val + b
+            else:
+                k, top = 0, d * m + b
+                while k < top and num % p ** (k + 1) == 0:
+                    k += 1
+            ledger[p] = d * m + b - k
+            shrink *= p**k
+        if shrink > 1:
+            num //= shrink
+            den //= shrink
 
 
 def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP) -> OrbitRecord:
@@ -119,11 +145,12 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
     c = Fraction(c)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    lead_vals = _lead_valuations(g, c)
+    support = _den_support(g, c)
+    lead_vals = {p: lead for p, _, lead in support}
 
     entries: list[OrbitEntry] = []
     capped_at = None
-    for n, (num, den) in zip(range(1, horizon + 1), _orbit_pairs(g, c)):
+    for n, (num, den) in zip(range(1, horizon + 1), _orbit_pairs(g, c, support)):
         entries.append(OrbitEntry(n, num, den, lead_vals))
         if max(num.bit_length(), den.bit_length()) > bit_cap:
             capped_at = n
@@ -217,13 +244,14 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
     space and must repeat within the state-space bound.
     """
     c = Fraction(c)
-    lead_vals = _lead_valuations(g, c)
+    support = _den_support(g, c)
+    lead_vals = {p: lead for p, _, lead in support}
     radius = escape_radius(g, c)
     if max_steps is None:
         max_steps = _state_space_bound(g, radius)
 
     seen: dict[tuple[int, int], int] = {}
-    for n, (num, den) in zip(range(1, max_steps + 1), _orbit_pairs(g, c)):
+    for n, (num, den) in zip(range(1, max_steps + 1), _orbit_pairs(g, c, support)):
         if (num, den) in seen:
             first = seen[num, den]
             return MembershipDecision(

@@ -52,6 +52,7 @@ from .zsigmondy import (
     growth_threshold,
     index_bound_n0,
     power_sum_dominated,
+    primitive_divisor_verdicts,
     zsigmondy_of_values,
     zsigmondy_set,
 )
@@ -399,6 +400,31 @@ def rin_fails_on_zsigmondy_indices() -> str:
                     "strict product inequality held inside the set: "
                     f"g={orbit.poly}, c={orbit.c}, n={n}"
                 )
+    return ""
+
+
+@_check
+def rigid_strip_matches_all_pairs() -> str:
+    # a small grid plus two parameters where a prime of den(c) divides N_5
+    # and N_8, which only the den(c) pass of the rigid strip catches
+    cases = [(X2DivisiblePoly.parse("2x^3+x^2"), Fraction(3, 2)),
+             (X2DivisiblePoly.parse("6x^3+3x^2"), Fraction(-5, 2))]
+    for text in ("x^3+x^2", "2x^3+x^2"):
+        g = X2DivisiblePoly.parse(text)
+        cases += [(g, c) for c in grid(ScanConfig(g, 4, 3))]
+    checked = 0
+    for g, c in cases:
+        orbit = iterate(g, c, 8)
+        if any(e.num == 0 for e in orbit.entries):
+            continue
+        checked += 1
+        rigid = zsigmondy_set(orbit).verdicts
+        all_pairs = primitive_divisor_verdicts(e.num for e in orbit.entries)
+        for v, w in zip(rigid, all_pairs):
+            if v.residue != w.residue:
+                return f"residues differ at g={g}, c={c}, n={v.n}"
+    if checked < 30:
+        return f"only {checked} orbits compared"
     return ""
 
 

@@ -12,6 +12,14 @@ the n-th numerator loses every prime it shares with an earlier numerator,
 and whatever is left (if anything) is a product of primitive primes.
 Factoring only happens on that residue, and only when a caller reads
 the witness prime.
+
+On an orbit the strip needs no earlier numerator but N_(n/q) for the
+primes q | n.  For a prime p not dividing den(c) the critical orbit is
+rigidly divisible: p | N_n exactly when m_p | n, m_p the first index p
+divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
+some N_(n/q), and only the few primes of den(c) are tested against the
+earlier numerators one by one.  Generic value sequences have no such
+structure and are stripped against every earlier numerator.
 """
 from __future__ import annotations
 
@@ -113,9 +121,19 @@ def _strip_index(nums: Sequence[int], n: int) -> int:
     return residue
 
 
-def _verdicts_from_abs(nums: Sequence[int]) -> tuple[PrimitiveDivisorVerdict, ...]:
-    return tuple(PrimitiveDivisorVerdict(n, _strip_index(nums, n))
-                 for n in range(1, len(nums) + 1))
+def _orbit_residue(nums: Sequence[int], n: int, prod: int, den_primes: Sequence[int]) -> int:
+    """_strip_index for orbit numerators, by rigid divisibility.
+
+    prod is _quotient_product(nums, n); den_primes are the primes of
+    den(c), the only ones that can divide N_n and an earlier numerator
+    without dividing prod.
+    """
+    residue = strip_common_primes(nums[n - 1], prod)
+    for p in den_primes:
+        if residue % p == 0 and any(nums[k] % p == 0 for k in range(n - 1)):
+            while residue % p == 0:
+                residue //= p
+    return residue
 
 
 def primitive_divisor_verdicts(values: Iterable, horizon: Optional[int] = None
@@ -124,7 +142,8 @@ def primitive_divisor_verdicts(values: Iterable, horizon: Optional[int] = None
     nums = _abs_numerators(values)
     if horizon is not None:
         nums = nums[:horizon]
-    return _verdicts_from_abs(nums)
+    return tuple(PrimitiveDivisorVerdict(n, _strip_index(nums, n))
+                 for n in range(1, len(nums) + 1))
 
 
 def zsigmondy_of_values(values: Iterable, horizon: Optional[int] = None) -> tuple[int, ...]:
@@ -132,12 +151,17 @@ def zsigmondy_of_values(values: Iterable, horizon: Optional[int] = None) -> tupl
     return tuple(v.n for v in primitive_divisor_verdicts(values, horizon) if not v.has_primitive)
 
 
+def _orbit_numerators(orbit: OrbitRecord, n: int) -> list[int]:
+    if len(orbit.entries) < n:
+        raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
+    return _abs_numerators(e.num for e in orbit.entries[:n])
+
+
 def primitive_prime_exists(orbit: OrbitRecord, n: int) -> tuple[bool, Optional[int]]:
     """Does orbit numerator n have a primitive prime?  (answer, witness or None)."""
-    nums = _abs_numerators(e.num for e in orbit.entries[:n])
-    if len(nums) < n:
-        raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    v = PrimitiveDivisorVerdict(n, _strip_index(nums, n))
+    nums = _orbit_numerators(orbit, n)
+    prod = _quotient_product(nums, n)
+    v = PrimitiveDivisorVerdict(n, _orbit_residue(nums, n, prod, orbit.den_prime_support))
     return v.has_primitive, v.witness_prime
 
 
@@ -176,10 +200,10 @@ def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
 
     Vacuous when a primitive prime exists at n.
     """
-    if len(orbit.entries) < n:
-        raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    nums = _abs_numerators(e.num for e in orbit.entries[:n])
-    return _krieger_status(nums[n - 1], _quotient_product(nums, n), _strip_index(nums, n) > 1)
+    nums = _orbit_numerators(orbit, n)
+    prod = _quotient_product(nums, n)
+    residue = _orbit_residue(nums, n, prod, orbit.den_prime_support)
+    return _krieger_status(nums[n - 1], prod, residue > 1)
 
 
 @dataclass(frozen=True)
@@ -206,16 +230,17 @@ def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> Zsigmond
     if n_max < 1:
         raise ValueError("empty window")
     nums = _abs_numerators(e.num for e in orbit.entries[:n_max])
-    verdicts = _verdicts_from_abs(nums)
-    zset = tuple(v.n for v in verdicts if not v.has_primitive)
-    rin_failures, krieger = [], []
-    for v, num in zip(verdicts, nums):
-        prod = _quotient_product(nums, v.n)
+    verdicts, rin_failures, krieger = [], [], []
+    for n, num in enumerate(nums, start=1):
+        prod = _quotient_product(nums, n)
+        v = PrimitiveDivisorVerdict(n, _orbit_residue(nums, n, prod, orbit.den_prime_support))
+        verdicts.append(v)
         if num <= prod:
-            rin_failures.append(v.n)
-        krieger.append((v.n, _krieger_status(num, prod, v.has_primitive)))
+            rin_failures.append(n)
+        krieger.append((n, _krieger_status(num, prod, v.has_primitive)))
+    zset = tuple(v.n for v in verdicts if not v.has_primitive)
     return ZsigmondyReport(
-        poly=orbit.poly, c=orbit.c, horizon=n_max, verdicts=verdicts, zset=zset,
+        poly=orbit.poly, c=orbit.c, horizon=n_max, verdicts=tuple(verdicts), zset=zset,
         rin_failures=tuple(rin_failures), krieger_checks=tuple(krieger),
     )
 

@@ -126,6 +126,24 @@ def test_factor_small_incomplete_on_large_semiprime():
         assert fac.cofactor > 1
 
 
+def test_factor_small_leaves_unproven_primes_unfactored():
+    big = 10**30 + 57  # prime, but past the deterministic Miller-Rabin range
+    assert sympy.isprime(big) and is_probable_prime(big)
+    fac = factor_small(big)
+    assert not fac.complete and fac.factors == () and fac.cofactor == big
+    fac = factor_small(12 * big)
+    assert fac.factors == ((2, 2), (3, 1)) and fac.cofactor == big
+    # a rho split whose large half cannot be proven prime stays whole
+    small, large = sympy.nextprime(10**7), sympy.nextprime(10**25)
+    fac = factor_small(small * large)
+    assert not fac.complete and fac.cofactor == small * large
+    # below the proven range the same split completes
+    mid = sympy.nextprime(10**18)
+    assert factor_small(small * mid).factors == ((small, 1), (mid, 1))
+    with pytest.raises(IncompleteFactorizationError):
+        omega(big)
+
+
 def test_strip_common_primes():
     assert strip_common_primes(24, 6) == 1
     assert strip_common_primes(26, 10) == 13  # frozen

@@ -36,6 +36,30 @@ def test_orbit_rational_parameter_shows_deep_primes(capsys):
     assert "7/8" in out
 
 
+def test_decimal_digits_match_str():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        values = [0, 1, 9, 10, 11, 2**64, 3**5000]
+        for k in (1, 2, 17, 59, 60, 61, 4299, 4300, 4301, 20000):
+            values += [10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k]
+        for n in values:
+            for signed in (n, -n):
+                assert cli._decimal_digits(signed) == len(str(n)), n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_orbit_default_horizon_prints_past_the_str_digit_limit(capsys):
+    rc, out, err = run(capsys, "orbit", "--poly", "x^3+x^2", "--c=1/2")
+    assert rc == 0 and err == ""
+    rows = out.splitlines()[-10:]
+    assert rows[0].split() == ["1", "-0.6931", "2^1", "1/2"]
+    assert rows[8].split() == ["9", "600.2349", "2^6561", "<2236-digit>/<1976-digit>"]
+    # entry 10 has more digits than CPython converts to str by default
+    assert rows[9].split() == ["10", "1800.7048", "2^19683", "<6708-digit>/<5926-digit>"]
+
+
 def test_orbit_coeffs_form(capsys):
     rc, out, _ = run(capsys, "orbit", "--coeffs", "0,0,1,1", "--c", "1", "--horizon", "2")
     assert rc == 0 and "x^3 + x^2" in out
@@ -172,6 +196,16 @@ def test_malformed_polynomial_exits_two(capsys):
         assert rc == 2, argv
         assert "error:" in err
         assert "Traceback" not in err
+
+
+def test_uncertified_denominator_support_exits_two(capsys):
+    # a 30-digit prime is past the range where Miller-Rabin is a proof
+    for command in ("zsigmondy", "orbit"):
+        rc, out, err = run(capsys, command, "--poly", "x^3+x^2",
+                           f"--c=1/{10**30 + 57}")
+        assert rc == 2, command
+        assert "error: cannot certify" in err
+        assert "Traceback" not in err and out == ""
 
 
 def test_non_model_polynomial_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Orbit iteration, escape detection, and the membership decision procedure."""
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,77 @@ def test_lazy_entry_fields_match_plain_fractions(middle, lead, c_num, c_den, hor
         else:
             expected = math.log(abs(v.numerator)) - math.log(v.denominator)
             assert e.ln_abs == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
+def test_iteration_reduces_without_gcd(monkeypatch):
+    """Steps are reduced from the den(c) ledger: no gcd runs on orbit values."""
+    sizes = []
+    real_gcd = math.gcd
+
+    def spy(*args):
+        sizes.append(max(a.bit_length() for a in args))
+        return real_gcd(*args)
+
+    expected = [(e.num, e.den) for e in iterate(CUBIC, F(1, 6), horizon=8).entries]
+    monkeypatch.setattr(math, "gcd", spy)
+    orbit = iterate(CUBIC, F(1, 6), horizon=8)
+    decide_membership(CUBIC, F(-5, 3))
+    assert [(e.num, e.den) for e in orbit.entries] == expected
+    assert max(sizes, default=0) <= 64
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    middle=st.lists(st.integers(-4, 4), min_size=0, max_size=3),
+    unit=st.sampled_from([1, -1, 5, -7]),
+    lead_powers=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    c_num=st.integers(-40, 40),
+    den_powers=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    horizon=st.integers(1, 6),
+)
+def test_ledger_reduction_matches_plain_fractions(middle, unit, lead_powers, c_num,
+                                                  den_powers, horizon):
+    """Ledger-reduced pairs equal plain Fractions for degree 2-5.
+
+    u_d and den(c) share the primes 2 and 3, so a prime of den(c) is shallow
+    while its valuation stays at most val_p(u_d) and deep once it passes it.
+    """
+    lead = unit * 2 ** lead_powers[0] * 3 ** lead_powers[1]
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    c = F(c_num, 2 ** den_powers[0] * 3 ** den_powers[1] * 5 ** den_powers[2])
+    orbit = iterate(g, c, horizon=horizon)
+    values = iterate_rational(g.as_rational(), c, c, horizon - 1)
+    assert [(e.num, e.den) for e in orbit.entries] == [
+        (v.numerator, v.denominator) for v in values
+    ]
+    # the recursion check reads each entry's denominator: growing one breaks it
+    assert check_valuation_recursion(orbit) == []
+    for prev, cur in zip(orbit.entries, orbit.entries[1:]):
+        if prev.deep_valuations:
+            p = min(prev.deep_valuations)
+            bad = list(orbit.entries)
+            bad[cur.n - 1] = replace(cur, den=p * cur.den)
+            assert check_valuation_recursion(replace(orbit, entries=tuple(bad))) != []
+            break
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    middle=st.lists(st.integers(-3, 3), min_size=0, max_size=3),
+    lead=st.integers(-4, 4).filter(bool),
+    c_num=st.integers(-12, 12),
+    c_den=st.integers(1, 6),
+)
+def test_membership_matches_brute_force_on_random_polynomials(middle, lead, c_num, c_den):
+    """decide_membership against the plain-Fraction repeat detector, degree 2-5."""
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    c = F(c_num, c_den)
+    decision = decide_membership(g, c)
+    brute = brute_force_verdict(g, c, steps=200, bit_cap=10**4)
+    if decision.verdict is Verdict.FINITE_ORBIT:
+        assert brute == ("finite", decision.tail, decision.cycle)
+    else:
+        assert brute is None
 
 
 def test_escape_radius():

@@ -22,6 +22,7 @@ EXPECTED_CHECKS = {
     "excess_part_inequality",
     "krieger_holds_on_zsigmondy_indices",
     "rin_fails_on_zsigmondy_indices",
+    "rigid_strip_matches_all_pairs",
     "monomial_sandwich_envelopes",
     "cross_bound_synthetic_growth",
     "stabilization_index_exact",

@@ -7,7 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import zsig.zsigmondy as zsigmondy_module
 from zsig.orbit import iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
@@ -33,6 +36,7 @@ from zsig.zsigmondy import (
     zsigmondy_of_values,
     zsigmondy_set,
 )
+from zsig.zsigmondy import _strip_index
 
 F = Fraction
 CUBIC = X2DivisiblePoly.parse("x^3+x^2")
@@ -103,6 +107,64 @@ def test_zsigmondy_refuses_zero_numerators():
     dead = iterate(SQUARE, 0, horizon=3)
     with pytest.raises(ValueError):
         zsigmondy_set(dead)
+
+
+def _all_pairs_residues(orbit):
+    nums = [abs(e.num) for e in orbit.entries]
+    return [_strip_index(nums, n) for n in range(1, len(nums) + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    middle=st.lists(st.integers(-4, 4), min_size=0, max_size=3),
+    unit=st.sampled_from([1, -1, 5, -7]),
+    lead_powers=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    c_num=st.integers(-40, 40).filter(bool),
+    den_powers=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    horizon=st.integers(1, 7),
+)
+def test_rigid_strip_matches_all_pairs(middle, unit, lead_powers, c_num, den_powers, horizon):
+    """Stripping against N_(n/q) plus the den(c) pass leaves the all-pairs residues."""
+    lead = unit * 2 ** lead_powers[0] * 3 ** lead_powers[1]
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    c = F(c_num, 2 ** den_powers[0] * 3 ** den_powers[1] * 5 ** den_powers[2])
+    orbit = iterate(g, c, horizon=horizon, bit_cap=50_000)
+    assume(all(e.num != 0 for e in orbit.entries))
+    report = zsigmondy_set(orbit)
+    assert [v.residue for v in report.verdicts] == _all_pairs_residues(orbit)
+
+
+def test_rigid_strip_needs_the_den_pass():
+    """A prime of den(c) can divide N_5 and N_8 (5 does not divide 8): only the
+    den(c) pass removes it, since it divides neither N_4 nor N_1."""
+    for text, c in (("2*x^3+x^2", F(3, 2)), ("6*x^3+3*x^2", F(-5, 2))):
+        orbit = iterate(X2DivisiblePoly.parse(text), c, horizon=8)
+        nums = [abs(e.num) for e in orbit.entries]
+        assert nums[7] % 2 == 0 and nums[3] % 2 != 0
+        assert any(a % 2 == 0 for a in nums[:7])
+        residues = [v.residue for v in zsigmondy_set(orbit).verdicts]
+        assert residues == _all_pairs_residues(orbit)
+        assert residues[7] % 2 != 0
+
+
+def test_orbit_routines_never_strip_all_pairs(monkeypatch):
+    """zsigmondy_set, primitive_prime_exists and the Krieger check use the rigid strip."""
+    orbits = [iterate(CUBIC, c, horizon=8) for c in (3, F(-5, 3), F(1, 6))]
+    orbits.append(iterate(X2DivisiblePoly.parse("2*x^3+x^2"), F(3, 2), horizon=8))
+    expected = [_all_pairs_residues(o) for o in orbits]
+
+    def refuse(*args):
+        raise RuntimeError("all-pairs strip on an orbit")
+
+    monkeypatch.setattr(zsigmondy_module, "_strip_index", refuse)
+    for orbit, residues in zip(orbits, expected):
+        report = zsigmondy_set(orbit)
+        assert [v.residue for v in report.verdicts] == residues
+        for n, residue in enumerate(residues, start=1):
+            assert primitive_prime_exists(orbit, n)[0] == (residue > 1)
+            assert (check_krieger_divisibility(orbit, n) is KriegerStatus.VACUOUS) == (residue > 1)
+    with pytest.raises(RuntimeError, match="all-pairs"):
+        primitive_divisor_verdicts([2, 3])
 
 
 def test_witness_primes_are_really_primitive():
