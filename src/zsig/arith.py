@@ -45,7 +45,8 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
     """spf[n] = smallest prime factor of n for 2 <= n <= limit (spf[0] = spf[1] = 0).
 
-    Backs the exhaustive small-n suites; one pass, O(limit log log limit).
+    Backs the orbit index primes and the exhaustive small-n suites; one
+    pass, O(limit log log limit).
     """
     spf = list(range(limit + 1))
     spf[0] = spf[1] = 0
@@ -55,6 +56,17 @@ def smallest_prime_factor_sieve(limit: int) -> list[int]:
                 if spf[m] == m:
                     spf[m] = p
     return spf
+
+
+def _sieve_primes(spf: list[int], n: int) -> tuple[int, ...]:
+    """Ascending distinct primes of 1 <= n < len(spf), read off the sieve."""
+    primes = []
+    while n > 1:
+        p = spf[n]
+        primes.append(p)
+        while n % p == 0:
+            n //= p
+    return tuple(primes)
 
 
 def is_probable_prime(n: int) -> bool:

@@ -6,6 +6,9 @@ classifies each orbit, and computes the Zsigmondy window for the
 parameters with infinite orbit.  Output is byte-identical across reruns
 and worker counts: rows keep grid order regardless of parallelism and
 wall-clock time never enters the files.
+
+Workers are capped at the grid size and at the CPUs this process may run
+on; the process pool is imported only when more than one worker runs.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -158,8 +160,7 @@ class ScanRow:
 
 def _scan_one(payload: tuple) -> ScanRow:
     """Classify one parameter; module level so process pools can pickle it."""
-    coeffs, c_num, c_den, horizon, bit_cap = payload
-    g = X2DivisiblePoly(coeffs)
+    g, c_num, c_den, horizon, bit_cap = payload
     c = Fraction(c_num, c_den)
     decision = decide_membership(g, c)
     if decision.verdict is Verdict.FINITE_ORBIT:
@@ -180,24 +181,37 @@ class ScanSummary:
     runtime_seconds: float
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(requested: int, grid_size: int) -> int:
-    """Worker processes for a scan: no more than the grid points or the CPUs."""
-    return max(1, min(requested, grid_size, os.cpu_count() or 1))
+    """Worker processes for a scan: no more than the grid points or the usable CPUs."""
+    return max(1, min(requested, grid_size, _usable_cpus()))
 
 
 def run_scan(config: ScanConfig) -> ScanSummary:
-    """Run the full grid on up to config.parallelism worker processes."""
+    """Run the full grid on up to config.parallelism worker processes.
+
+    Every payload carries the same polynomial instance, so the invariants it
+    caches (length, divisors of the lead) are worked out once per process.
+    """
     requested = config.parallelism
     started = time.perf_counter()
     payloads = [
-        (config.poly.coeffs, c.numerator, c.denominator, config.horizon, config.bit_cap)
+        (config.poly, c.numerator, c.denominator, config.horizon, config.bit_cap)
         for c in grid(config)
     ]
     workers = _worker_count(requested, len(payloads))
     if workers < requested:
         print(f"zsig: {requested} workers requested, using {workers} "
-              f"({len(payloads)} grid points, {os.cpu_count() or 1} CPUs)", file=sys.stderr)
+              f"({len(payloads)} grid points, {_usable_cpus()} CPUs)", file=sys.stderr)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         chunk = max(1, len(payloads) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_scan_one, payloads, chunksize=chunk))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import factor_small, ln_abs_int, ln_abs_ratio, val_p
-from .poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, length
+from .poly import RatPolynomial, X2DivisiblePoly, length
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
 DEFAULT_BIT_CAP = 2_000_000
@@ -229,10 +229,7 @@ def _state_space_bound(g: X2DivisiblePoly, radius: Fraction) -> int:
     reduced fractions with each divisor of |lead| as denominator bounds
     the reachable states; two extra steps cover the start and the repeat.
     """
-    total = 0
-    for m in _divisors_from_factorization(g.lead):
-        total += 2 * int(radius * m) + 1
-    return total + 2
+    return sum(2 * int(radius * m) + 1 for m in g._lead_divisors) + 2
 
 
 def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) -> MembershipDecision:
@@ -247,11 +244,18 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
     support = _den_support(g, c)
     lead_vals = {p: lead for p, _, lead in support}
     radius = escape_radius(g, c)
-    if max_steps is None:
-        max_steps = _state_space_bound(g, radius)
+    # _state_space_bound is at least 2*floor(radius) + 3 (its m = 1 term plus 2)
+    # and nearly every walk ends sooner, so it is worked out only past that floor
+    limit = 2 * int(radius) + 3 if max_steps is None else max_steps
 
     seen: dict[tuple[int, int], int] = {}
-    for n, (num, den) in zip(range(1, max_steps + 1), _orbit_pairs(g, c, support)):
+    for n, (num, den) in enumerate(_orbit_pairs(g, c, support), start=1):
+        if n > limit and max_steps is None:
+            limit = max_steps = _state_space_bound(g, radius)
+        if n > limit:
+            raise ArithmeticError(
+                f"no verdict after {limit} steps; state-space bound violated"
+            )
         if (num, den) in seen:
             first = seen[num, den]
             return MembershipDecision(
@@ -269,9 +273,6 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
                 trigger_index=n, trigger_prime=min(deep),
             )
         seen[num, den] = n
-    raise ArithmeticError(
-        f"no verdict after {max_steps} steps; state-space bound violated"
-    )
 
 
 def brute_force_verdict(g: X2DivisiblePoly, c, steps: int = 500,

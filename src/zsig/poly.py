@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import factor_small, omega
 
@@ -134,7 +135,9 @@ class X2DivisiblePoly:
     """Integer polynomial u_d x^d + ... + u_2 x^2, d >= 2, u_d != 0.
 
     coeffs is the full dense tuple (u_0, u_1, ..., u_d) with u_0 = u_1 = 0,
-    so coeffs[i] is the coefficient of x^i.
+    so coeffs[i] is the coefficient of x^i.  The coefficient length and the
+    divisors of the leading coefficient are worked out on first read and
+    kept on the instance, so one instance serves a whole scan.
     """
 
     coeffs: tuple[int, ...]
@@ -181,6 +184,15 @@ class X2DivisiblePoly:
     def is_monomial(self) -> bool:
         return all(c == 0 for c in self.coeffs[2:-1])
 
+    @cached_property
+    def _length(self) -> Fraction:
+        lead = abs(self.lead)
+        return 1 + sum(Fraction(abs(u), lead) for u in self.coeffs[2:-1])
+
+    @cached_property
+    def _lead_divisors(self) -> tuple[int, ...]:
+        return tuple(_divisors_from_factorization(self.lead))
+
     def as_rational(self) -> RatPolynomial:
         return RatPolynomial.from_coeffs(self.coeffs)
 
@@ -208,9 +220,7 @@ class X2DivisiblePoly:
 
 def length(g: X2DivisiblePoly) -> Fraction:
     """1 + sum over 2 <= i <= d-1 of |u_i| / |u_d| (the coefficient length)."""
-    d = g.degree
-    lead = abs(g.lead)
-    return 1 + sum(Fraction(abs(g.coeffs[i]), lead) for i in range(2, d))
+    return g._length
 
 
 def _divisors_from_factorization(n: int) -> list[int]:

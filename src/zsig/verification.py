@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    _sieve_primes,
     factor_small,
     omega,
     prime_quotient_power_sum,
@@ -102,12 +103,7 @@ def valuation_additivity() -> str:
 def omega_under_log2() -> str:
     spf = smallest_prime_factor_sieve(20000)
     for n in range(2, 20001):
-        count, m = 0, n
-        while m > 1:
-            p = spf[m]
-            count += 1
-            while m % p == 0:
-                m //= p
+        count = len(_sieve_primes(spf, n))
         if count > math.log2(n):
             return f"omega({n}) = {count} exceeds log2"
     if omega(30) != 3:

@@ -19,7 +19,12 @@ rigidly divisible: p | N_n exactly when m_p | n, m_p the first index p
 divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
 some N_(n/q), and only the few primes of den(c) are tested against the
 earlier numerators one by one.  Generic value sequences have no such
-structure and are stripped against every earlier numerator.
+structure and are stripped against every earlier numerator.  The primes
+q of each index come from one smallest-prime-factor sieve per orbit, so
+an orbit's indices are never factored one by one.
+
+mpmath is imported only by the growth-threshold comparison that needs
+it, so scans and single orbits never load it.
 """
 from __future__ import annotations
 
@@ -30,9 +35,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from mpmath import mp, mpf
-
 from .arith import (
+    _sieve_primes,
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
@@ -41,6 +45,7 @@ from .arith import (
     omega,
     prime_quotient_power_sum,
     primes_up_to,
+    smallest_prime_factor_sieve,
     strip_common_primes,
     val_p,
 )
@@ -171,10 +176,15 @@ class KriegerStatus(str, Enum):
     VACUOUS = "vacuous"
 
 
-def _quotient_product(nums: Sequence[int], n: int) -> int:
-    """Product of N_(n/p) over the primes p | n (the empty product is 1)."""
+def _quotient_product(nums: Sequence[int], n: int,
+                      primes: Optional[Sequence[int]] = None) -> int:
+    """Product of N_(n/p) over the primes p | n (the empty product is 1).
+
+    primes are those of n when the caller already has them; otherwise n is
+    factored here.
+    """
     prod = 1
-    for p in distinct_prime_factors(n):
+    for p in distinct_prime_factors(n) if primes is None else primes:
         prod *= nums[n // p - 1]
     return prod
 
@@ -230,9 +240,10 @@ def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> Zsigmond
     if n_max < 1:
         raise ValueError("empty window")
     nums = _abs_numerators(e.num for e in orbit.entries[:n_max])
+    spf = smallest_prime_factor_sieve(n_max)
     verdicts, rin_failures, krieger = [], [], []
     for n, num in enumerate(nums, start=1):
-        prod = _quotient_product(nums, n)
+        prod = _quotient_product(nums, n, _sieve_primes(spf, n))
         v = PrimitiveDivisorVerdict(n, _orbit_residue(nums, n, prod, orbit.den_prime_support))
         verdicts.append(v)
         if num <= prod:
@@ -371,6 +382,8 @@ def _growth_exceeds(d: int, n: int, alpha: Fraction, beta: Fraction,
     """Certified comparison d^(2n) (ln beta)^5 > 243 (ln(alpha beta))^5."""
     if exact_k is not None:
         return d ** (2 * n) > 243 * exact_k**5
+    from mpmath import mp, mpf  # only the bound solvers need it; scans never load it
+
     ab = alpha * beta
     prec = 64
     while prec <= 1 << 17:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zsig.arith import (
     IncompleteFactorizationError,
+    _sieve_primes,
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
@@ -32,6 +35,13 @@ def test_smallest_prime_factor_sieve():
     spf = smallest_prime_factor_sieve(1000)
     for n in range(2, 1001):
         assert spf[n] == min(sympy.primefactors(n))
+
+
+@given(limit=st.integers(1, 500), data=st.data())
+def test_sieve_primes_match_distinct_prime_factors(limit, data):
+    spf = smallest_prime_factor_sieve(limit)
+    n = data.draw(st.integers(1, limit))
+    assert _sieve_primes(spf, n) == distinct_prime_factors(n)
 
 
 def test_probable_prime_agrees_with_sympy():

@@ -1,8 +1,10 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
+import concurrent.futures
 import json
 import math
 import os
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -129,15 +131,15 @@ def test_parallelism_setting_starts_its_pool(monkeypatch):
     # no environment variable may override the configured worker count
     serial = csv_text(run_scan(_cfg()))
     monkeypatch.setenv("ZSIG_THREADS", "1")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    real_pool = zsig.harness.ProcessPoolExecutor
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_pool = concurrent.futures.ProcessPoolExecutor
     started = []
 
     def recording_pool(max_workers):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(zsig.harness, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     assert csv_text(run_scan(_cfg(parallelism=2))) == serial
     assert started == [2]
 
@@ -227,10 +229,62 @@ def test_scans_name_no_witnesses(monkeypatch):
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # the cap is the CPUs this process may use, not the CPUs the machine has
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert _worker_count(10**6, 10**6) == 4
     assert _worker_count(10**6, 3) == 3
     assert _worker_count(2, 100) == 2
     assert _worker_count(3, 0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count(2, 100) == 1
+    # without an affinity mask the machine's count is the cap
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_count(10**6, 10**6) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count(10**6, 10**6) == 1
+
+
+def test_clamp_note_names_the_usable_cpus(monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_scan(_cfg(parallelism=2))
+    assert capsys.readouterr().err == (
+        "zsig: 2 workers requested, using 1 (11 grid points, 1 CPUs)\n")
+
+
+def test_scan_factors_no_orbit_index(monkeypatch):
+    """Index primes come from one sieve per orbit, never from factoring n."""
+    calls = []
+
+    def recording(fn):
+        def wrapper(n, *args, **kwargs):
+            calls.append(n)
+            return fn(n, *args, **kwargs)
+        return wrapper
+
+    for name in ("distinct_prime_factors", "factor_small"):
+        monkeypatch.setattr(zsig.zsigmondy, name, recording(getattr(zsig.zsigmondy, name)))
+    cfg = ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)
+    rows = run_scan(cfg).rows
+    assert len(rows) == 155 and any(r.zset is not None for r in rows)
+    assert [n for n in calls if 1 <= abs(n) <= cfg.horizon] == []
+
+
+def test_scan_builds_coefficient_length_once(monkeypatch):
+    """One polynomial instance serves the grid, so its length is built once."""
+    builds = []
+    cached = X2DivisiblePoly.__dict__["_length"]
+
+    def counted(g):
+        builds.append(g)
+        return cached.func(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(X2DivisiblePoly, "_length")
+    monkeypatch.setattr(X2DivisiblePoly, "_length", prop)
+    poly = X2DivisiblePoly.parse("x^3+x^2")  # fresh: nothing cached yet
+    rows = run_scan(ScanConfig(poly=poly, num_bound=20, den_bound=6, horizon=8)).rows
+    assert len(rows) == 155
+    assert builds == [poly]

@@ -1,4 +1,9 @@
-"""The public namespace: one name per object."""
+"""The package namespace: one name per object, and what importing it loads."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import zsig
 
 
@@ -7,3 +12,15 @@ def test_public_names_resolve_to_distinct_objects():
     for name in zsig.__all__:
         owner = first_name.setdefault(id(getattr(zsig, name)), name)
         assert owner == name, f"{name} is a second name for {owner}"
+
+
+def test_importing_the_cli_loads_neither_mpmath_nor_the_process_pool():
+    # only the bound solvers need mpmath and only a multi-worker scan needs a pool
+    src = str(Path(zsig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, zsig.cli; "
+            "print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
