@@ -2,9 +2,10 @@
 
 Everything here operates on plain Python ints and fractions.Fraction.
 Factorization is best-effort by design: trial division up to a bound,
-then a probabilistic split for moderate cofactors.  Callers that need a
-complete factorization must check the `complete` flag (or use the
-wrappers that raise).
+then a probabilistic split for moderate cofactors.  Every caller that
+needs a complete factorization goes through `_certified_factors`, the one
+place that refuses, with IncompleteFactorizationError ("cannot certify"),
+when the factorizer leaves a cofactor.
 """
 from __future__ import annotations
 
@@ -24,9 +25,11 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are left unfactored
 
 
-class IncompleteFactorizationError(ArithmeticError):
+class IncompleteFactorizationError(ArithmeticError, ValueError):
     """Raised when an operation needs a complete factorization but the
-    best-effort factorizer left a composite cofactor."""
+    best-effort factorizer left a cofactor: a composite it could not split
+    or a prime too large to prove.  It is a ValueError too: the input
+    cannot be certified, which is not a failed check of a computed result."""
 
 
 @lru_cache(maxsize=8)
@@ -156,10 +159,6 @@ class PrimePowerFactorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def reconstruct(self) -> int:
         out = self.cofactor
         for p, e in self.factors:
@@ -267,35 +266,27 @@ def _split_completely(n: int, depth: int = 0) -> list[int] | None:
     return a + b
 
 
+def _certified_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of |n| != 0, every prime proven; refuses otherwise."""
+    f = factor_small(n)
+    if not f.complete:
+        raise IncompleteFactorizationError(
+            f"cannot certify the factorization of {n}: {f.cofactor} left unfactored"
+        )
+    return f.factors
+
+
 def omega(n: int) -> int:
     """Number of distinct prime divisors of |n|; omega(1) = 0.
 
     Raises on 0 and when the factorization cannot be completed.
     """
-    if n == 0:
-        raise ValueError("omega(0) is undefined")
-    if abs(n) == 1:
-        return 0
-    f = factor_small(n)
-    if not f.complete:
-        raise IncompleteFactorizationError(
-            f"cannot count distinct primes of {n}: composite cofactor {f.cofactor}"
-        )
-    return len(f.factors)
+    return len(_certified_factors(n))
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of |n|.  Raises on 0 or incomplete factorization."""
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    if abs(n) == 1:
-        return ()
-    f = factor_small(n)
-    if not f.complete:
-        raise IncompleteFactorizationError(
-            f"cannot list primes of {n}: composite cofactor {f.cofactor}"
-        )
-    return f.primes
+    return tuple(p for p, _ in _certified_factors(n))
 
 
 def strip_common_primes(r: int, s: int) -> int:

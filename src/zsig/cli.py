@@ -6,8 +6,8 @@ verify (run the self-check suite), bounds (explicit finiteness bounds
 for a polynomial), normalize (conjugate an arbitrary polynomial into the
 x^2-divisible family).
 
-Exit codes: 0 success, 1 a verification or certification failure,
-2 malformed input.
+Exit codes: 0 success, 1 a verification failure, 2 malformed input or a
+factorization that cannot be certified.
 """
 from __future__ import annotations
 

@@ -257,11 +257,10 @@ def json_text(summary: ScanSummary) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_output(summary: ScanSummary, path: Optional[str] = None) -> str:
-    """Render per config.format and write to path (or config.output); returns text."""
+def write_output(summary: ScanSummary) -> str:
+    """Render per config.format and write to config.output if set; returns text."""
     text = csv_text(summary) if summary.config.format == "csv" else json_text(summary)
-    dest = path if path is not None else summary.config.output
-    if dest is not None:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+    if summary.config.output is not None:
+        with open(summary.config.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text

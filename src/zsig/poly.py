@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import factor_small, omega
+from .arith import _certified_factors, omega
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
@@ -224,11 +224,8 @@ def length(g: X2DivisiblePoly) -> Fraction:
 
 
 def _divisors_from_factorization(n: int) -> list[int]:
-    f = factor_small(abs(n))
-    if not f.complete:
-        raise ValueError(f"cannot enumerate divisors of {n}: incomplete factorization")
     divs = [1]
-    for p, e in f.factors:
+    for p, e in _certified_factors(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -302,10 +299,7 @@ def scale_to_integer(g0: RatPolynomial) -> tuple[X2DivisiblePoly, int]:
         den = g0.coeffs[i].denominator
         if den == 1:
             continue
-        fac = factor_small(den)
-        if not fac.complete:
-            raise ValueError(f"cannot factor coefficient denominator {den}")
-        for p, e in fac.factors:
+        for p, e in _certified_factors(den):
             need = -(-e // (i - 1))  # ceil(e / (i-1))
             if t_val.get(p, 0) < need:
                 t_val[p] = need

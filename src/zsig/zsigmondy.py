@@ -36,9 +36,9 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .arith import (
+    _certified_factors,
     _sieve_primes,
     distinct_prime_factors,
-    factor_small,
     is_probable_prime,
     ln_abs_int,
     ln_abs_ratio,
@@ -156,17 +156,16 @@ def zsigmondy_of_values(values: Iterable, horizon: Optional[int] = None) -> tupl
     return tuple(v.n for v in primitive_divisor_verdicts(values, horizon) if not v.has_primitive)
 
 
-def _orbit_numerators(orbit: OrbitRecord, n: int) -> list[int]:
+def _window(orbit: OrbitRecord, n: int) -> ZsigmondyReport:
+    """zsigmondy_set on entries 1..n; IndexError when the orbit is shorter."""
     if len(orbit.entries) < n:
         raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    return _abs_numerators(e.num for e in orbit.entries[:n])
+    return zsigmondy_set(orbit, n)
 
 
 def primitive_prime_exists(orbit: OrbitRecord, n: int) -> tuple[bool, Optional[int]]:
     """Does orbit numerator n have a primitive prime?  (answer, witness or None)."""
-    nums = _orbit_numerators(orbit, n)
-    prod = _quotient_product(nums, n)
-    v = PrimitiveDivisorVerdict(n, _orbit_residue(nums, n, prod, orbit.den_prime_support))
+    v = _window(orbit, n).verdicts[n - 1]
     return v.has_primitive, v.witness_prime
 
 
@@ -176,15 +175,10 @@ class KriegerStatus(str, Enum):
     VACUOUS = "vacuous"
 
 
-def _quotient_product(nums: Sequence[int], n: int,
-                      primes: Optional[Sequence[int]] = None) -> int:
-    """Product of N_(n/p) over the primes p | n (the empty product is 1).
-
-    primes are those of n when the caller already has them; otherwise n is
-    factored here.
-    """
+def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int:
+    """Product of N_(n/p) over the primes p of n (the empty product is 1)."""
     prod = 1
-    for p in distinct_prime_factors(n) if primes is None else primes:
+    for p in primes:
         prod *= nums[n // p - 1]
     return prod
 
@@ -197,12 +191,9 @@ def _krieger_status(num: int, prod: int, has_primitive: bool) -> KriegerStatus:
 
 def check_rin_inequality(orbit: OrbitRecord, n: int) -> bool:
     """|N_n| > product of |N_(n/p)| over primes p | n (empty product is 1)."""
-    nums = [abs(e.num) for e in orbit.entries[:n]]
-    if len(nums) < n:
-        raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    if any(a == 0 for a in nums):
+    if len(orbit.entries) >= n and any(e.num == 0 for e in orbit.entries[:n]):
         return False
-    return nums[n - 1] > _quotient_product(nums, n)
+    return n not in _window(orbit, n).rin_failures
 
 
 def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
@@ -210,10 +201,7 @@ def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
 
     Vacuous when a primitive prime exists at n.
     """
-    nums = _orbit_numerators(orbit, n)
-    prod = _quotient_product(nums, n)
-    residue = _orbit_residue(nums, n, prod, orbit.den_prime_support)
-    return _krieger_status(nums[n - 1], prod, residue > 1)
+    return _window(orbit, n).krieger_checks[n - 1][1]
 
 
 @dataclass(frozen=True)
@@ -265,10 +253,7 @@ def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
     a = abs(a)
     if a == 0:
         raise ValueError("excess primes of zero are undefined")
-    fac = factor_small(a)
-    if not fac.complete:
-        raise ValueError(f"cannot factor {a} to determine its excess part")
-    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p in fac.primes}
+    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p, _ in _certified_factors(a)}
     deep = _deep_valuations(a, lead_vals)
     return frozenset(deep), math.prod(p**e for p, e in deep.items())
 

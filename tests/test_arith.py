@@ -8,8 +8,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zsig.arith
 from zsig.arith import (
     IncompleteFactorizationError,
+    PrimePowerFactorization,
     _sieve_primes,
     distinct_prime_factors,
     factor_small,
@@ -23,6 +25,9 @@ from zsig.arith import (
     strip_common_primes,
     val_p,
 )
+from zsig.orbit import decide_membership, iterate
+from zsig.poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, scale_to_integer
+from zsig.zsigmondy import excess_primes
 
 
 def test_primes_up_to_matches_sympy():
@@ -230,3 +235,27 @@ def test_ln_abs_ratio_close_values():
 
 def test_incomplete_factorization_error_is_arithmetic_error():
     assert issubclass(IncompleteFactorizationError, ArithmeticError)
+    assert issubclass(IncompleteFactorizationError, ValueError)
+
+
+def test_every_complete_factorization_refuses_through_one_route(monkeypatch):
+    """With nothing factorable, each caller that needs all primes says "cannot certify"."""
+    real = factor_small
+
+    def unfactored(n, bound=10**6):
+        return PrimePowerFactorization((), abs(n)) if abs(n) > 1 else real(n, bound)
+
+    monkeypatch.setattr(zsig.arith, "factor_small", unfactored)
+    cubic = X2DivisiblePoly.parse("x^3+x^2")
+    calls = [
+        lambda: omega(12),
+        lambda: distinct_prime_factors(12),
+        lambda: decide_membership(cubic, Fraction(1, 6)),
+        lambda: iterate(cubic, Fraction(1, 6), 4),
+        lambda: excess_primes(12, 1),
+        lambda: scale_to_integer(RatPolynomial.parse("x^3+1/2*x^2")),
+        lambda: _divisors_from_factorization(12),
+    ]
+    for call in calls:
+        with pytest.raises(IncompleteFactorizationError, match="^cannot certify"):
+            call()

@@ -200,10 +200,12 @@ def test_malformed_polynomial_exits_two(capsys):
 
 def test_uncertified_denominator_support_exits_two(capsys):
     # a 30-digit prime is past the range where Miller-Rabin is a proof
-    for command in ("zsigmondy", "orbit"):
-        rc, out, err = run(capsys, command, "--poly", "x^3+x^2",
-                           f"--c=1/{10**30 + 57}")
-        assert rc == 2, command
+    big = 10**30 + 57
+    for argv in (("zsigmondy", "--poly", "x^3+x^2", f"--c=1/{big}"),
+                 ("orbit", "--poly", "x^3+x^2", f"--c=1/{big}"),
+                 ("normalize", "--poly", f"{big}*x^2", "--u", "0")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
         assert "error: cannot certify" in err
         assert "Traceback" not in err and out == ""
 

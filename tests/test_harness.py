@@ -264,7 +264,7 @@ def test_scan_factors_no_orbit_index(monkeypatch):
             return fn(n, *args, **kwargs)
         return wrapper
 
-    for name in ("distinct_prime_factors", "factor_small"):
+    for name in ("distinct_prime_factors", "_certified_factors"):
         monkeypatch.setattr(zsig.zsigmondy, name, recording(getattr(zsig.zsigmondy, name)))
     cfg = ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)
     rows = run_scan(cfg).rows
