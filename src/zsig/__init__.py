@@ -64,9 +64,7 @@ from .zsigmondy import (
     ZsigmondyReport,
     bound_report,
     check_cross_bound,
-    check_krieger_divisibility,
     check_monomial_sandwich,
-    check_rin_inequality,
     cross_bound_ok,
     evertse_bound,
     excess_bound_ok,
@@ -78,7 +76,6 @@ from .zsigmondy import (
     mahler_measure,
     power_sum_dominated,
     primitive_divisor_verdicts,
-    primitive_prime_exists,
     root_bound,
     zsigmondy_of_values,
     zsigmondy_set,
@@ -93,16 +90,15 @@ __all__ = [
     "PrimitiveDivisorVerdict", "RatPolynomial", "ScanConfig", "ScanRow", "ScanSummary",
     "Verdict", "X2DivisiblePoly", "ZsigmondyReport", "bound_report",
     "brute_force_verdict", "check_cross_bound", "check_denominator_lower_bound",
-    "check_escape_growth", "check_krieger_divisibility", "check_monomial_sandwich",
-    "check_names", "check_rin_inequality", "check_upper_bounds",
+    "check_escape_growth", "check_monomial_sandwich",
+    "check_names", "check_upper_bounds",
     "check_valuation_recursion", "critical_points_rational", "cross_bound_ok",
     "csv_text", "decide_membership", "escape_check", "escape_radius", "evertse_bound",
     "excess_bound_ok", "excess_primes", "factor_small", "grid", "growth_threshold",
     "index_bound_n0", "index_bound_n1", "index_bound_n2", "is_probable_prime",
     "iterate", "iterate_rational", "json_text", "length", "ln_abs_int", "ln_abs_ratio",
     "mahler_measure", "normalize_to_x2_divisible", "omega", "power_sum_dominated",
-    "prime_quotient_power_sum", "primitive_divisor_verdicts", "primitive_prime_exists",
-    "root_bound", "run_all", "run_scan", "scale_to_integer", "shift_to_origin",
-    "strip_common_primes", "val_p", "write_output", "zsigmondy_of_values",
-    "zsigmondy_set",
+    "prime_quotient_power_sum", "primitive_divisor_verdicts", "root_bound", "run_all",
+    "run_scan", "scale_to_integer", "shift_to_origin", "strip_common_primes", "val_p",
+    "write_output", "zsigmondy_of_values", "zsigmondy_set",
 ]

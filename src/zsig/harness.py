@@ -54,6 +54,8 @@ class ScanConfig:
             raise ValueError("need num_bound >= 0 and den_bound >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.bit_cap < 1:
+            raise ValueError("bit_cap must be at least 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if self.format not in ("csv", "json"):

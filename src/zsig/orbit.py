@@ -141,6 +141,8 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
     c = Fraction(c)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if bit_cap < 1:
+        raise ValueError("bit_cap must be at least 1")
     support = _den_support(g, c)
     lead_vals = {p: lead for p, _, lead in support}
 

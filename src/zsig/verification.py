@@ -45,9 +45,7 @@ from .poly import (
 )
 from .zsigmondy import (
     KriegerStatus,
-    check_krieger_divisibility,
     check_monomial_sandwich,
-    check_rin_inequality,
     cross_bound_ok,
     excess_bound_ok,
     growth_threshold,
@@ -380,7 +378,7 @@ def krieger_holds_on_zsigmondy_indices() -> str:
     for orbit, report in _scan_zsigmondy_cases():
         for n in report.zset:
             seen += 1
-            if check_krieger_divisibility(orbit, n) is not KriegerStatus.HOLDS:
+            if report.krieger_checks[n - 1][1] is not KriegerStatus.HOLDS:
                 return f"divisibility fails at g={orbit.poly}, c={orbit.c}, n={n}"
     if seen < 3:
         return f"only {seen} Zsigmondy indices seen"
@@ -391,7 +389,7 @@ def krieger_holds_on_zsigmondy_indices() -> str:
 def rin_fails_on_zsigmondy_indices() -> str:
     for orbit, report in _scan_zsigmondy_cases():
         for n in report.zset:
-            if check_rin_inequality(orbit, n):
+            if n not in report.rin_failures:
                 return (
                     "strict product inequality held inside the set: "
                     f"g={orbit.poly}, c={orbit.c}, n={n}"

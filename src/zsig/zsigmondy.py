@@ -23,6 +23,12 @@ structure and are stripped against every earlier numerator.  The primes
 q of each index come from one smallest-prime-factor sieve per orbit, so
 an orbit's indices are never factored one by one.
 
+zsigmondy_set answers every per-index question in one report: the
+verdict, Krieger's divisibility status and the strict numerator-product
+inequality at each index of the orbit it is given.  Index n reads only
+entries 1..n, so the report of a shorter orbit, iterate(g, c, k), is the
+first k rows of a longer one's; the window is the orbit passed in.
+
 mpmath is imported only by the growth-threshold comparison that needs
 it, so scans and single orbits never load it.
 """
@@ -141,32 +147,16 @@ def _orbit_residue(nums: Sequence[int], n: int, prod: int, den_primes: Sequence[
     return residue
 
 
-def primitive_divisor_verdicts(values: Iterable, horizon: Optional[int] = None
-                               ) -> tuple[PrimitiveDivisorVerdict, ...]:
+def primitive_divisor_verdicts(values: Iterable) -> tuple[PrimitiveDivisorVerdict, ...]:
     """Primitivity verdicts for a generic value sequence (1-indexed)."""
     nums = _abs_numerators(values)
-    if horizon is not None:
-        nums = nums[:horizon]
     return tuple(PrimitiveDivisorVerdict(n, _strip_index(nums, n))
                  for n in range(1, len(nums) + 1))
 
 
-def zsigmondy_of_values(values: Iterable, horizon: Optional[int] = None) -> tuple[int, ...]:
-    """Indices in the window with no primitive prime."""
-    return tuple(v.n for v in primitive_divisor_verdicts(values, horizon) if not v.has_primitive)
-
-
-def _window(orbit: OrbitRecord, n: int) -> ZsigmondyReport:
-    """zsigmondy_set on entries 1..n; IndexError when the orbit is shorter."""
-    if len(orbit.entries) < n:
-        raise IndexError(f"orbit only has {len(orbit.entries)} entries, need {n}")
-    return zsigmondy_set(orbit, n)
-
-
-def primitive_prime_exists(orbit: OrbitRecord, n: int) -> tuple[bool, Optional[int]]:
-    """Does orbit numerator n have a primitive prime?  (answer, witness or None)."""
-    v = _window(orbit, n).verdicts[n - 1]
-    return v.has_primitive, v.witness_prime
+def zsigmondy_of_values(values: Iterable) -> tuple[int, ...]:
+    """Indices of the sequence with no primitive prime."""
+    return tuple(v.n for v in primitive_divisor_verdicts(values) if not v.has_primitive)
 
 
 class KriegerStatus(str, Enum):
@@ -184,24 +174,10 @@ def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int
 
 
 def _krieger_status(num: int, prod: int, has_primitive: bool) -> KriegerStatus:
+    """At a primitive-free index |N_n| must divide prod; vacuous otherwise."""
     if has_primitive:
         return KriegerStatus.VACUOUS
     return KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS
-
-
-def check_rin_inequality(orbit: OrbitRecord, n: int) -> bool:
-    """|N_n| > product of |N_(n/p)| over primes p | n (empty product is 1)."""
-    if len(orbit.entries) >= n and any(e.num == 0 for e in orbit.entries[:n]):
-        return False
-    return n not in _window(orbit, n).rin_failures
-
-
-def check_krieger_divisibility(orbit: OrbitRecord, n: int) -> KriegerStatus:
-    """At a primitive-free index, |N_n| must divide the product over n/p.
-
-    Vacuous when a primitive prime exists at n.
-    """
-    return _window(orbit, n).krieger_checks[n - 1][1]
 
 
 @dataclass(frozen=True)
@@ -215,8 +191,8 @@ class ZsigmondyReport:
     krieger_checks: tuple[tuple[int, KriegerStatus], ...]
 
 
-def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> ZsigmondyReport:
-    """Zsigmondy set of the orbit on entries 1..horizon, with side checks.
+def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
+    """Zsigmondy set of the orbit on all its entries, with side checks.
 
     Refuses orbits that hit zero (preperiodic parameters have no
     interesting Zsigmondy window; periodic orbits through nonzero values
@@ -224,10 +200,10 @@ def zsigmondy_set(orbit: OrbitRecord, horizon: Optional[int] = None) -> Zsigmond
     lists indices where the strict numerator-product inequality fails;
     krieger_checks records the divisibility status at every index.
     """
-    n_max = len(orbit.entries) if horizon is None else min(horizon, len(orbit.entries))
+    n_max = len(orbit.entries)
     if n_max < 1:
         raise ValueError("empty window")
-    nums = _abs_numerators(e.num for e in orbit.entries[:n_max])
+    nums = _abs_numerators(e.num for e in orbit.entries)
     spf = smallest_prime_factor_sieve(n_max)
     verdicts, rin_failures, krieger = [], [], []
     for n, num in enumerate(nums, start=1):

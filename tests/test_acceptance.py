@@ -29,7 +29,6 @@ from zsig.orbit import (
 from zsig.poly import RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible
 from zsig.zsigmondy import (
     check_monomial_sandwich,
-    check_rin_inequality,
     evertse_bound,
     index_bound_n0,
     power_sum_dominated,
@@ -199,6 +198,7 @@ def test_criterion_4_survey_krieger_divisibility():
             rows_with_zset += 1
             orbit = iterate(g, Fraction(row.c_num, row.c_den), horizon=8)
             nums = [abs(e.num) for e in orbit.entries]
+            report = zsigmondy_set(orbit)
             for n in row.zset:
                 prod = 1
                 for p in distinct_prime_factors(n):
@@ -207,7 +207,7 @@ def test_criterion_4_survey_krieger_divisibility():
                     f"N_{n} does not divide the product for {poly_text}, "
                     f"c={row.c_num}/{row.c_den}"
                 )
-                assert check_rin_inequality(orbit, n) is False, (
+                assert n in report.rin_failures and nums[n - 1] <= prod, (
                     f"index {n} in the Zsigmondy set passes the strict "
                     f"product inequality for {poly_text}, c={row.c_num}/{row.c_den}"
                 )
@@ -317,8 +317,8 @@ def test_criterion_7_conjugation_transfer():
             identities += 1
         if any(v == 0 for v in diffs):
             continue  # orbit through the base point, window undefined
-        source_window = zsigmondy_of_values(diffs, 8)
-        target_window = zsigmondy_set(h_orbit, 8).zset
+        source_window = zsigmondy_of_values(diffs)
+        target_window = zsigmondy_set(h_orbit).zset
         gap = abs(len(source_window) - len(target_window))
         worst_gap = max(worst_gap, gap)
         assert gap <= cert.distortion_bound, (

@@ -138,6 +138,15 @@ def test_scan_missing_config_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_bit_cap_below_one_is_usage_error(capsys):
+    for command, extra in (("orbit", ["--c", "3"]), ("zsigmondy", ["--c", "3"]),
+                           ("scan", ["--num-bound", "2", "--den-bound", "1"])):
+        rc, _, err = run(capsys, command, "--poly", "x^3+x^2", "--bit-cap", "0", *extra)
+        assert rc == 2, command
+        assert "error: bit_cap must be at least 1" in err
+        assert "Traceback" not in err
+
+
 def test_verify_single_check(capsys):
     rc, out, _ = run(capsys, "verify", "--check", "stabilization_index_exact")
     assert rc == 0

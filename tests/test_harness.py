@@ -158,6 +158,8 @@ def test_config_validation():
         _cfg(den_bound=0)
     with pytest.raises(ValueError):
         _cfg(horizon=0)
+    with pytest.raises(ValueError, match="bit_cap must be at least 1"):
+        _cfg(bit_cap=0)
     with pytest.raises(ValueError):
         _cfg(parallelism=0)
     with pytest.raises(ValueError):

@@ -17,9 +17,7 @@ from zsig.zsigmondy import (
     KriegerStatus,
     bound_report,
     check_cross_bound,
-    check_krieger_divisibility,
     check_monomial_sandwich,
-    check_rin_inequality,
     cross_bound_ok,
     evertse_bound,
     excess_bound_ok,
@@ -31,7 +29,6 @@ from zsig.zsigmondy import (
     mahler_measure,
     power_sum_dominated,
     primitive_divisor_verdicts,
-    primitive_prime_exists,
     root_bound,
     zsigmondy_of_values,
     zsigmondy_set,
@@ -50,11 +47,11 @@ def _primes_of(n):
 # ---------------------------------------------------------------- primitive divisors
 
 def test_primitive_prime_exists_frozen():
-    orbit = iterate(SQUARE, 1, horizon=5)
-    assert primitive_prime_exists(orbit, 4) == (True, 13)
-    assert primitive_prime_exists(orbit, 1) == (False, None)
-    orbit = iterate(CUBIC, 1, horizon=4)
-    assert primitive_prime_exists(orbit, 4) == (True, 17341)
+    sq = zsigmondy_set(iterate(SQUARE, 1, horizon=5)).verdicts
+    assert (sq[3].has_primitive, sq[3].witness_prime) == (True, 13)
+    assert (sq[0].has_primitive, sq[0].witness_prime) == (False, None)
+    cu = zsigmondy_set(iterate(CUBIC, 1, horizon=4)).verdicts
+    assert (cu[3].has_primitive, cu[3].witness_prime) == (True, 17341)
 
 
 def test_zsigmondy_set_frozen():
@@ -114,24 +111,45 @@ def _all_pairs_residues(orbit):
     return [_strip_index(nums, n) for n in range(1, len(nums) + 1)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    middle=st.lists(st.integers(-4, 4), min_size=0, max_size=3),
-    unit=st.sampled_from([1, -1, 5, -7]),
-    lead_powers=st.tuples(st.integers(0, 3), st.integers(0, 2)),
-    c_num=st.integers(-40, 40).filter(bool),
-    den_powers=st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
-    horizon=st.integers(1, 7),
-)
-def test_rigid_strip_matches_all_pairs(middle, unit, lead_powers, c_num, den_powers, horizon):
-    """Stripping against N_(n/q) plus the den(c) pass leaves the all-pairs residues."""
+@st.composite
+def _poly_and_param(draw):
+    """Degree 2-5 model polynomial with 2, 3 in the lead and 2, 3, 5 in den(c)."""
+    middle = draw(st.lists(st.integers(-4, 4), min_size=0, max_size=3))
+    unit = draw(st.sampled_from([1, -1, 5, -7]))
+    lead_powers = draw(st.tuples(st.integers(0, 3), st.integers(0, 2)))
+    c_num = draw(st.integers(-40, 40).filter(bool))
+    den_powers = draw(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)))
     lead = unit * 2 ** lead_powers[0] * 3 ** lead_powers[1]
     g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
     c = F(c_num, 2 ** den_powers[0] * 3 ** den_powers[1] * 5 ** den_powers[2])
-    orbit = iterate(g, c, horizon=horizon, bit_cap=50_000)
+    return g, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 7))
+def test_rigid_strip_matches_all_pairs(g_c, horizon):
+    """Stripping against N_(n/q) plus the den(c) pass leaves the all-pairs residues."""
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
     assume(all(e.num != 0 for e in orbit.entries))
     report = zsigmondy_set(orbit)
     assert [v.residue for v in report.verdicts] == _all_pairs_residues(orbit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 7), data=st.data())
+def test_window_prefix_invariance(g_c, horizon, data):
+    """The report of a k-entry orbit is the first k rows of a longer orbit's report."""
+    k = data.draw(st.integers(1, horizon))
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
+    assume(all(e.num != 0 for e in orbit.entries))
+    full = zsigmondy_set(orbit)
+    short = zsigmondy_set(iterate(*g_c, horizon=k, bit_cap=50_000))
+    k = min(k, len(orbit.entries))  # both orbits stop at the same capped entry
+    assert short.horizon == k
+    assert [v.residue for v in short.verdicts] == [v.residue for v in full.verdicts[:k]]
+    assert short.krieger_checks == full.krieger_checks[:k]
+    assert short.rin_failures == tuple(n for n in full.rin_failures if n <= k)
+    assert short.zset == tuple(n for n in full.zset if n <= k)
 
 
 def test_rigid_strip_needs_the_den_pass():
@@ -148,7 +166,7 @@ def test_rigid_strip_needs_the_den_pass():
 
 
 def test_orbit_routines_never_strip_all_pairs(monkeypatch):
-    """zsigmondy_set, primitive_prime_exists and the Krieger check use the rigid strip."""
+    """zsigmondy_set's verdicts and Krieger checks come from the rigid strip."""
     orbits = [iterate(CUBIC, c, horizon=8) for c in (3, F(-5, 3), F(1, 6))]
     orbits.append(iterate(X2DivisiblePoly.parse("2*x^3+x^2"), F(3, 2), horizon=8))
     expected = [_all_pairs_residues(o) for o in orbits]
@@ -161,8 +179,9 @@ def test_orbit_routines_never_strip_all_pairs(monkeypatch):
         report = zsigmondy_set(orbit)
         assert [v.residue for v in report.verdicts] == residues
         for n, residue in enumerate(residues, start=1):
-            assert primitive_prime_exists(orbit, n)[0] == (residue > 1)
-            assert (check_krieger_divisibility(orbit, n) is KriegerStatus.VACUOUS) == (residue > 1)
+            assert report.verdicts[n - 1].has_primitive == (residue > 1)
+            vacuous = report.krieger_checks[n - 1] == (n, KriegerStatus.VACUOUS)
+            assert vacuous == (residue > 1)
     with pytest.raises(RuntimeError, match="all-pairs"):
         primitive_divisor_verdicts([2, 3])
 
@@ -188,8 +207,6 @@ def test_witness_primes_are_really_primitive():
             assert nums[verdict.n - 1] % p == 0
             for k in range(verdict.n - 1):
                 assert nums[k] % p != 0
-        for v in zsigmondy_set(orbit).verdicts:
-            assert primitive_prime_exists(orbit, v.n) == (v.has_primitive, v.witness_prime)
         checked += 1
     assert named > 0, "no witness was named, so nothing was checked"
 
@@ -197,11 +214,11 @@ def test_witness_primes_are_really_primitive():
 # ---------------------------------------------------------------- rin + krieger
 
 def test_rin_inequality_frozen():
-    sq = iterate(SQUARE, 1, horizon=5)
-    assert check_rin_inequality(sq, 4) is True   # 26 > N_2 = 2
-    assert check_rin_inequality(sq, 1) is False  # 1 > 1 fails
-    cu = iterate(CUBIC, 1, horizon=4)
-    assert check_rin_inequality(cu, 2) is True   # 3 > 1
+    sq = zsigmondy_set(iterate(SQUARE, 1, horizon=5)).rin_failures
+    assert 4 not in sq  # 26 > N_2 = 2
+    assert 1 in sq      # 1 > 1 fails
+    cu = zsigmondy_set(iterate(CUBIC, 1, horizon=4)).rin_failures
+    assert 2 not in cu  # 3 > 1
 
 
 def test_rin_matches_direct_product():
@@ -212,19 +229,20 @@ def test_rin_matches_direct_product():
         nums = [abs(e.num) for e in orbit.entries]
         if any(v == 0 for v in nums):
             continue
+        rin_failures = zsigmondy_set(orbit).rin_failures
         for n in range(1, len(nums) + 1):
             prod = 1
             for p in sympy.primefactors(n):
                 prod *= nums[n // p - 1]
-            assert check_rin_inequality(orbit, n) == (nums[n - 1] > prod)
+            assert (n not in rin_failures) == (nums[n - 1] > prod)
 
 
 def test_krieger_divisibility_frozen():
-    sq = iterate(SQUARE, 1, horizon=5)
-    assert check_krieger_divisibility(sq, 1) is KriegerStatus.HOLDS
-    assert check_krieger_divisibility(sq, 4) is KriegerStatus.VACUOUS
-    cu = iterate(CUBIC, 1, horizon=4)
-    assert check_krieger_divisibility(cu, 1) is KriegerStatus.HOLDS
+    sq = zsigmondy_set(iterate(SQUARE, 1, horizon=5)).krieger_checks
+    assert sq[0] == (1, KriegerStatus.HOLDS)
+    assert sq[3] == (4, KriegerStatus.VACUOUS)
+    cu = zsigmondy_set(iterate(CUBIC, 1, horizon=4)).krieger_checks
+    assert cu[0] == (1, KriegerStatus.HOLDS)
 
 
 def test_zset_implies_rin_failure():
@@ -242,8 +260,8 @@ def test_zset_implies_rin_failure():
         if report.zset:
             seen_nonempty += 1
         for n in report.zset:
-            assert not check_rin_inequality(orbit, n)
-            assert check_krieger_divisibility(orbit, n) is KriegerStatus.HOLDS
+            assert n in report.rin_failures
+            assert report.krieger_checks[n - 1] == (n, KriegerStatus.HOLDS)
 
 
 # ---------------------------------------------------------------- excess parts
