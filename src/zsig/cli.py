@@ -16,14 +16,9 @@ import dataclasses
 import sys
 from fractions import Fraction
 
-from .harness import ScanConfig, run_scan, write_output
+from .harness import ScanConfig, _poly_from_text, run_scan, write_output
 from .orbit import DEFAULT_BIT_CAP, decide_membership, escape_radius, iterate
-from .poly import (
-    RatPolynomial,
-    X2DivisiblePoly,
-    critical_points_rational,
-    normalize_to_x2_divisible,
-)
+from .poly import RatPolynomial, critical_points_rational, normalize_to_x2_divisible
 from .verification import check_names, run_all
 from .zsigmondy import bound_report, zsigmondy_set
 
@@ -39,14 +34,6 @@ def _add_poly_options(sub, required: bool = True):
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--poly", help="polynomial text, e.g. 'x^3+x^2' or '2*x^4-3*x^2'")
     group.add_argument("--coeffs", help="comma separated coefficients, constant first")
-
-
-def _model_poly(args) -> X2DivisiblePoly:
-    if args.poly is not None:
-        return X2DivisiblePoly.parse(args.poly)
-    return X2DivisiblePoly.from_coeffs(
-        [Fraction(s.strip()) for s in args.coeffs.split(",")]
-    )
 
 
 def _decimal_digits(n: int) -> int:
@@ -68,14 +55,14 @@ def _format_value(num: int, den: int) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    g = _model_poly(args)
+    g = _poly_from_text(args.poly, args.coeffs)
     c = args.c
     decision = decide_membership(g, c)
+    orbit = iterate(g, c, args.horizon, args.bit_cap)
     print(f"polynomial: {g}")
     print(f"parameter:  c = {c}")
     print(f"verdict:    {decision.verdict.value} ({decision.witness_text()})")
     print(f"escape radius: {escape_radius(g, c)}")
-    orbit = iterate(g, c, args.horizon, args.bit_cap)
     print(f"{'n':>3}  {'ln|value|':>12}  {'deep primes':>11}  value")
     for e in orbit.entries:
         deep = ",".join(f"{p}^{v}" for p, v in sorted(e.deep_valuations.items())) or "-"
@@ -86,13 +73,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_zsigmondy(args) -> int:
-    g = _model_poly(args)
+    g = _poly_from_text(args.poly, args.coeffs)
     c = args.c
     decision = decide_membership(g, c)
+    orbit = iterate(g, c, args.horizon, args.bit_cap)
     print(f"polynomial: {g}")
     print(f"parameter:  c = {c}")
     print(f"verdict:    {decision.verdict.value} ({decision.witness_text()})")
-    orbit = iterate(g, c, args.horizon, args.bit_cap)
     if any(e.num == 0 for e in orbit.entries):
         print("orbit hits zero inside the window; Zsigmondy set not defined")
         return 0
@@ -113,10 +100,6 @@ def _cmd_zsigmondy(args) -> int:
     return 0
 
 
-_SCAN_OPTIONS = ("num_bound", "den_bound", "horizon", "bit_cap", "parallelism",
-                 "format", "output")
-
-
 def _cmd_scan(args) -> int:
     if args.config is None:
         if args.poly is None and args.coeffs is None:
@@ -124,10 +107,10 @@ def _cmd_scan(args) -> int:
         if args.num_bound is None or args.den_bound is None:
             raise ValueError("scan needs --num-bound and --den-bound")
     # only the options given override the config file or the ScanConfig defaults
-    given = {name: getattr(args, name) for name in _SCAN_OPTIONS
-             if getattr(args, name) is not None}
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)
+             if getattr(args, f.name) is not None}
     if args.poly is not None or args.coeffs is not None:
-        given["poly"] = _model_poly(args)
+        given["poly"] = _poly_from_text(args.poly, args.coeffs)
     if args.config is not None:
         cfg = dataclasses.replace(ScanConfig.from_file(args.config), **given)
     else:
@@ -161,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    g = _model_poly(args)
+    g = _poly_from_text(args.poly, args.coeffs)
     report = bound_report(g, args.height, args.depth)
     print(f"polynomial: {g}")
     print(f"degree {report.degree}, leading coefficient {report.lead}, "

@@ -7,6 +7,11 @@ parameters with infinite orbit.  Output is byte-identical across reruns
 and worker counts: rows keep grid order regardless of parallelism and
 wall-clock time never enters the files.
 
+Each column and each setting is declared once.  CSV_HEADER lists the row
+columns, and both the CSV cells and the JSON row objects are rendered
+from it.  The fields of ScanConfig are the settings: a config file's keys
+are those fields plus coeffs, and the CLI overrides read the same fields.
+
 Workers are capped at the grid size and at the CPUs this process may run
 on; the process pool is imported only when more than one worker runs.
 """
@@ -18,10 +23,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, get_type_hints
 
 from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
 from .poly import X2DivisiblePoly
@@ -31,11 +37,18 @@ CSV_HEADER = [
     "c_num", "c_den", "verdict", "witness", "horizon",
     "zset", "zset_size", "rin_failures", "capped_at",
 ]
+_row_values = attrgetter(*CSV_HEADER)
 
-_CONFIG_KEYS = {
-    "poly", "coeffs", "num_bound", "den_bound", "horizon",
-    "bit_cap", "parallelism", "output", "format",
-}
+
+def _poly_from_text(poly: Optional[str], coeffs: Optional[str]) -> X2DivisiblePoly:
+    """The polynomial from its text or from comma separated coefficients, constant first."""
+    if poly is not None and coeffs is not None:
+        raise ValueError("give poly or coeffs, not both")
+    if poly is not None:
+        return X2DivisiblePoly.parse(poly)
+    if coeffs is not None:
+        return X2DivisiblePoly.from_coeffs(coeffs.split(","))
+    raise ValueError("config needs poly or coeffs")
 
 
 @dataclass(frozen=True)
@@ -63,8 +76,14 @@ class ScanConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScanConfig":
-        """key = value lines; # starts a comment; poly or coeffs required."""
-        raw: dict[str, str] = {}
+        """key = value lines; # starts a comment; poly or coeffs required.
+
+        The keys are the ScanConfig fields plus coeffs; a field with no
+        default is required, and one annotated int is read as an integer.
+        """
+        settings = fields(ScanConfig)
+        keys = {f.name for f in settings} | {"coeffs"}
+        raw: dict[str, object] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 body = line.split("#", 1)[0].strip()
@@ -73,34 +92,20 @@ class ScanConfig:
                 if "=" not in body:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in body.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in keys:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in raw:
                     raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
                 raw[key] = val
-        if "poly" in raw and "coeffs" in raw:
-            raise ValueError("give poly or coeffs, not both")
-        if "poly" in raw:
-            g = X2DivisiblePoly.parse(raw["poly"])
-        elif "coeffs" in raw:
-            g = X2DivisiblePoly.from_coeffs(
-                [Fraction(s.strip()) for s in raw["coeffs"].split(",")]
-            )
-        else:
-            raise ValueError("config needs poly or coeffs")
-        for key in ("num_bound", "den_bound"):
-            if key not in raw:
-                raise ValueError(f"config needs {key}")
-        kwargs = {
-            "poly": g,
-            "num_bound": int(raw["num_bound"]),
-            "den_bound": int(raw["den_bound"]),
-        }
-        for key, conv in (("horizon", int), ("bit_cap", int), ("parallelism", int),
-                          ("output", str), ("format", str)):
-            if key in raw:
-                kwargs[key] = conv(raw[key])
-        return ScanConfig(**kwargs)
+        raw["poly"] = _poly_from_text(raw.get("poly"), raw.pop("coeffs", None))
+        types = get_type_hints(ScanConfig)
+        for f in settings:
+            if f.name not in raw:
+                if f.default is MISSING:
+                    raise ValueError(f"config needs {f.name}")
+            elif types[f.name] is int:
+                raw[f.name] = int(raw[f.name])
+        return ScanConfig(**raw)
 
 
 def grid(config: ScanConfig) -> list[Fraction]:
@@ -135,29 +140,13 @@ class ScanRow:
         return None if self.zset is None else len(self.zset)
 
     def csv_cells(self) -> list[str]:
-        blank = lambda v: "" if v is None else str(v)
-        # index lists are ";"-joined so the cells stay comma-free
-        return [
-            str(self.c_num), str(self.c_den), self.verdict, self.witness,
-            str(self.horizon),
-            "" if self.zset is None else ";".join(map(str, self.zset)),
-            blank(self.zset_size),
-            "" if self.rin_failures is None else ";".join(map(str, self.rin_failures)),
-            blank(self.capped_at),
-        ]
+        # None is blank and index tuples are ";"-joined so the cells stay comma-free
+        return ["" if v is None else ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                for v in _row_values(self)]
 
     def json_obj(self) -> dict:
-        return {
-            "c_num": self.c_num,
-            "c_den": self.c_den,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "horizon": self.horizon,
-            "zset": None if self.zset is None else list(self.zset),
-            "zset_size": self.zset_size,
-            "rin_failures": None if self.rin_failures is None else list(self.rin_failures),
-            "capped_at": self.capped_at,
-        }
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in zip(CSV_HEADER, _row_values(self))}
 
 
 def _scan_one(payload: tuple) -> ScanRow:

@@ -230,7 +230,7 @@ def _state_space_bound(g: X2DivisiblePoly, radius: Fraction) -> int:
     return sum(2 * int(radius * m) + 1 for m in g._lead_divisors) + 2
 
 
-def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) -> MembershipDecision:
+def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     """Classify the critical orbit of g + c: finite, or infinite with reason.
 
     Per step, in order: repeated value (finite orbit), escape-radius
@@ -243,17 +243,18 @@ def decide_membership(g: X2DivisiblePoly, c, max_steps: Optional[int] = None) ->
     lead_vals = {p: lead for p, _, lead in support}
     radius = escape_radius(g, c)
     # _state_space_bound is at least 2*floor(radius) + 3 (its m = 1 term plus 2)
-    # and nearly every walk ends sooner, so it is worked out only past that floor
-    limit = 2 * int(radius) + 3 if max_steps is None else max_steps
+    # and nearly every walk ends sooner, so it is worked out only past that floor;
+    # for |lead| = 1 it equals the floor, so the step that works it out checks again
+    limit = 2 * int(radius) + 3
 
     seen: dict[tuple[int, int], int] = {}
     for n, (num, den) in enumerate(_orbit_pairs(g, c, support), start=1):
-        if n > limit and max_steps is None:
-            limit = max_steps = _state_space_bound(g, radius)
         if n > limit:
-            raise ArithmeticError(
-                f"no verdict after {limit} steps; state-space bound violated"
-            )
+            limit = _state_space_bound(g, radius)
+            if n > limit:
+                raise ArithmeticError(
+                    f"no verdict after {limit} steps; state-space bound violated"
+                )
         if (num, den) in seen:
             first = seen[num, den]
             return MembershipDecision(

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .arith import (
@@ -48,7 +48,6 @@ from .arith import (
     is_probable_prime,
     ln_abs_int,
     ln_abs_ratio,
-    omega,
     prime_quotient_power_sum,
     primes_up_to,
     smallest_prime_factor_sieve,
@@ -102,11 +101,6 @@ def _abs_numerators(values: Iterable) -> list[int]:
     return nums
 
 
-@lru_cache(maxsize=1)
-def _witness_primes() -> tuple[int, ...]:
-    return primes_up_to(10**5)
-
-
 def _bounded_witness(residue: int) -> Optional[int]:
     """Smallest prime of the residue findable with bounded effort.
 
@@ -114,7 +108,7 @@ def _bounded_witness(residue: int) -> Optional[int]:
     is left.  A composite of primes all past the limit stays anonymous;
     rho-splitting residues this size loses far more often than it wins.
     """
-    for p in _witness_primes():
+    for p in primes_up_to(10**5):
         if residue % p == 0:
             return p
         if p * p > residue:
@@ -240,18 +234,18 @@ def excess_bound_ok(a: int, lead: int) -> bool:
     return abs(a) <= abs(lead) * part
 
 
-def power_sum_dominated(d: int, n: int, n_omega: Optional[int] = None) -> bool:
+def power_sum_dominated(d: int, n: int) -> bool:
     """Exact check that (sum of d^(n/p) over primes p | n)^5 <= d^(3n).
 
     Two-step ladder, every step an exact integer statement: each term is
     at most d^floor(n/2), so the sum is at most omega(n) * d^ceil(n/2),
-    and omega(n) <= d^(floor(3n/5) - ceil(n/2)) closes it since
-    5 * floor(3n/5) <= 3n.  When the ladder gap is inconclusive the sum
-    is built literally and fifth-powered.
+    and omega(n) <= floor(log2 n) <= d^(floor(3n/5) - ceil(n/2)) closes
+    it since 5 * floor(3n/5) <= 3n.  The ladder factors nothing; when its
+    gap is inconclusive the sum is built literally and fifth-powered.
     """
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    w = omega(n) if n_omega is None else n_omega
+    w = n.bit_length() - 1  # n is at least the product of its omega(n) primes
     gap = (3 * n) // 5 - (n + 1) // 2
     if gap >= 0 and (gap >= w.bit_length() or w <= d**gap):
         return True

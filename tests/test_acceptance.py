@@ -80,7 +80,7 @@ def test_criterion_1_power_sum_domination_sweep():
         w = om[n]
         assert (1 << w) <= n, f"omega({n}) = {w} exceeds log2"
         for d in range(2, 11):
-            assert dominated(d, n, w), f"power sum domination fails at d={d}, n={n}"
+            assert dominated(d, n), f"power sum domination fails at d={d}, n={n}"
             checked += 1
     # literal fifth-power spot checks, no ladder shortcuts
     rng = random.Random(1)

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, flags, exit codes, output wiring."""
+import dataclasses
 import json
 import os
 import shutil
@@ -119,6 +120,31 @@ def test_scan_config_file_with_override(capsys, tmp_path):
     assert out2 == out3
 
 
+def test_scan_config_file_and_flags_give_one_config(capsys, monkeypatch, tmp_path):
+    """A config file that sets every ScanConfig field equals the matching flags."""
+    dest = tmp_path / "rows.json"
+    settings = {"poly": "x^3+x^2", "num_bound": "2", "den_bound": "1", "horizon": "5",
+                "bit_cap": "300", "parallelism": "2", "output": str(dest), "format": "json"}
+    assert set(settings) == {f.name for f in dataclasses.fields(ScanConfig)}
+    path = tmp_path / "scan.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = [arg for key, value in settings.items()
+             for arg in (f"--{key.replace('_', '-')}", value)]
+    seen = []
+    monkeypatch.setattr(cli, "run_scan", lambda cfg: seen.append(cfg) or run_scan(cfg))
+    outputs = []
+    for argv in (["--config", str(path)], flags):
+        rc, out, _ = run(capsys, "scan", *argv)
+        assert rc == 0 and out == ""
+        outputs.append(dest.read_text())
+    expected = ScanConfig(poly=X2DivisiblePoly.parse("x^3+x^2"), num_bound=2, den_bound=1,
+                          horizon=5, bit_cap=300, parallelism=2, output=str(dest),
+                          format="json")
+    assert seen == [expected, expected]
+    assert ScanConfig.from_file(str(path)) == expected
+    assert outputs[0] == outputs[1]
+
+
 def test_scan_defaults_come_from_scan_config(capsys):
     rc, out, _ = run(capsys, "scan", "--poly", "x^3+x^2", "--num-bound", "3",
                      "--den-bound", "2")
@@ -139,12 +165,16 @@ def test_scan_missing_config_file_is_usage_error(capsys):
 
 
 def test_bit_cap_below_one_is_usage_error(capsys):
+    # the check comes before any report line, so stdout stays empty
     for command, extra in (("orbit", ["--c", "3"]), ("zsigmondy", ["--c", "3"]),
                            ("scan", ["--num-bound", "2", "--den-bound", "1"])):
-        rc, _, err = run(capsys, command, "--poly", "x^3+x^2", "--bit-cap", "0", *extra)
-        assert rc == 2, command
-        assert "error: bit_cap must be at least 1" in err
-        assert "Traceback" not in err
+        for flag, message in (("--bit-cap", "bit_cap must be at least 1"),
+                              ("--horizon", "horizon must be at least 1")):
+            rc, out, err = run(capsys, command, "--poly", "x^3+x^2", flag, "0", *extra)
+            assert rc == 2, (command, flag)
+            assert out == ""
+            assert f"error: {message}" in err
+            assert "Traceback" not in err
 
 
 def test_verify_single_check(capsys):

@@ -1,5 +1,7 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
 import concurrent.futures
+import csv
+import io
 import json
 import math
 import os
@@ -119,6 +121,39 @@ def test_json_mirrors_csv_schema():
     assert "runtime" not in json_text(summary)
 
 
+def test_csv_and_json_rows_render_every_column_alike():
+    """Each CSV cell is its row's JSON value under one rule, in CSV_HEADER order.
+
+    None is a blank cell and null, an index tuple a ";"-joined cell and a
+    list, and anything else its str() and itself.
+    """
+    summary = run_scan(ScanConfig(poly=X2DivisiblePoly.parse("x^2"), num_bound=3,
+                                  den_bound=2, horizon=7, bit_cap=40))
+    rows = summary.rows
+    assert any(r.zset is None for r in rows)  # finite orbits
+    assert any(r.capped_at is not None for r in rows)
+    assert any(r.zset is not None and r.capped_at is None for r in rows)
+    assert any(len(r.zset or ()) > 1 for r in rows)
+    assert any(r.rin_failures for r in rows)
+    table = list(csv.reader(io.StringIO(csv_text(summary))))
+    records = json.loads(json_text(summary))["rows"]
+    assert table[0] == CSV_HEADER
+    assert len(table) - 1 == len(records) == len(rows)
+    for row, cells, record in zip(rows, table[1:], records):
+        assert sorted(record) == sorted(CSV_HEADER)
+        for name, cell in zip(CSV_HEADER, cells, strict=True):
+            value = getattr(row, name)
+            if isinstance(value, tuple):
+                assert record[name] == list(value)
+                assert cell == ";".join(map(str, value))
+            else:
+                assert record[name] == value
+                assert cell == ("" if value is None else str(value))
+    lines = csv_text(summary).splitlines()
+    assert "-1,2,denominator,n=1;p=2,7,1;2,2,1;2,7" in lines
+    assert "1,1,escape,n=2,7,1,1,1," in lines
+
+
 def test_determinism_across_parallelism():
     texts = {}
     for workers in (1, 2, 3):
@@ -195,6 +230,14 @@ def test_config_file_rejects_bad_keys(tmp_path):
     both.write_text("poly = x^2\ncoeffs = 0,0,1\nnum_bound = 2\nden_bound = 1\n")
     with pytest.raises(ValueError, match="not both"):
         ScanConfig.from_file(str(both))
+    # the settings without a default are required
+    short = tmp_path / "short.cfg"
+    short.write_text("poly = x^2\nnum_bound = 2\n")
+    with pytest.raises(ValueError, match="^config needs den_bound$"):
+        ScanConfig.from_file(str(short))
+    short.write_text("num_bound = 2\nden_bound = 1\n")
+    with pytest.raises(ValueError, match="^config needs poly or coeffs$"):
+        ScanConfig.from_file(str(short))
 
 
 def test_config_file_coeffs_form(tmp_path):

@@ -232,11 +232,7 @@ def test_ledger_reduction_matches_plain_fractions(middle, unit, lead_powers, c_n
     c_den=st.integers(1, 6),
 )
 def test_membership_matches_brute_force_on_random_polynomials(middle, lead, c_num, c_den):
-    """decide_membership against the plain-Fraction repeat detector, degree 2-5.
-
-    The state-space bound is worked out only when a walk passes its floor;
-    handing the full bound in up front must give the same decision.
-    """
+    """decide_membership against the plain-Fraction repeat detector, degree 2-5."""
     g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
     c = F(c_num, c_den)
     decision = decide_membership(g, c)
@@ -246,8 +242,6 @@ def test_membership_matches_brute_force_on_random_polynomials(middle, lead, c_nu
         assert decision.steps_used == decision.tail + decision.cycle
     else:
         assert brute is None
-    bound = orbit_module._state_space_bound(g, escape_radius(g, c))
-    assert decide_membership(g, c, max_steps=bound) == decision
 
 
 def test_escape_radius():
@@ -340,30 +334,34 @@ def test_escape_index_is_recheckable():
             assert abs(v) < radius
 
 
-def test_decide_membership_raises_past_explicit_step_budget():
-    with pytest.raises(ArithmeticError):
-        decide_membership(SQUARE, -1, max_steps=1)
-
-
 def test_state_space_guard_still_raises(monkeypatch):
-    """A walk that never settles is stopped at the bound, lazy or explicit."""
+    """A walk that never settles is stopped at the bound, worked out past its floor."""
     g = X2DivisiblePoly.parse("2*x^3+x^2")
     radius = escape_radius(g, 1)
     bound = orbit_module._state_space_bound(g, radius)
     assert bound > 2 * int(radius) + 3  # lead 2: the bound is past its floor
 
+    steps = []
+
     def never_settles(g, c, support):
         # distinct values 1/k, inside the radius, never with a deep denominator
         for k in itertools.count(1):
+            steps.append(k)
             yield 1, k
 
     monkeypatch.setattr(orbit_module, "_orbit_pairs", never_settles)
     with pytest.raises(ArithmeticError,
                        match=f"^no verdict after {bound} steps; state-space bound violated$"):
         decide_membership(g, 1)
-    for budget in (5, bound + 7):
-        with pytest.raises(ArithmeticError, match=f"^no verdict after {budget} steps;"):
-            decide_membership(g, 1, max_steps=budget)
+    assert len(steps) == bound + 1
+    # lead 1: the bound equals its floor, so the step that works it out must stop
+    radius = escape_radius(CUBIC, 1)
+    floor = 2 * int(radius) + 3
+    assert orbit_module._state_space_bound(CUBIC, radius) == floor
+    steps.clear()
+    with pytest.raises(ArithmeticError, match=f"^no verdict after {floor} steps;"):
+        decide_membership(CUBIC, 1)
+    assert len(steps) == floor + 1
 
 
 def test_valuation_recursion_checker():
