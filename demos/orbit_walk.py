@@ -32,8 +32,11 @@ for c in (Fraction(-1), Fraction(1), Fraction(1, 2)):
               f">= radius {radius}, earlier values inside")
     else:
         n, p = decision.trigger_index, decision.trigger_prime
-        witness_orbit = iterate(g, c, horizon=n)
-        deep = witness_orbit.entry(n).deep_valuations
-        print(f"  rechecked: denominator of value({n}) carries {p}^{deep[p]}, "
+        # count p in the denominator itself, apart from the orbit's step ledger
+        den, k = iterate(g, c, horizon=n).entry(n).den, 0
+        while den % p ** (k + 1) == 0:
+            k += 1
+        assert g.lead % p**k != 0  # p^k is past val_p(lead)
+        print(f"  rechecked: denominator of value({n}) carries {p}^{k}, "
               f"deeper than the leading coefficient allows; the orbit can "
               f"never return to 0")

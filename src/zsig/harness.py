@@ -83,6 +83,7 @@ class ScanConfig:
         """
         settings = fields(ScanConfig)
         keys = {f.name for f in settings} | {"coeffs"}
+        types = get_type_hints(ScanConfig)
         raw: dict[str, object] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -96,15 +97,14 @@ class ScanConfig:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in raw:
                     raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-                raw[key] = val
+                try:
+                    raw[key] = int(val) if types.get(key) is int else val
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} = {val!r}: not an integer") from None
         raw["poly"] = _poly_from_text(raw.get("poly"), raw.pop("coeffs", None))
-        types = get_type_hints(ScanConfig)
         for f in settings:
-            if f.name not in raw:
-                if f.default is MISSING:
-                    raise ValueError(f"config needs {f.name}")
-            elif types[f.name] is int:
-                raw[f.name] = int(raw[f.name])
+            if f.name not in raw and f.default is MISSING:
+                raise ValueError(f"config needs {f.name}")
         return ScanConfig(**raw)
 
 

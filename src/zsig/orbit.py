@@ -6,17 +6,17 @@ pairs; floats appear only in ln |value|, which the analytic bound checkers
 read and which an entry works out on first read.
 
 A reduced denominator M_n can only contain primes dividing den(c), so the
-support is factored once up front, and an entry derives its valuations
-there from its denominator on first read.  The "deep" part of a
-denominator, the primes whose valuation exceeds their valuation in the
-leading coefficient, is what triggers the InfiniteDenominator verdict:
-once val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
+support is factored once up front.  The "deep" part of a denominator,
+the primes whose valuation exceeds their valuation in the leading
+coefficient, is what triggers the InfiniteDenominator verdict: once
+val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
 d*val_p(M_n) - val_p(u_d) forces strict growth forever.
 
 The same support reduces each step.  With c = A/B and entry a/M, the raw
 step (P*B + A*M^d) / (M^d*B) can only share primes of B with itself, so
 it is divided by p^k over those primes, with k read off a small ledger of
-val_p(M) rather than found by a gcd of the million-bit raw pair.
+val_p(M) rather than found by a gcd of the million-bit raw pair.  Each
+entry's depth is read off that ledger; check_valuation_recursion is its oracle.
 """
 from __future__ import annotations
 
@@ -38,15 +38,14 @@ DEFAULT_BIT_CAP = 2_000_000
 class OrbitEntry:
     """One orbit value as a reduced fraction num/den, den > 0.
 
-    lead_valuations maps each prime p of den(c) to val_p(lead); one dict is
-    shared by every entry of an orbit.  ln_abs and deep_valuations (val_p(den)
-    at the primes where it exceeds val_p(lead)) are worked out on first read.
+    deep_valuations is val_p(den) at the primes where it exceeds val_p(lead),
+    as the step ledger recorded it; ln_abs is worked out on first read.
     """
 
     n: int
     num: int
     den: int
-    lead_valuations: dict = field(repr=False, compare=False)
+    deep_valuations: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def value(self) -> Fraction:
@@ -55,10 +54,6 @@ class OrbitEntry:
     @cached_property
     def ln_abs(self) -> float:
         return ln_abs_ratio(self.num, self.den)
-
-    @cached_property
-    def deep_valuations(self) -> dict[int, int]:
-        return _deep_valuations(self.den, self.lead_valuations)
 
 
 @dataclass(frozen=True)
@@ -98,28 +93,30 @@ def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
 
 
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
-    """Reduced (num, den) of entries 1, 2, 3, ...; each step runs on demand.
+    """Reduced (num, den, deep) of entries 1, 2, 3, ...; each step runs on demand.
 
-    support is _den_support(g, c).  The raw step shares p^k with its
-    denominator at each p | den(c).  With m = val_p(M) and b = val_p(den(c)),
-    a deep p (m > val_p(u_d)) has k = val_p(u_d) + b: u_d*a^d is the term of
-    P with least valuation, and a deep m is at least b, so d*m exceeds
-    val_p(u_d) + b.  A shallow p has k <= d*m + b = val_p(M^d*B), found by
-    exact division tests.  Integer c has no support and no reduction work.
+    support is _den_support(g, c); deep maps each p with m = val_p(den) >
+    val_p(u_d) to m.  The raw step shares p^k with its denominator at each
+    p | den(c).  With b = val_p(den(c)), a deep p has k = val_p(u_d) + b:
+    u_d*a^d is the term of P with least valuation, and a deep m is at least
+    b, so d*m exceeds val_p(u_d) + b.  A shallow p has k <= d*m + b =
+    val_p(M^d*B), found by exact division tests.  Integer c has no support
+    and no reduction work.
     """
     d = g.degree
     c_num, c_den = c.numerator, c.denominator
     ledger = {p: b for p, b, _ in support}  # val_p of the current denominator
     num, den = c_num, c_den
     while True:
-        yield num, den
+        deep = {p: ledger[p] for p, _, lead_val in support if ledger[p] > lead_val}
+        yield num, den, deep
         p_raw, q_raw = g.eval_int_pair(num, den)
         num = p_raw * c_den + c_num * q_raw
         den = q_raw * c_den
         shrink = 1
         for p, b, lead_val in support:
             m = ledger[p]
-            if m > lead_val:
+            if p in deep:
                 k = lead_val + b
             else:
                 k, top = 0, d * m + b
@@ -144,12 +141,11 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
     if bit_cap < 1:
         raise ValueError("bit_cap must be at least 1")
     support = _den_support(g, c)
-    lead_vals = {p: lead for p, _, lead in support}
 
     entries: list[OrbitEntry] = []
     capped_at = None
-    for n, (num, den) in zip(range(1, horizon + 1), _orbit_pairs(g, c, support)):
-        entries.append(OrbitEntry(n, num, den, lead_vals))
+    for n, (num, den, deep) in zip(range(1, horizon + 1), _orbit_pairs(g, c, support)):
+        entries.append(OrbitEntry(n, num, den, deep))
         if max(num.bit_length(), den.bit_length()) > bit_cap:
             capped_at = n
             break
@@ -160,7 +156,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
         bit_cap=bit_cap,
         entries=tuple(entries),
         capped_at=capped_at,
-        den_prime_support=tuple(lead_vals),
+        den_prime_support=tuple(p for p, _, _ in support),
     )
 
 
@@ -239,8 +235,6 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     space and must repeat within the state-space bound.
     """
     c = Fraction(c)
-    support = _den_support(g, c)
-    lead_vals = {p: lead for p, _, lead in support}
     radius = escape_radius(g, c)
     # _state_space_bound is at least 2*floor(radius) + 3 (its m = 1 term plus 2)
     # and nearly every walk ends sooner, so it is worked out only past that floor;
@@ -248,7 +242,7 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     limit = 2 * int(radius) + 3
 
     seen: dict[tuple[int, int], int] = {}
-    for n, (num, den) in enumerate(_orbit_pairs(g, c, support), start=1):
+    for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, _den_support(g, c)), start=1):
         if n > limit:
             limit = _state_space_bound(g, radius)
             if n > limit:
@@ -266,7 +260,7 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
                 poly=g, c=c, verdict=Verdict.INFINITE_ESCAPE, steps_used=n,
                 escape_index=n - 1,
             )
-        if deep := _deep_valuations(den, lead_vals):
+        if deep:
             return MembershipDecision(
                 poly=g, c=c, verdict=Verdict.INFINITE_DENOMINATOR, steps_used=n,
                 trigger_index=n, trigger_prime=min(deep),
@@ -333,21 +327,27 @@ def check_upper_bounds(orbit: OrbitRecord) -> list[str]:
 
 
 def check_valuation_recursion(orbit: OrbitRecord) -> list[str]:
-    """Exact check of deep-denominator propagation between consecutive entries.
+    """Exact oracle for the step ledger's denominator depths.
 
-    For p deep at entry n: val_p(M_{n+1}) = d * val_p(M_n) - val_p(u_d),
-    and the new valuation must stay deep (persistence).
+    Depth is derived afresh from each stored denominator and must equal the
+    entry's deep_valuations.  For p deep at entry n: val_p(M_{n+1}) =
+    d * val_p(M_n) - val_p(u_d), and the new valuation must stay deep (persistence).
     """
-    d = orbit.poly.degree
+    g = orbit.poly
+    lead_vals = {p: val_p(g.lead, p) for p in orbit.den_prime_support}
     bad: list[str] = []
-    for prev, cur in zip(orbit.entries, orbit.entries[1:]):
-        for p, e in prev.deep_valuations.items():
-            expected = d * e - prev.lead_valuations[p]
-            got = cur.deep_valuations.get(p)
-            if got is None:
-                bad.append(f"p={p} deep at n={prev.n} but not at n={cur.n}")
-            elif got != expected:
-                bad.append(f"p={p} at n={cur.n}: val {got}, expected {expected}")
+    prev: dict[int, int] = {}  # depth of the entry before e
+    for e in orbit.entries:
+        deep = _deep_valuations(e.den, lead_vals)
+        if e.deep_valuations != deep:
+            bad.append(f"n={e.n}: ledger depth {e.deep_valuations}, denominator depth {deep}")
+        for p, m in prev.items():
+            expected = g.degree * m - lead_vals[p]
+            if p not in deep:
+                bad.append(f"p={p} deep at n={e.n - 1} but not at n={e.n}")
+            elif deep[p] != expected:
+                bad.append(f"p={p} at n={e.n}: val {deep[p]}, expected {expected}")
+        prev = deep
     return bad
 
 

@@ -164,6 +164,15 @@ def test_scan_missing_config_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_scan_config_non_integer_names_path_line_and_key(capsys, tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("poly = x^3+x^2\n# bounds\nnum_bound = two\nden_bound = 2\n")
+    rc, out, err = run(capsys, "scan", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {cfg}:3: num_bound = 'two': not an integer\n"
+
+
 def test_bit_cap_below_one_is_usage_error(capsys):
     # the check comes before any report line, so stdout stays empty
     for command, extra in (("orbit", ["--c", "3"]), ("zsigmondy", ["--c", "3"]),

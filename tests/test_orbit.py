@@ -115,25 +115,25 @@ def test_ln_abs_value_accuracy():
 
 
 def test_iterate_and_zset_compute_no_valuation_or_log(monkeypatch):
-    """Depth and ln|value| are computed only when an entry's field is read."""
-    def window(orbit):
+    """Depth comes off the step ledger with no val_p; ln|value| is computed on read."""
+    def walk():
+        orbit = iterate(CUBIC, F(1, 6), horizon=8)
         report = zsigmondy_set(orbit)
-        return report.zset, [(v.has_primitive, v.stripped_remainder_bits)
-                             for v in report.verdicts]
+        return (report.zset, [(v.has_primitive, v.stripped_remainder_bits)
+                              for v in report.verdicts],
+                [e.deep_valuations for e in orbit.entries],
+                [decide_membership(CUBIC, c) for c in (F(1, 6), F(-5, 3), 1, -1)])
 
-    expected = window(iterate(CUBIC, F(1, 6), horizon=8))
+    expected = walk()
 
     def refuse(*args):
         raise RuntimeError("computed on read only")
 
     monkeypatch.setattr(orbit_module, "val_p", refuse)
     monkeypatch.setattr(orbit_module, "ln_abs_ratio", refuse)
-    orbit = iterate(CUBIC, F(1, 6), horizon=8)
-    assert window(orbit) == expected
+    assert walk() == expected
     with pytest.raises(RuntimeError, match="on read only"):
-        orbit.entry(2).deep_valuations
-    with pytest.raises(RuntimeError, match="on read only"):
-        orbit.entry(2).ln_abs
+        iterate(CUBIC, F(1, 6), horizon=8).entry(2).ln_abs
 
 
 def _plain_val(n: int, p: int) -> int:
@@ -222,6 +222,37 @@ def test_ledger_reduction_matches_plain_fractions(middle, unit, lead_powers, c_n
             bad[cur.n - 1] = replace(cur, den=p * cur.den)
             assert check_valuation_recursion(replace(orbit, entries=tuple(bad))) != []
             break
+
+
+PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    middle=st.lists(st.integers(-4, 4), min_size=0, max_size=3),
+    lead=st.integers(-6, 6).filter(bool),
+    c_num=st.integers(-40, 40),
+    c_den=st.integers(1, 12),
+    horizon=st.integers(2, 12),
+)
+def test_strong_rigid_divisibility(middle, lead, c_num, c_den, horizon):
+    """v_p(N_km) = v_p(N_m) for every p < 100 with p | N_m and p not dividing den(c).
+
+    Since x^2 | g, g_c^m(y) = g_c^m(0) mod y^2, so the exponent of p is
+    preserved, not merely p | N_km.  The primitivity strip relies on it.
+    """
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    c = F(c_num, c_den)
+    nums = [abs(e.num) for e in iterate(g, c, horizon=horizon, bit_cap=10**4).entries]
+    for p in PRIMES_BELOW_100:
+        if c.denominator % p == 0:
+            continue
+        for m, num in enumerate(nums, start=1):
+            if num == 0 or num % p:
+                continue
+            e = _plain_val(num, p)
+            for km in range(2 * m, len(nums) + 1, m):
+                assert _plain_val(nums[km - 1], p) == e, (p, m, km)
 
 
 @settings(max_examples=80, deadline=None)
@@ -347,7 +378,7 @@ def test_state_space_guard_still_raises(monkeypatch):
         # distinct values 1/k, inside the radius, never with a deep denominator
         for k in itertools.count(1):
             steps.append(k)
-            yield 1, k
+            yield 1, k, {}
 
     monkeypatch.setattr(orbit_module, "_orbit_pairs", never_settles)
     with pytest.raises(ArithmeticError,
@@ -365,8 +396,16 @@ def test_state_space_guard_still_raises(monkeypatch):
 
 
 def test_valuation_recursion_checker():
-    orbit = iterate(CUBIC, F(1, 2), horizon=6, bit_cap=10**5)
+    orbit = iterate(CUBIC, F(1, 6), horizon=5, bit_cap=10**5)
     assert check_valuation_recursion(orbit) == []
+    # depth recorded off the ledger is compared with its denominator's
+    assert orbit.entry(3).deep_valuations == {2: 9, 3: 9}
+    for wrong in ({}, {2: 9}, {2: 9, 3: 10}, {2: 9, 3: 9, 5: 1}):
+        entries = list(orbit.entries)
+        entries[2] = replace(entries[2], deep_valuations=wrong)
+        assert check_valuation_recursion(replace(orbit, entries=tuple(entries))) == [
+            f"n=3: ledger depth {wrong}, denominator depth {{2: 9, 3: 9}}"
+        ]
 
 
 def test_upper_bound_checker():
