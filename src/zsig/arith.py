@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic primitives.
 
 Everything here operates on plain Python ints and fractions.Fraction.
-Factorization is best-effort by design: trial division up to a bound,
+Factorization is best-effort by design: trial division up to 10^6,
 then a probabilistic split for moderate cofactors.  Every caller that
 needs a complete factorization goes through `_certified_factors`, the one
 place that refuses, with IncompleteFactorizationError ("cannot certify"),
@@ -22,6 +22,7 @@ _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 # Extra fixed witnesses applied above that range (probable-prime semantics).
 _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
+_TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are left unfactored
 
 
@@ -149,7 +150,7 @@ class PrimePowerFactorization:
     factors are (prime, exponent) pairs with primes strictly ascending.
     cofactor == 1 means the factorization is complete; otherwise cofactor
     is a composite (or unproven) residue with no prime factor below the
-    trial-division bound used.
+    trial-division limit of 10^6.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -166,10 +167,10 @@ class PrimePowerFactorization:
         return out
 
 
-def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
-    """Factor |n| by trial division up to `bound`, then try to finish.
+def factor_small(n: int) -> PrimePowerFactorization:
+    """Factor |n| by trial division up to 10^6, then try to finish.
 
-    Complete whenever |n| < bound^2 or every prime factor is < bound.
+    Complete whenever |n| < 10^12 or every prime factor is < 10^6.
     A remaining cofactor below 2^128 is attacked with a deterministic
     Brent-rho split; anything larger (or a rare rho failure) is surfaced
     via the cofactor field rather than guessed at.  Every recorded prime
@@ -178,23 +179,21 @@ def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
     m = abs(n)
     found: dict[int, int] = {}
     if m > 1:
-        for p in primes_up_to(min(bound, 100_000)):
+        for p in primes_up_to(10**5):
             if p * p > m:
                 break
             if m % p == 0:
                 e = _int_val(m, p)
                 found[p] = e
                 m //= p**e
-        if m > 1 and bound > 100_000 and not _is_proven_prime(m):
+        if m > 1 and not _is_proven_prime(m):
             # odd-step trial division above the sieved range; composite steps
             # are harmless because their prime parts are already stripped
             q = 100_001
-            while q <= bound and q * q <= m:
+            while q <= _TRIAL_LIMIT and q * q <= m:
                 if m % q == 0:
                     e = _int_val(m, q)
                     found[q] = e
@@ -202,8 +201,8 @@ def factor_small(n: int, bound: int = 10**6) -> PrimePowerFactorization:
                 q += 2
     cofactor = 1
     if m > 1:
-        if m < bound * bound or _is_proven_prime(m):
-            # no factor below bound survives, so m < bound^2 forces m prime
+        if m < _TRIAL_LIMIT**2 or _is_proven_prime(m):
+            # no factor below the limit survives, so m < limit^2 forces m prime
             found[m] = 1
         elif m < _RHO_LIMIT:
             leftovers = _split_completely(m)
@@ -345,5 +344,5 @@ def ln_abs_ratio(num: int, den: int) -> float:
     if a == den:
         return 0.0
     if abs(a.bit_length() - den.bit_length()) <= 2:
-        return math.log1p(float(Fraction(a - den, den)))
+        return math.log1p((a - den) / den)  # int division rounds once, with no gcd
     return ln_abs_int(a) - ln_abs_int(den)

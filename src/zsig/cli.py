@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .harness import ScanConfig, _poly_from_text, run_scan, write_output
-from .orbit import DEFAULT_BIT_CAP, decide_membership, escape_radius, iterate
+from .orbit import DEFAULT_BIT_CAP, OrbitRecord, decide_membership, escape_radius, iterate
 from .poly import RatPolynomial, critical_points_rational, normalize_to_x2_divisible
 from .verification import check_names, run_all
 from .zsigmondy import bound_report, zsigmondy_set
@@ -54,15 +54,23 @@ def _format_value(num: int, den: int) -> str:
     return f"<{nd}-digit>/<{dd}-digit>" if den != 1 else f"<{nd}-digit>"
 
 
-def _cmd_orbit(args) -> int:
+def _orbit_preamble(args) -> OrbitRecord:
+    """Decide and iterate the orbit, then print its three header lines.
+
+    Every input is checked before the first line is printed.
+    """
     g = _poly_from_text(args.poly, args.coeffs)
-    c = args.c
-    decision = decide_membership(g, c)
-    orbit = iterate(g, c, args.horizon, args.bit_cap)
+    decision = decide_membership(g, args.c)
+    orbit = iterate(g, args.c, args.horizon, args.bit_cap)
     print(f"polynomial: {g}")
-    print(f"parameter:  c = {c}")
+    print(f"parameter:  c = {args.c}")
     print(f"verdict:    {decision.verdict.value} ({decision.witness_text()})")
-    print(f"escape radius: {escape_radius(g, c)}")
+    return orbit
+
+
+def _cmd_orbit(args) -> int:
+    orbit = _orbit_preamble(args)
+    print(f"escape radius: {escape_radius(orbit.poly, orbit.c)}")
     print(f"{'n':>3}  {'ln|value|':>12}  {'deep primes':>11}  value")
     for e in orbit.entries:
         deep = ",".join(f"{p}^{v}" for p, v in sorted(e.deep_valuations.items())) or "-"
@@ -73,19 +81,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_zsigmondy(args) -> int:
-    g = _poly_from_text(args.poly, args.coeffs)
-    c = args.c
-    decision = decide_membership(g, c)
-    orbit = iterate(g, c, args.horizon, args.bit_cap)
-    print(f"polynomial: {g}")
-    print(f"parameter:  c = {c}")
-    print(f"verdict:    {decision.verdict.value} ({decision.witness_text()})")
+    orbit = _orbit_preamble(args)
     if any(e.num == 0 for e in orbit.entries):
         print("orbit hits zero inside the window; Zsigmondy set not defined")
         return 0
     report = zsigmondy_set(orbit)
     zset = " ".join(map(str, report.zset)) if report.zset else "(empty)"
-    print(f"window:     1..{report.horizon}")
+    print(f"window:     1..{len(report.verdicts)}")
     print(f"zsigmondy set in window: {zset}")
     print(f"{'n':>3}  {'primitive':>9}  {'witness':>10}  {'residue bits':>12}  {'krieger':>8}")
     krieger = dict(report.krieger_checks)
@@ -197,19 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("orbit", help="print one critical orbit with denominator data")
-    _add_poly_options(p)
-    p.add_argument("--c", type=_fraction, required=True, help="parameter, e.g. 1 or --c=-3/2")
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=DEFAULT_BIT_CAP)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = subs.add_parser("zsigmondy", help="primitive divisor report for one parameter")
-    _add_poly_options(p)
-    p.add_argument("--c", type=_fraction, required=True)
-    p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--bit-cap", dest="bit_cap", type=int, default=DEFAULT_BIT_CAP)
-    p.set_defaults(func=_cmd_zsigmondy)
+    for name, func, horizon, text in (
+        ("orbit", _cmd_orbit, 10, "print one critical orbit with denominator data"),
+        ("zsigmondy", _cmd_zsigmondy, 8, "primitive divisor report for one parameter"),
+    ):
+        p = subs.add_parser(name, help=text)
+        _add_poly_options(p)
+        p.add_argument("--c", type=_fraction, required=True, help="parameter, e.g. 1 or --c=-3/2")
+        p.add_argument("--horizon", type=int, default=horizon)
+        p.add_argument("--bit-cap", dest="bit_cap", type=int, default=DEFAULT_BIT_CAP)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("scan", help="sweep a rational parameter grid")
     _add_poly_options(p, required=False)

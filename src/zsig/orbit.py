@@ -60,7 +60,6 @@ class OrbitEntry:
 class OrbitRecord:
     poly: X2DivisiblePoly
     c: Fraction
-    horizon: int
     bit_cap: int
     entries: tuple[OrbitEntry, ...]
     capped_at: Optional[int]
@@ -152,7 +151,6 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
     return OrbitRecord(
         poly=g,
         c=c,
-        horizon=horizon,
         bit_cap=bit_cap,
         entries=tuple(entries),
         capped_at=capped_at,
@@ -198,8 +196,6 @@ class MembershipDecision:
     neither denominator depth nor escape growth can be undone.
     """
 
-    poly: X2DivisiblePoly
-    c: Fraction
     verdict: Verdict
     steps_used: int
     tail: Optional[int] = None
@@ -251,20 +247,12 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
                 )
         if (num, den) in seen:
             first = seen[num, den]
-            return MembershipDecision(
-                poly=g, c=c, verdict=Verdict.FINITE_ORBIT, steps_used=n,
-                tail=first, cycle=n - first,
-            )
+            return MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)
         if abs(num) * radius.denominator >= radius.numerator * den:
-            return MembershipDecision(
-                poly=g, c=c, verdict=Verdict.INFINITE_ESCAPE, steps_used=n,
-                escape_index=n - 1,
-            )
+            return MembershipDecision(Verdict.INFINITE_ESCAPE, n, escape_index=n - 1)
         if deep:
-            return MembershipDecision(
-                poly=g, c=c, verdict=Verdict.INFINITE_DENOMINATOR, steps_used=n,
-                trigger_index=n, trigger_prime=min(deep),
-            )
+            return MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,
+                                      trigger_index=n, trigger_prime=min(deep))
         seen[num, den] = n
 
 
@@ -315,7 +303,7 @@ def check_upper_bounds(orbit: OrbitRecord) -> list[str]:
     d = g.degree
     bad: list[str] = []
     ln_m1 = ln_abs_int(orbit.entries[0].den) if orbit.entries else 0.0
-    ceiling = 2 * abs(g.lead) * max(abs(orbit.c), 4 * length(g))
+    ceiling = 2 * abs(g.lead) * escape_radius(g, orbit.c)
     ln_ceiling = ln_abs_ratio(ceiling.numerator, ceiling.denominator)
     for e in orbit.entries:
         scale = float(d) ** (e.n - 1)

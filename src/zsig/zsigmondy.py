@@ -54,7 +54,7 @@ from .arith import (
     strip_common_primes,
     val_p,
 )
-from .orbit import OrbitRecord, _approx_le, _deep_valuations
+from .orbit import OrbitRecord, _approx_le, _deep_valuations, escape_radius
 from .poly import X2DivisiblePoly, length
 
 
@@ -176,9 +176,6 @@ def _krieger_status(num: int, prod: int, has_primitive: bool) -> KriegerStatus:
 
 @dataclass(frozen=True)
 class ZsigmondyReport:
-    poly: X2DivisiblePoly
-    c: Fraction
-    horizon: int
     verdicts: tuple[PrimitiveDivisorVerdict, ...]
     zset: tuple[int, ...]
     rin_failures: tuple[int, ...]
@@ -208,10 +205,8 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
             rin_failures.append(n)
         krieger.append((n, _krieger_status(num, prod, v.has_primitive)))
     zset = tuple(v.n for v in verdicts if not v.has_primitive)
-    return ZsigmondyReport(
-        poly=orbit.poly, c=orbit.c, horizon=n_max, verdicts=tuple(verdicts), zset=zset,
-        rin_failures=tuple(rin_failures), krieger_checks=tuple(krieger),
-    )
+    return ZsigmondyReport(verdicts=tuple(verdicts), zset=zset,
+                           rin_failures=tuple(rin_failures), krieger_checks=tuple(krieger))
 
 
 def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
@@ -358,9 +353,9 @@ def growth_threshold(d: int, alpha, beta) -> int:
     """Least n >= 30 with (d^n / 3 - d^(3n/5)) ln(beta) > d^(3n/5) ln(alpha).
 
     For n >= 30 the condition is equivalent to d^(2n) > R^5 with
-    R = 3 ln(alpha beta) / ln(beta), which is monotone in n.  A float
-    estimate seeds the search and every boundary comparison is certified
-    exactly: in integers when alpha*beta is a power of beta, otherwise by
+    R = 3 ln(alpha beta) / ln(beta), which is monotone in n.  The search
+    walks up from n = 30 and every comparison is certified exactly: in
+    integers when alpha*beta is a power of beta, otherwise by
     escalating-precision interval arithmetic.
     """
     if d < 2:
@@ -370,14 +365,8 @@ def growth_threshold(d: int, alpha, beta) -> int:
         raise ValueError("alpha must be at least 1")
     if beta <= 1:
         raise ValueError("beta must exceed 1")
-    ab = alpha * beta
-    exact_k = _exact_log_ratio(ab, beta)
-    ln_ab = ln_abs_ratio(ab.numerator, ab.denominator)
-    ln_b = ln_abs_ratio(beta.numerator, beta.denominator)
-    r_est = 3.0 * ln_ab / ln_b
-    n = max(30, int(5.0 * math.log(r_est) / (2.0 * math.log(d))) + 1)
-    while n > 30 and _growth_exceeds(d, n - 1, alpha, beta, exact_k):
-        n -= 1
+    exact_k = _exact_log_ratio(alpha * beta, beta)
+    n = 30
     while not _growth_exceeds(d, n, alpha, beta, exact_k):
         n += 1
     return n
@@ -390,7 +379,7 @@ def ln_value_ceiling(orbit: OrbitRecord) -> float:
     recorded valuations so the integer itself is never built.
     """
     g = orbit.poly
-    base = 2 * g.lead * g.lead * max(abs(orbit.c), 4 * length(g))
+    base = 2 * g.lead * g.lead * escape_radius(g, orbit.c)
     ln_base = ln_abs_ratio(base.numerator, base.denominator)
     first = orbit.entries[0]
     ln_hat = sum(e * math.log(p) for p, e in first.deep_valuations.items())

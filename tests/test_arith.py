@@ -108,15 +108,15 @@ def test_omega_matches_sympy_on_random_values():
 
 
 def test_factor_small_frozen():
-    fac = factor_small(52023, 10**6)
+    fac = factor_small(52023)
     assert fac.factors == ((3, 1), (17341, 1))
     assert fac.cofactor == 1 and fac.complete
     assert fac.reconstruct() == 52023
 
-    unit = factor_small(1, 10)
+    unit = factor_small(1)
     assert unit.factors == () and unit.cofactor == 1 and unit.complete
 
-    pw = factor_small(2**20, 100)
+    pw = factor_small(2**20)
     assert pw.factors == ((2, 20),) and pw.complete
 
 
@@ -131,10 +131,10 @@ def test_factor_small_reconstruct_random():
 
 
 def test_factor_small_incomplete_on_large_semiprime():
-    # two primes far above the trial bound and the rho cutoff
+    # two primes far above the trial limit and the rho cutoff
     p = sympy.nextprime(2**70)
     q = sympy.nextprime(2**75)
-    fac = factor_small(p * q, bound=10**3)
+    fac = factor_small(p * q)
     # rho may or may not split 145-bit semiprimes; either outcome must be consistent
     assert fac.reconstruct() == p * q
     if not fac.complete:
@@ -220,17 +220,34 @@ def test_ln_abs_int_accuracy():
         ln_abs_int(0)
 
 
+# bit-lengths within 2 take the log1p path
+_CLOSE = 2**4000 + 987654321
+CLOSE_RATIOS = [(_CLOSE, 2**4000), (_CLOSE, _CLOSE - 1), (3**300, 2**475), (7, 8)]
+
+
 def test_ln_abs_ratio_close_values():
     import mpmath
 
-    # bit-lengths within 2 take the log1p path; exercise both branches
-    a = 2**4000 + 987654321
-    cases = [(a, 2**4000), (a, a - 1), (3**300, 2**475), (Fraction(7, 8).numerator, 8)]
-    for num, den in cases:
+    for num, den in CLOSE_RATIOS:
         with mpmath.workprec(300):
             ref = float(mpmath.log(mpmath.mpf(num) / den)) if num < 10**200 else \
                 float(mpmath.log(mpmath.mpmathify(num)) - mpmath.log(mpmath.mpmathify(den)))
         assert ln_abs_ratio(num, den) == pytest.approx(ref, rel=1e-11, abs=1e-13)
+
+
+def test_ln_abs_ratio_runs_no_gcd_on_close_values(monkeypatch):
+    """log1p reads the exact difference by one int division; no fraction is reduced."""
+    sizes = []
+    real_gcd = math.gcd
+
+    def spy(*args):
+        sizes.append(max(a.bit_length() for a in args))
+        return real_gcd(*args)
+
+    expected = [math.log1p(float(Fraction(num - den, den))) for num, den in CLOSE_RATIOS]
+    monkeypatch.setattr(math, "gcd", spy)
+    assert [ln_abs_ratio(num, den) for num, den in CLOSE_RATIOS] == expected
+    assert max(sizes, default=0) <= 64
 
 
 def test_incomplete_factorization_error_is_arithmetic_error():
@@ -242,8 +259,8 @@ def test_every_complete_factorization_refuses_through_one_route(monkeypatch):
     """With nothing factorable, each caller that needs all primes says "cannot certify"."""
     real = factor_small
 
-    def unfactored(n, bound=10**6):
-        return PrimePowerFactorization((), abs(n)) if abs(n) > 1 else real(n, bound)
+    def unfactored(n):
+        return PrimePowerFactorization((), abs(n)) if abs(n) > 1 else real(n)
 
     monkeypatch.setattr(zsig.arith, "factor_small", unfactored)
     cubic = X2DivisiblePoly.parse("x^3+x^2")

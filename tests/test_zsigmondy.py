@@ -145,7 +145,7 @@ def test_window_prefix_invariance(g_c, horizon, data):
     full = zsigmondy_set(orbit)
     short = zsigmondy_set(iterate(*g_c, horizon=k, bit_cap=50_000))
     k = min(k, len(orbit.entries))  # both orbits stop at the same capped entry
-    assert short.horizon == k
+    assert len(short.verdicts) == k
     assert [v.residue for v in short.verdicts] == [v.residue for v in full.verdicts[:k]]
     assert short.krieger_checks == full.krieger_checks[:k]
     assert short.rin_failures == tuple(n for n in full.rin_failures if n <= k)
