@@ -8,7 +8,6 @@ evaluates the explicit bounds that make that set finite.
 """
 from .arith import (
     IncompleteFactorizationError,
-    PrimePowerFactorization,
     factor_small,
     is_probable_prime,
     ln_abs_int,
@@ -86,10 +85,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CSV_HEADER", "CheckResult", "IncompleteFactorizationError",
     "KriegerStatus", "MembershipDecision", "NormalizationCertificate", "OrbitEntry",
-    "OrbitRecord", "PolynomialSyntaxError", "PrimePowerFactorization",
-    "PrimitiveDivisorVerdict", "RatPolynomial", "ScanConfig", "ScanRow", "ScanSummary",
-    "Verdict", "X2DivisiblePoly", "ZsigmondyReport", "bound_report",
-    "brute_force_verdict", "check_cross_bound", "check_denominator_lower_bound",
+    "OrbitRecord", "PolynomialSyntaxError", "PrimitiveDivisorVerdict", "RatPolynomial",
+    "ScanConfig", "ScanRow", "ScanSummary", "Verdict", "X2DivisiblePoly", "ZsigmondyReport",
+    "bound_report", "brute_force_verdict", "check_cross_bound", "check_denominator_lower_bound",
     "check_escape_growth", "check_monomial_sandwich",
     "check_names", "check_upper_bounds",
     "check_valuation_recursion", "critical_points_rational", "cross_bound_ok",

@@ -1,16 +1,14 @@
 """Exact integer and rational arithmetic primitives.
 
 Everything here operates on plain Python ints and fractions.Fraction.
-Factorization is best-effort by design: trial division up to 10^6,
-then a probabilistic split for moderate cofactors.  Every caller that
-needs a complete factorization goes through `_certified_factors`, the one
-place that refuses, with IncompleteFactorizationError ("cannot certify"),
-when the factorizer leaves a cofactor.
+`factor_small` is the one factorizer: trial division up to 10^6, then a
+deterministic rho split for cofactors below 2^128.  It returns only proven
+primes and refuses, with IncompleteFactorizationError ("cannot certify"),
+whenever it cannot finish.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,14 +21,14 @@ _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
-_RHO_LIMIT = 1 << 128  # cofactors at or above this are left unfactored
+_RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):
-    """Raised when an operation needs a complete factorization but the
-    best-effort factorizer left a cofactor: a composite it could not split
-    or a prime too large to prove.  It is a ValueError too: the input
-    cannot be certified, which is not a failed check of a computed result."""
+    """Raised when factor_small cannot finish: it is left with a composite
+    it could not split or a prime too large to prove.  It is a ValueError
+    too: the input cannot be certified, which is not a failed check of a
+    computed result."""
 
 
 @lru_cache(maxsize=8)
@@ -143,39 +141,15 @@ def val_p(x: Fraction | int, p: int) -> int:
     return _int_val(int(x), p)
 
 
-@dataclass(frozen=True)
-class PrimePowerFactorization:
-    """Best-effort factorization of |n|: prime powers plus an unfactored cofactor.
+def factor_small(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of |n| != 0, every prime proven.
 
-    factors are (prime, exponent) pairs with primes strictly ascending.
-    cofactor == 1 means the factorization is complete; otherwise cofactor
-    is a composite (or unproven) residue with no prime factor below the
-    trial-division limit of 10^6.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
-
-    @property
-    def complete(self) -> bool:
-        return self.cofactor == 1
-
-    def reconstruct(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-
-def factor_small(n: int) -> PrimePowerFactorization:
-    """Factor |n| by trial division up to 10^6, then try to finish.
-
-    Complete whenever |n| < 10^12 or every prime factor is < 10^6.
-    A remaining cofactor below 2^128 is attacked with a deterministic
-    Brent-rho split; anything larger (or a rare rho failure) is surfaced
-    via the cofactor field rather than guessed at.  Every recorded prime
-    is proven: a prime factor of 3.3 * 10^24 or more, which Miller-Rabin
-    can only call probable, stays in the cofactor.
+    Trial division up to 10^6 finishes whenever |n| < 10^12 or every prime
+    factor is < 10^6; a cofactor below 2^128 is then split with a
+    deterministic Brent rho.  Anything left over -- a cofactor of 2^128 or
+    more, a rare rho failure, or a prime of 3.3 * 10^24 or more, which
+    Miller-Rabin can only call probable -- raises
+    IncompleteFactorizationError ("cannot certify") rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -199,21 +173,17 @@ def factor_small(n: int) -> PrimePowerFactorization:
                     found[q] = e
                     m //= q**e
                 q += 2
-    cofactor = 1
     if m > 1:
         if m < _TRIAL_LIMIT**2 or _is_proven_prime(m):
             # no factor below the limit survives, so m < limit^2 forces m prime
             found[m] = 1
-        elif m < _RHO_LIMIT:
-            leftovers = _split_completely(m)
-            if leftovers is None:
-                cofactor = m
-            else:
-                for p in leftovers:
-                    found[p] = found.get(p, 0) + 1
+        elif m < _RHO_LIMIT and (leftovers := _split_completely(m)) is not None:
+            for p in leftovers:
+                found[p] = found.get(p, 0) + 1
         else:
-            cofactor = m
-    return PrimePowerFactorization(tuple(sorted(found.items())), cofactor)
+            raise IncompleteFactorizationError(
+                f"cannot certify the factorization of {n}: {m} left unfactored")
+    return tuple(sorted(found.items()))
 
 
 def _brent_rho(n: int) -> int | None:
@@ -265,27 +235,17 @@ def _split_completely(n: int, depth: int = 0) -> list[int] | None:
     return a + b
 
 
-def _certified_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of |n| != 0, every prime proven; refuses otherwise."""
-    f = factor_small(n)
-    if not f.complete:
-        raise IncompleteFactorizationError(
-            f"cannot certify the factorization of {n}: {f.cofactor} left unfactored"
-        )
-    return f.factors
-
-
 def omega(n: int) -> int:
     """Number of distinct prime divisors of |n|; omega(1) = 0.
 
     Raises on 0 and when the factorization cannot be completed.
     """
-    return len(_certified_factors(n))
+    return len(factor_small(n))
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of |n|.  Raises on 0 or incomplete factorization."""
-    return tuple(p for p, _ in _certified_factors(n))
+    return tuple(p for p, _ in factor_small(n))
 
 
 def strip_common_primes(r: int, s: int) -> int:

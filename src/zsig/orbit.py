@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .arith import _certified_factors, ln_abs_int, ln_abs_ratio, val_p
+from .arith import factor_small, ln_abs_int, ln_abs_ratio, val_p
 from .poly import RatPolynomial, X2DivisiblePoly, length
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
@@ -82,7 +82,7 @@ def _den_support(g: X2DivisiblePoly, c: Fraction) -> tuple[tuple[int, int, int],
     if c.denominator == 1:
         return ()
     return tuple((p, b, val_p(g.lead, p) if g.lead % p == 0 else 0)
-                 for p, b in _certified_factors(c.denominator))
+                 for p, b in factor_small(c.denominator))
 
 
 def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:

@@ -42,9 +42,9 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .arith import (
-    _certified_factors,
     _sieve_primes,
     distinct_prime_factors,
+    factor_small,
     is_probable_prime,
     ln_abs_int,
     ln_abs_ratio,
@@ -218,7 +218,7 @@ def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
     a = abs(a)
     if a == 0:
         raise ValueError("excess primes of zero are undefined")
-    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p, _ in _certified_factors(a)}
+    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p, _ in factor_small(a)}
     deep = _deep_valuations(a, lead_vals)
     return frozenset(deep), math.prod(p**e for p, e in deep.items())
 
@@ -317,21 +317,29 @@ def root_bound(g: X2DivisiblePoly, c_height, depth: int) -> int:
 
 
 def _exact_log_ratio(ab: Fraction, beta: Fraction) -> Optional[int]:
-    """k with ab == beta^k when one exists, else None."""
+    """m = 3 ln(ab) / ln(beta) when it is an integer, i.e. ab^3 == beta^m, else None.
+
+    Only then can d^(2n) (ln beta)^5 = 243 (ln ab)^5 tie: the ratio is
+    rational or transcendental, and a rational d^(2n/5) is an integer.  An
+    m whose power beta^m would have more bits than ab^3 is ruled out before
+    the power is formed.
+    """
     ln_ab = ln_abs_ratio(ab.numerator, ab.denominator)
     ln_b = ln_abs_ratio(beta.numerator, beta.denominator)
-    guess = ln_ab / ln_b
-    for k in {math.floor(guess), math.ceil(guess)}:
-        if k >= 1 and beta**k == ab:
-            return k
+    guess = 3 * ln_ab / ln_b
+    for m in {math.floor(guess), math.ceil(guess)}:
+        if m < 1 or m * (beta.numerator.bit_length() - 1) >= 3 * ab.numerator.bit_length():
+            continue
+        if ab**3 == beta**m:
+            return m
     return None
 
 
 def _growth_exceeds(d: int, n: int, alpha: Fraction, beta: Fraction,
-                    exact_k: Optional[int]) -> bool:
+                    exact_m: Optional[int]) -> bool:
     """Certified comparison d^(2n) (ln beta)^5 > 243 (ln(alpha beta))^5."""
-    if exact_k is not None:
-        return d ** (2 * n) > 243 * exact_k**5
+    if exact_m is not None:
+        return d ** (2 * n) > exact_m**5
     from mpmath import mp, mpf  # only the bound solvers need it; scans never load it
 
     ab = alpha * beta
@@ -355,8 +363,8 @@ def growth_threshold(d: int, alpha, beta) -> int:
     For n >= 30 the condition is equivalent to d^(2n) > R^5 with
     R = 3 ln(alpha beta) / ln(beta), which is monotone in n.  The search
     walks up from n = 30 and every comparison is certified exactly: in
-    integers when alpha*beta is a power of beta, otherwise by
-    escalating-precision interval arithmetic.
+    integers when R is an integer (the only case that can tie), otherwise
+    by escalating-precision interval arithmetic.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -365,9 +373,9 @@ def growth_threshold(d: int, alpha, beta) -> int:
         raise ValueError("alpha must be at least 1")
     if beta <= 1:
         raise ValueError("beta must exceed 1")
-    exact_k = _exact_log_ratio(alpha * beta, beta)
+    exact_m = _exact_log_ratio(alpha * beta, beta)
     n = 30
-    while not _growth_exceeds(d, n, alpha, beta, exact_k):
+    while not _growth_exceeds(d, n, alpha, beta, exact_m):
         n += 1
     return n
 

@@ -8,10 +8,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-import zsig.arith
 from zsig.arith import (
     IncompleteFactorizationError,
-    PrimePowerFactorization,
     _sieve_primes,
     distinct_prime_factors,
     factor_small,
@@ -108,16 +106,10 @@ def test_omega_matches_sympy_on_random_values():
 
 
 def test_factor_small_frozen():
-    fac = factor_small(52023)
-    assert fac.factors == ((3, 1), (17341, 1))
-    assert fac.cofactor == 1 and fac.complete
-    assert fac.reconstruct() == 52023
-
-    unit = factor_small(1)
-    assert unit.factors == () and unit.cofactor == 1 and unit.complete
-
-    pw = factor_small(2**20)
-    assert pw.factors == ((2, 20),) and pw.complete
+    assert factor_small(52023) == ((3, 1), (17341, 1))
+    assert factor_small(-52023) == ((3, 1), (17341, 1))
+    assert factor_small(1) == ()
+    assert factor_small(2**20) == ((2, 20),)
 
 
 def test_factor_small_reconstruct_random():
@@ -125,36 +117,34 @@ def test_factor_small_reconstruct_random():
     for _ in range(120):
         n = rng.randrange(2, 10**10)
         fac = factor_small(n)
-        assert fac.complete
-        assert fac.reconstruct() == n
-        assert dict(fac.factors) == sympy.factorint(n)
+        assert math.prod(p**e for p, e in fac) == n
+        assert dict(fac) == sympy.factorint(n)
 
 
 def test_factor_small_incomplete_on_large_semiprime():
-    # two primes far above the trial limit and the rho cutoff
+    # two primes far above the trial limit; p*q (about 2^145) is past the rho limit
     p = sympy.nextprime(2**70)
     q = sympy.nextprime(2**75)
-    fac = factor_small(p * q)
-    # rho may or may not split 145-bit semiprimes; either outcome must be consistent
-    assert fac.reconstruct() == p * q
-    if not fac.complete:
-        assert fac.cofactor > 1
+    with pytest.raises(IncompleteFactorizationError,
+                       match=f"^cannot certify the factorization of {p * q}: {p * q} left"):
+        factor_small(p * q)
 
 
 def test_factor_small_leaves_unproven_primes_unfactored():
     big = 10**30 + 57  # prime, but past the deterministic Miller-Rabin range
     assert sympy.isprime(big) and is_probable_prime(big)
-    fac = factor_small(big)
-    assert not fac.complete and fac.factors == () and fac.cofactor == big
-    fac = factor_small(12 * big)
-    assert fac.factors == ((2, 2), (3, 1)) and fac.cofactor == big
-    # a rho split whose large half cannot be proven prime stays whole
+    with pytest.raises(IncompleteFactorizationError, match=f": {big} left unfactored$"):
+        factor_small(big)
+    with pytest.raises(IncompleteFactorizationError,
+                       match=f"^cannot certify the factorization of {12 * big}: {big} left"):
+        factor_small(12 * big)
+    # a rho split whose large half cannot be proven prime is refused whole
     small, large = sympy.nextprime(10**7), sympy.nextprime(10**25)
-    fac = factor_small(small * large)
-    assert not fac.complete and fac.cofactor == small * large
+    with pytest.raises(IncompleteFactorizationError, match=f": {small * large} left unfactored$"):
+        factor_small(small * large)
     # below the proven range the same split completes
     mid = sympy.nextprime(10**18)
-    assert factor_small(small * mid).factors == ((small, 1), (mid, 1))
+    assert factor_small(small * mid) == ((small, 1), (mid, 1))
     with pytest.raises(IncompleteFactorizationError):
         omega(big)
 
@@ -255,23 +245,18 @@ def test_incomplete_factorization_error_is_arithmetic_error():
     assert issubclass(IncompleteFactorizationError, ValueError)
 
 
-def test_every_complete_factorization_refuses_through_one_route(monkeypatch):
-    """With nothing factorable, each caller that needs all primes says "cannot certify"."""
-    real = factor_small
-
-    def unfactored(n):
-        return PrimePowerFactorization((), abs(n)) if abs(n) > 1 else real(n)
-
-    monkeypatch.setattr(zsig.arith, "factor_small", unfactored)
+def test_every_complete_factorization_refuses_through_one_route():
+    """Each caller that needs all primes of an uncertifiable number says "cannot certify"."""
+    big = 10**30 + 57  # prime, but past the deterministic Miller-Rabin range
     cubic = X2DivisiblePoly.parse("x^3+x^2")
     calls = [
-        lambda: omega(12),
-        lambda: distinct_prime_factors(12),
-        lambda: decide_membership(cubic, Fraction(1, 6)),
-        lambda: iterate(cubic, Fraction(1, 6), 4),
-        lambda: excess_primes(12, 1),
-        lambda: scale_to_integer(RatPolynomial.parse("x^3+1/2*x^2")),
-        lambda: _divisors_from_factorization(12),
+        lambda: omega(big),
+        lambda: distinct_prime_factors(big),
+        lambda: decide_membership(cubic, Fraction(1, big)),
+        lambda: iterate(cubic, Fraction(1, big), 4),
+        lambda: excess_primes(big, 1),
+        lambda: scale_to_integer(RatPolynomial.parse(f"x^3+1/{big}*x^2")),
+        lambda: _divisors_from_factorization(big),
     ]
     for call in calls:
         with pytest.raises(IncompleteFactorizationError, match="^cannot certify"):

@@ -36,7 +36,7 @@ def test_registry_names():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown checks: not_a_check$"):
         run_all(["not_a_check"])
 
 

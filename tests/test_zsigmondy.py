@@ -407,6 +407,10 @@ def test_threshold_solver_frozen():
     assert growth_threshold(2, 2**1366, 2) == 31
     assert growth_threshold(2, 2**2729, 2) == 33
     assert growth_threshold(2, 2**2731, 2) == 33
+    # (alpha beta)^3 == beta^4096: both sides equal 2^60 at n = 30, a tie
+    assert growth_threshold(2, 2**4093, 8) == 31
+    # beta near 1 makes m huge; its power is ruled out by bit length unbuilt
+    assert growth_threshold(2, 10**6, 1 + F(1, 10**5)) == 55
 
 
 def test_threshold_solver_is_least_solution():
