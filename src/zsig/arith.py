@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-_LN2 = math.log(2)
-
 # Deterministic Miller-Rabin witness set, valid for n < _MR_PROVEN_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -79,7 +77,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -275,18 +273,12 @@ def prime_quotient_power_sum(d: int, n: int) -> int:
 def ln_abs_int(n: int) -> float:
     """ln|n| for a nonzero int, accurate to ~1 ulp at any size.
 
-    Huge integers are reduced by an exact bit shift: ln(m * 2^e) =
-    ln(m) + e ln 2 with m holding the top 512 bits, so nothing is ever
-    converted to float wholesale.
+    math.log takes an int of any size and reduces it through frexp itself;
+    this wrapper only rejects 0.
     """
     if n == 0:
         raise ValueError("ln|0| is undefined")
-    n = abs(n)
-    k = n.bit_length()
-    if k <= 512:
-        return math.log(n)
-    shift = k - 512
-    return math.log(n >> shift) + shift * _LN2
+    return math.log(abs(n))
 
 
 def ln_abs_ratio(num: int, den: int) -> float:

@@ -264,7 +264,6 @@ def brute_force_verdict(g: X2DivisiblePoly, c, steps: int = 500,
     step and size limits, None when nothing can be concluded.
     """
     c = Fraction(c)
-    rp = g.as_rational()
     seen: dict[Fraction, int] = {}
     x = c
     for n in range(1, steps + 1):
@@ -273,7 +272,7 @@ def brute_force_verdict(g: X2DivisiblePoly, c, steps: int = 500,
         if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_cap:
             return None
         seen[x] = n
-        x = rp(x) + c
+        x = g(x) + c
     return None
 
 

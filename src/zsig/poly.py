@@ -131,13 +131,14 @@ class RatPolynomial:
 
 
 @dataclass(frozen=True)
-class X2DivisiblePoly:
+class X2DivisiblePoly(RatPolynomial):
     """Integer polynomial u_d x^d + ... + u_2 x^2, d >= 2, u_d != 0.
 
-    coeffs is the full dense tuple (u_0, u_1, ..., u_d) with u_0 = u_1 = 0,
-    so coeffs[i] is the coefficient of x^i.  The coefficient length and the
-    divisors of the leading coefficient are worked out on first read and
-    kept on the instance, so one instance serves a whole scan.
+    A RatPolynomial with int coeffs (u_0, u_1, ..., u_d), u_0 = u_1 = 0,
+    so degree, evaluation and printing are the RatPolynomial ones.  The
+    coefficient length and the divisors of the leading coefficient are
+    worked out on first read and kept on the instance, so one instance
+    serves a whole scan.
     """
 
     coeffs: tuple[int, ...]
@@ -165,16 +166,8 @@ class X2DivisiblePoly:
         return X2DivisiblePoly(tuple(cs))
 
     @staticmethod
-    def from_rational(rp: RatPolynomial) -> "X2DivisiblePoly":
-        return X2DivisiblePoly.from_coeffs(rp.coeffs)
-
-    @staticmethod
     def parse(text: str) -> "X2DivisiblePoly":
-        return X2DivisiblePoly.from_rational(RatPolynomial.parse(text))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return X2DivisiblePoly.from_coeffs(RatPolynomial.parse(text).coeffs)
 
     @property
     def lead(self) -> int:
@@ -193,12 +186,6 @@ class X2DivisiblePoly:
     def _lead_divisors(self) -> tuple[int, ...]:
         return tuple(_divisors_from_factorization(self.lead))
 
-    def as_rational(self) -> RatPolynomial:
-        return RatPolynomial.from_coeffs(self.coeffs)
-
-    def __call__(self, x) -> Fraction:
-        return self.as_rational()(x)
-
     def eval_int_pair(self, num: int, den: int) -> tuple[int, int]:
         """g(num/den) as an unreduced integer pair (P, den^degree).
 
@@ -213,9 +200,6 @@ class X2DivisiblePoly:
         for i in range(d, 1, -1):
             acc = acc * num + self.coeffs[i] * dp[d - i]
         return acc * num * num, dp[-1] * den * den
-
-    def __str__(self) -> str:
-        return str(self.as_rational())
 
 
 def length(g: X2DivisiblePoly) -> Fraction:

@@ -202,7 +202,7 @@ def normalization_identity() -> str:
 @_check
 def normalization_distortion() -> str:
     g = X2DivisiblePoly.parse("x^3+x^2")
-    base = iterate_rational(g.as_rational(), 1, 0, 10)[1:]
+    base = iterate_rational(g, 1, 0, 10)[1:]
     count_base = len(zsigmondy_of_values(base))
     for t in (Fraction(2), Fraction(3), Fraction(6), Fraction(1, 2), Fraction(5, 3)):
         h = RatPolynomial.from_coeffs(
@@ -247,86 +247,62 @@ def orbit_recurrence_agreement() -> str:
         c = _random_fraction(rng, 20, 8)
         horizon = 6 if g.degree == 2 else 5
         rec = iterate(g, c, horizon, bit_cap=10**6)
-        plain = iterate_rational(g.as_rational(), c, 0, len(rec.entries))
+        plain = iterate_rational(g, c, 0, len(rec.entries))
         for e in rec.entries:
             if e.value != plain[e.n]:
                 return f"recurrence mismatch for g={g}, c={c}, n={e.n}"
     return ""
 
 
-@_check
-def orbit_upper_bounds() -> str:
-    rng = random.Random(909)
-    for _ in range(40):
-        g = _random_poly(rng, rng.choice([2, 3, 4]))
-        c = _random_fraction(rng, 20, 8)
-        if c == 0:
-            continue
-        bad = check_upper_bounds(iterate(g, c, 5, bit_cap=10**6))
-        if bad:
-            return f"g={g}, c={c}: {bad[0]}"
-    return ""
+def _sample_orbits(seed, draws, degrees, draw_c, checker, verdict=None, min_hits=0) -> str:
+    """Run checker on iterate(g, c, 5) for seeded draws of g, then c = draw_c(rng).
 
-
-@_check
-def valuation_recursion_persistence() -> str:
-    rng = random.Random(1010)
+    Skips c = 0 and, when verdict is given, every c with another verdict.
+    Fails on the first violation or when fewer than min_hits draws are checked.
+    """
+    rng = random.Random(seed)
     hits = 0
-    for _ in range(120):
-        g = _random_poly(rng, rng.choice([3, 4]))
-        c = _random_fraction(rng, 12, 12)
-        if c == 0:
-            continue
-        dec = decide_membership(g, c)
-        if dec.verdict is not Verdict.INFINITE_DENOMINATOR:
+    for _ in range(draws):
+        g = _random_poly(rng, rng.choice(degrees))
+        c = draw_c(rng)
+        if c == 0 or (verdict is not None and decide_membership(g, c).verdict is not verdict):
             continue
         hits += 1
-        bad = check_valuation_recursion(iterate(g, c, 5, bit_cap=10**6))
+        bad = checker(iterate(g, c, 5, bit_cap=10**6))
         if bad:
             return f"g={g}, c={c}: {bad[0]}"
-    if hits < 10:
-        return f"only {hits} denominator cases sampled; generator too weak"
-    return ""
-
-
-@_check
-def denominator_lower_bound() -> str:
-    rng = random.Random(1111)
-    hits = 0
-    for _ in range(100):
-        g = _random_poly(rng, rng.choice([3, 4]))
-        c = _random_fraction(rng, 12, 12)
-        if c == 0:
-            continue
-        if decide_membership(g, c).verdict is not Verdict.INFINITE_DENOMINATOR:
-            continue
-        hits += 1
-        bad = check_denominator_lower_bound(iterate(g, c, 5, bit_cap=10**6))
-        if bad:
-            return f"g={g}, c={c}: {bad[0]}"
-    if hits < 10:
+    if hits < min_hits:
         return f"only {hits} cases sampled"
     return ""
 
 
 @_check
+def orbit_upper_bounds() -> str:
+    return _sample_orbits(909, 40, (2, 3, 4), lambda rng: _random_fraction(rng, 20, 8),
+                          check_upper_bounds)
+
+
+@_check
+def valuation_recursion_persistence() -> str:
+    return _sample_orbits(1010, 120, (3, 4), lambda rng: _random_fraction(rng, 12, 12),
+                          check_valuation_recursion, Verdict.INFINITE_DENOMINATOR, 10)
+
+
+@_check
+def denominator_lower_bound() -> str:
+    return _sample_orbits(1111, 100, (3, 4), lambda rng: _random_fraction(rng, 12, 12),
+                          check_denominator_lower_bound, Verdict.INFINITE_DENOMINATOR, 10)
+
+
+def _escape_parameter(rng) -> Fraction:
+    c = Fraction(rng.randint(10, 60), rng.choice([1, 1, 2]))
+    return -c if rng.random() < 0.5 else c
+
+
+@_check
 def escape_growth_floor() -> str:
-    rng = random.Random(1212)
-    hits = 0
-    for _ in range(60):
-        g = _random_poly(rng, rng.choice([2, 3]))
-        c = Fraction(rng.randint(10, 60), rng.choice([1, 1, 2]))
-        if rng.random() < 0.5:
-            c = -c
-        if decide_membership(g, c).verdict is not Verdict.INFINITE_ESCAPE:
-            continue
-        hits += 1
-        bad = check_escape_growth(iterate(g, c, 5, bit_cap=10**6))
-        if bad:
-            return f"g={g}, c={c}: {bad[0]}"
-    if hits < 20:
-        return f"only {hits} escape cases sampled"
-    return ""
+    return _sample_orbits(1212, 60, (2, 3), _escape_parameter,
+                          check_escape_growth, Verdict.INFINITE_ESCAPE, 20)
 
 
 @_check

@@ -326,7 +326,8 @@ def _exact_log_ratio(ab: Fraction, beta: Fraction) -> Optional[int]:
     """
     ln_ab = ln_abs_ratio(ab.numerator, ab.denominator)
     ln_b = ln_abs_ratio(beta.numerator, beta.denominator)
-    guess = 3 * ln_ab / ln_b
+    if ln_b == 0 or not math.isfinite(guess := 3 * ln_ab / ln_b):
+        return None  # beta is so close to 1 that no m passes the bit-length rule
     for m in {math.floor(guess), math.ceil(guess)}:
         if m < 1 or m * (beta.numerator.bit_length() - 1) >= 3 * ab.numerator.bit_length():
             continue
@@ -346,8 +347,9 @@ def _growth_exceeds(d: int, n: int, alpha: Fraction, beta: Fraction,
     prec = 64
     while prec <= 1 << 17:
         with mp.workprec(prec):
-            ln_b = mp.log(mpf(beta.numerator)) - mp.log(mpf(beta.denominator))
-            ln_ab = mp.log(mpf(ab.numerator)) - mp.log(mpf(ab.denominator))
+            # log1p of the exact difference: ln p - ln q cancels when p/q is near 1
+            ln_b = mp.log1p(mpf(beta.numerator - beta.denominator) / beta.denominator)
+            ln_ab = mp.log1p(mpf(ab.numerator - ab.denominator) / ab.denominator)
             lhs = mpf(d) ** (2 * n) * ln_b**5
             rhs = 243 * ln_ab**5
             scale = max(abs(lhs), abs(rhs))

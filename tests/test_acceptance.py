@@ -115,10 +115,9 @@ def test_criterion_2_valuation_recursion_random_orbits():
         a = rng.randint(-20, 20)
         b = rng.randint(2, 20) if orbits % 2 == 0 else rng.randint(1, 20)
         c = Fraction(a, b)
-        f = g.as_rational()
         values = [c]
         for _ in range(horizons[d] - 1):
-            values.append(f(values[-1]) + c)
+            values.append(g(values[-1]) + c)
         candidates = distinct_prime_factors(c.denominator) if c.denominator > 1 else ()
         for prev, cur in zip(values, values[1:]):
             for p in candidates:

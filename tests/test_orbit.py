@@ -24,7 +24,7 @@ from zsig.orbit import (
     iterate,
     iterate_rational,
 )
-from zsig.poly import RatPolynomial, X2DivisiblePoly, length
+from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import zsigmondy_set
 
 F = Fraction
@@ -80,7 +80,7 @@ def test_iterate_matches_plain_fraction_loop():
         g = X2DivisiblePoly.from_coeffs(coeffs)
         c = F(rng.randrange(-9, 10), rng.randrange(1, 8))
         orbit = iterate(g, c, horizon=6, bit_cap=10**5)
-        vals = iterate_rational(g.as_rational(), c, c, len(orbit.entries) - 1)
+        vals = iterate_rational(g, c, c, len(orbit.entries) - 1)
         for entry, v in zip(orbit.entries, vals):
             assert F(entry.num, entry.den) == v
 
@@ -158,7 +158,7 @@ def test_lazy_entry_fields_match_plain_fractions(middle, lead, c_num, c_den, hor
     c = F(c_num, c_den)
     support = [p for p in (2, 3, 5, 7, 11) if c.denominator % p == 0]
     orbit = iterate(g, c, horizon=horizon)
-    values = iterate_rational(g.as_rational(), c, c, horizon - 1)
+    values = iterate_rational(g, c, c, horizon - 1)
     assert len(orbit.entries) == horizon
     for e, v in zip(orbit.entries, values):
         vals = {p: _plain_val(v.denominator, p) for p in support}
@@ -209,7 +209,7 @@ def test_ledger_reduction_matches_plain_fractions(middle, unit, lead_powers, c_n
     g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
     c = F(c_num, 2 ** den_powers[0] * 3 ** den_powers[1] * 5 ** den_powers[2])
     orbit = iterate(g, c, horizon=horizon)
-    values = iterate_rational(g.as_rational(), c, c, horizon - 1)
+    values = iterate_rational(g, c, c, horizon - 1)
     assert [(e.num, e.den) for e in orbit.entries] == [
         (v.numerator, v.denominator) for v in values
     ]
@@ -359,7 +359,7 @@ def test_escape_index_is_recheckable():
         if d.verdict is not Verdict.INFINITE_ESCAPE:
             continue
         radius = escape_radius(g, c)
-        vals = iterate_rational(g.as_rational(), c, c, d.escape_index)
+        vals = iterate_rational(g, c, c, d.escape_index)
         assert abs(vals[-1]) >= radius
         for v in vals[:-1]:
             assert abs(v) < radius

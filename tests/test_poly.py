@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsig.poly import (
     NormalizationCertificate,
@@ -96,6 +98,20 @@ def test_eval_int_pair_is_unreduced_evaluation():
         P, Q = g.eval_int_pair(num, den)
         assert Q == den**g.degree
         assert F(P, Q) == g(F(num, den))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    middle=st.lists(st.integers(-50, 50), max_size=4),
+    lead=st.integers(-50, 50).filter(bool),
+    x=st.fractions(min_value=-100, max_value=100, max_denominator=50),
+)
+def test_x2divisible_is_the_rational_polynomial(middle, lead, x):
+    g = X2DivisiblePoly.from_coeffs([0, 0, *middle, lead])
+    plain = RatPolynomial.from_coeffs(g.coeffs)
+    assert isinstance(g, RatPolynomial)
+    assert g(x) == plain(x)
+    assert str(g) == str(plain)
 
 
 def test_length_frozen_cases():

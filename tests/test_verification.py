@@ -1,6 +1,8 @@
 """The self-check suite must be green and cover every documented invariant."""
 import pytest
 
+from zsig import verification
+from zsig.orbit import MembershipDecision, Verdict
 from zsig.verification import check_names, run_all
 
 
@@ -53,3 +55,24 @@ def test_full_suite_is_green():
     failures = [f"{r.name}: {r.detail}" for r in results if not r.ok]
     assert failures == []
     assert len(results) == len(EXPECTED_CHECKS)
+
+
+# (check, the orbit checker it samples with, whether it keeps one verdict)
+SAMPLING_CHECKS = [
+    ("orbit_upper_bounds", "check_upper_bounds", False),
+    ("valuation_recursion_persistence", "check_valuation_recursion", True),
+    ("denominator_lower_bound", "check_denominator_lower_bound", True),
+    ("escape_growth_floor", "check_escape_growth", True),
+]
+
+
+@pytest.mark.parametrize("name, checker, filtered", SAMPLING_CHECKS)
+def test_sampling_checks_can_fail(monkeypatch, name, checker, filtered):
+    monkeypatch.setattr(verification, checker, lambda orbit: ["fabricated"])
+    [result] = run_all([name])
+    assert not result.ok and result.detail.endswith(": fabricated"), result
+    if filtered:
+        finite = MembershipDecision(Verdict.FINITE_ORBIT, 1, tail=1, cycle=1)
+        monkeypatch.setattr(verification, "decide_membership", lambda g, c: finite)
+        [result] = run_all([name])
+        assert not result.ok and result.detail.startswith("only 0"), result

@@ -411,6 +411,10 @@ def test_threshold_solver_frozen():
     assert growth_threshold(2, 2**4093, 8) == 31
     # beta near 1 makes m huge; its power is ruled out by bit length unbuilt
     assert growth_threshold(2, 10**6, 1 + F(1, 10**5)) == 55
+    # beta - 1 below one float ulp: the logs come from the exact difference
+    # (these hung at k = 20, 30 and raised ZeroDivisionError at k = 400)
+    for k, want in ((20, 169), (30, 252), (300, 2495), (400, 3325)):
+        assert growth_threshold(2, 2, 1 + F(1, 10**k)) == want, k
 
 
 def test_threshold_solver_is_least_solution():
