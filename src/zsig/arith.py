@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 # Deterministic Miller-Rabin witness set, valid for n < _MR_PROVEN_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -39,7 +40,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return tuple(i for i in range(limit + 1) if sieve[i])
+    return tuple(compress(range(limit + 1), sieve))
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:

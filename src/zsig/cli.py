@@ -16,10 +16,10 @@ import dataclasses
 import sys
 from fractions import Fraction
 
-from .harness import ScanConfig, _poly_from_text, run_scan, write_output
 from .orbit import DEFAULT_BIT_CAP, OrbitRecord, decide_membership, escape_radius, iterate
-from .poly import RatPolynomial, critical_points_rational, normalize_to_x2_divisible
-from .verification import run_all
+from .poly import (
+    RatPolynomial, _poly_from_text, critical_points_rational, normalize_to_x2_divisible,
+)
 from .zsigmondy import bound_report, zsigmondy_set
 
 
@@ -103,6 +103,8 @@ def _cmd_zsigmondy(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .harness import ScanConfig, run_scan, write_output  # only scan loads the harness
+
     if args.config is None:
         if args.poly is None and args.coeffs is None:
             raise ValueError("scan needs --config, or --poly/--coeffs with bounds")
@@ -132,6 +134,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_all  # only verify loads the self-check suite
+
     results = run_all(args.check)
     for r in results:
         print(f"ok   {r.name}" if r.ok else f"FAIL {r.name}: {r.detail}")

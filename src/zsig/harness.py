@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import Optional, get_type_hints
 
 from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
-from .poly import X2DivisiblePoly
+from .poly import X2DivisiblePoly, _poly_from_text
 from .zsigmondy import zsigmondy_set
 
 CSV_HEADER = [
@@ -38,17 +38,6 @@ CSV_HEADER = [
     "zset", "zset_size", "rin_failures", "capped_at",
 ]
 _row_values = attrgetter(*CSV_HEADER)
-
-
-def _poly_from_text(poly: Optional[str], coeffs: Optional[str]) -> X2DivisiblePoly:
-    """The polynomial from its text or from comma separated coefficients, constant first."""
-    if poly is not None and coeffs is not None:
-        raise ValueError("give poly or coeffs, not both")
-    if poly is not None:
-        return X2DivisiblePoly.parse(poly)
-    if coeffs is not None:
-        return X2DivisiblePoly.from_coeffs(coeffs.split(","))
-    raise ValueError("config needs poly or coeffs")
 
 
 @dataclass(frozen=True)

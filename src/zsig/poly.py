@@ -202,6 +202,17 @@ class X2DivisiblePoly(RatPolynomial):
         return acc * num * num, dp[-1] * den * den
 
 
+def _poly_from_text(poly: str | None, coeffs: str | None) -> X2DivisiblePoly:
+    """The polynomial from its text or from comma separated coefficients, constant first."""
+    if poly is not None and coeffs is not None:
+        raise ValueError("give poly or coeffs, not both")
+    if poly is not None:
+        return X2DivisiblePoly.parse(poly)
+    if coeffs is not None:
+        return X2DivisiblePoly.from_coeffs(coeffs.split(","))
+    raise ValueError("config needs poly or coeffs")
+
+
 def length(g: X2DivisiblePoly) -> Fraction:
     """1 + sum over 2 <= i <= d-1 of |u_i| / |u_d| (the coefficient length)."""
     return g._length

@@ -32,6 +32,8 @@ def test_primes_up_to_matches_sympy():
     assert primes_up_to(100) == tuple(sympy.primerange(2, 101))
     assert primes_up_to(2) == (2,)
     assert primes_up_to(1) == ()
+    # the size witness naming sieves to
+    assert primes_up_to(10**5) == tuple(sympy.primerange(2, 10**5 + 1))
 
 
 def test_smallest_prime_factor_sieve():

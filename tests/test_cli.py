@@ -131,7 +131,7 @@ def test_scan_config_file_and_flags_give_one_config(capsys, monkeypatch, tmp_pat
     flags = [arg for key, value in settings.items()
              for arg in (f"--{key.replace('_', '-')}", value)]
     seen = []
-    monkeypatch.setattr(cli, "run_scan", lambda cfg: seen.append(cfg) or run_scan(cfg))
+    monkeypatch.setattr(zsig.harness, "run_scan", lambda cfg: seen.append(cfg) or run_scan(cfg))
     outputs = []
     for argv in (["--config", str(path)], flags):
         rc, out, _ = run(capsys, "scan", *argv)
@@ -201,7 +201,7 @@ def test_verify_unknown_check(capsys):
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_all",
+        zsig.verification, "run_all",
         lambda names=None: [CheckResult("fabricated", False, "broken on purpose")],
     )
     rc, out, _ = run(capsys, "verify", "--check", "stabilization_index_exact")
