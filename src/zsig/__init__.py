@@ -39,7 +39,7 @@ _EXPORTS = {
         "BoundReport", "KriegerStatus", "PrimitiveDivisorVerdict", "ZsigmondyReport",
         "bound_report", "check_cross_bound", "check_monomial_sandwich", "cross_bound_ok",
         "evertse_bound", "excess_bound_ok", "excess_primes", "growth_threshold",
-        "index_bound_n0", "index_bound_n1", "index_bound_n2", "mahler_measure",
+        "index_bound_n0", "index_bound_n1", "index_bound_n2",
         "power_sum_dominated", "primitive_divisor_verdicts", "root_bound",
         "zsigmondy_of_values", "zsigmondy_set",
     ),

@@ -2,8 +2,8 @@
 
 Entries are 1-indexed: value(1) = g_c(0) = c, value(n+1) = g(value(n)) + c.
 Everything is exact integer arithmetic on reduced numerator/denominator
-pairs; floats appear only in ln |value|, which the analytic bound checkers
-read and which an entry works out on first read.
+pairs; the one float is ln |value|, which `zsig orbit` prints.  The bound
+checkers decide exactly, comparing powers through zsig.enclosure.
 
 A reduced denominator M_n can only contain primes dividing den(c), so the
 support is factored once up front.  The "deep" part of a denominator,
@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .arith import factor_small, ln_abs_int, ln_abs_ratio, val_p
+from .arith import factor_small, ln_abs_ratio, val_p
 from .poly import RatPolynomial, X2DivisiblePoly, length
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
@@ -287,28 +287,24 @@ def iterate_rational(f: RatPolynomial, c, start, horizon: int) -> list[Fraction]
     return out
 
 
-def _approx_le(a: float, b: float) -> bool:
-    """a <= b up to a relative float slack of 1e-9."""
-    return a <= b + 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def check_upper_bounds(orbit: OrbitRecord) -> list[str]:
     """Violations of the growth ceilings; empty when the orbit obeys them.
 
-    Denominators: ln M_n <= d^(n-1) ln M_1.  Values: ln |value(n)| <=
-    d^(n-1) ln(2 |u_d| max(|c|, 4 L)).  Zero values are skipped.
+    Denominators: M_n <= M_1^(d^(n-1)).  Values: |value(n)| <= C^(d^(n-1))
+    with C = 2 |u_d| max(|c|, 4 L).  Zero values are skipped.  enclosure.power_le decides.
     """
+    from .enclosure import power_le  # only the checkers need it; scans never load it
+
     g = orbit.poly
     d = g.degree
     bad: list[str] = []
-    ln_m1 = ln_abs_int(orbit.entries[0].den) if orbit.entries else 0.0
+    m1 = orbit.entries[0].den if orbit.entries else 1
     ceiling = 2 * abs(g.lead) * escape_radius(g, orbit.c)
-    ln_ceiling = ln_abs_ratio(ceiling.numerator, ceiling.denominator)
     for e in orbit.entries:
-        scale = float(d) ** (e.n - 1)
-        if not _approx_le(ln_abs_int(e.den), scale * ln_m1):
+        scale = d ** (e.n - 1)
+        if not power_le(e.den, 1, m1, scale):
             bad.append(f"denominator bound fails at n={e.n}")
-        if e.num != 0 and not _approx_le(e.ln_abs, scale * ln_ceiling):
+        if e.num != 0 and not power_le((e.num, e.den), 1, ceiling, scale):
             bad.append(f"value bound fails at n={e.n}")
     return bad
 
@@ -339,11 +335,10 @@ def check_valuation_recursion(orbit: OrbitRecord) -> list[str]:
 
 
 def check_denominator_lower_bound(orbit: OrbitRecord) -> list[str]:
-    """ln M_n >= (d^(n-n') / 3) ln(deep part of M_n') for degree >= 3.
+    """hat^(d^(n-n')) <= M_n^3 for degree >= 3, decided by enclosure.power_le.
 
-    n' is the first entry with a deep denominator; the deep part is the
-    product of p^val_p over deep primes, handled in logs so the hatted
-    integer is never built.
+    n' is the first entry with a deep denominator and hat, the deep part
+    of M_n', is the product of p^val_p over its deep primes.
     """
     g = orbit.poly
     d = g.degree
@@ -356,27 +351,28 @@ def check_denominator_lower_bound(orbit: OrbitRecord) -> list[str]:
             break
     if first is None:
         return []
-    ln_hat = sum(e * math.log(p) for p, e in first.deep_valuations.items())
+    from .enclosure import power_le
+
+    hat = math.prod(p**e for p, e in first.deep_valuations.items())
     bad = []
     for e in orbit.entries[first.n - 1:]:
-        need = (float(d) ** (e.n - first.n) / 3.0) * ln_hat
-        if not _approx_le(need, ln_abs_int(e.den)):
+        if not power_le(hat, d ** (e.n - first.n), e.den, 3):
             bad.append(f"denominator lower bound fails at n={e.n}")
     return bad
 
 
 def check_escape_growth(orbit: OrbitRecord) -> list[str]:
-    """ln |value(k+1)| >= d^(k-k0) ln(|value(k0+1)| / 2) past the escape index k0."""
+    """(|value(k0+1)| / 2)^(d^(n-1-k0)) <= |value(n)| past the escape index k0, by power_le."""
     g = orbit.poly
     d = g.degree
     k0 = escape_check(orbit)
     if k0 is None:
         return []
+    from .enclosure import power_le
+
     base = orbit.entry(k0 + 1)
-    ln_floor = base.ln_abs - math.log(2.0)
     bad = []
     for e in orbit.entries[k0:]:
-        need = float(d) ** (e.n - 1 - k0) * ln_floor
-        if not _approx_le(need, e.ln_abs):
+        if not power_le((base.num, 2 * base.den), d ** (e.n - 1 - k0), (e.num, e.den), 1):
             bad.append(f"escape growth fails at n={e.n}")
     return bad

@@ -29,8 +29,8 @@ inequality at each index of the orbit it is given.  Index n reads only
 entries 1..n, so the report of a shorter orbit, iterate(g, c, k), is the
 first k rows of a longer one's; the window is the orbit passed in.
 
-mpmath is imported only by the growth-threshold comparison that needs
-it, so scans and single orbits never load it.
+The bound solvers and check_cross_bound compare logs through zsig.enclosure,
+imported when they run, so scans and single orbits never load it.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from .arith import (
     strip_common_primes,
     val_p,
 )
-from .orbit import OrbitRecord, _approx_le, _deep_valuations, escape_radius
+from .orbit import OrbitRecord, _deep_valuations, escape_radius
 from .poly import X2DivisiblePoly, length
 
 
@@ -248,14 +248,6 @@ def power_sum_dominated(d: int, n: int) -> bool:
     return s**5 <= d ** (3 * n)
 
 
-def mahler_measure(x) -> int:
-    """Measure of a rational as a degree-one algebraic number: max(|num|, den)."""
-    x = Fraction(x)
-    if x == 0:
-        return 1
-    return max(abs(x.numerator), x.denominator)
-
-
 def evertse_bound(r: int, delta) -> float:
     """2e7 * delta^-4 * ln(4r) * ln(ln(4r)): unit-equation solution count cap."""
     if r < 1:
@@ -286,13 +278,24 @@ def index_bound_n1(d: int) -> int:
 
 
 def index_bound_n2(d: int, lead: int, root_bound_value: int) -> int:
-    """ceil(3 log_d log2(lead^2 * D + 1)) + 2 * index_bound_n0(d)."""
+    """ceil(3 log_d log2(lead^2 * D + 1)) + 2 * index_bound_n0(d).
+
+    d^k meets log2(m)^3, m = lead^2 D + 1, in integers outside (L^3, (L + 1)^3).
+    """
     if root_bound_value < 1:
         raise ValueError("root bound must be positive")
     m = lead * lead * root_bound_value + 1
-    target = math.log2(m) ** 3
+    L = m.bit_length() - 1  # L <= log2 m < L + 1, and log2 m = L only for m = 2^L
     k = 0
-    while d**k < target:
+    while d**k < L**3 or (d**k == L**3 and m != 1 << L):
+        k += 1
+    from .enclosure import ln, sign  # only the bound solvers need it
+
+    # short of (L + 1)^3 the logs decide; log2 m is irrational, so only the cap gives 0
+    while m != 1 << L and d**k < (L + 1) ** 3 and (
+            s := sign(lambda prec: ln(m, prec) ** 3 - ln(2, prec) ** 3 * d**k)) >= 0:
+        if s == 0:
+            raise ArithmeticError("index bound n2 could not be certified")
         k += 1
     return k + 2 * index_bound_n0(d)
 
@@ -341,22 +344,13 @@ def _growth_exceeds(d: int, n: int, alpha: Fraction, beta: Fraction,
     """Certified comparison d^(2n) (ln beta)^5 > 243 (ln(alpha beta))^5."""
     if exact_m is not None:
         return d ** (2 * n) > exact_m**5
-    from mpmath import mp, mpf  # only the bound solvers need it; scans never load it
+    from .enclosure import ln, sign  # only the bound solvers need it; scans never load it
 
     ab = alpha * beta
-    prec = 64
-    while prec <= 1 << 17:
-        with mp.workprec(prec):
-            # log1p of the exact difference: ln p - ln q cancels when p/q is near 1
-            ln_b = mp.log1p(mpf(beta.numerator - beta.denominator) / beta.denominator)
-            ln_ab = mp.log1p(mpf(ab.numerator - ab.denominator) / ab.denominator)
-            lhs = mpf(d) ** (2 * n) * ln_b**5
-            rhs = 243 * ln_ab**5
-            scale = max(abs(lhs), abs(rhs))
-            if scale > 0 and abs(lhs - rhs) > scale * mpf(2) ** (20 - prec):
-                return bool(lhs > rhs)
-        prec *= 2
-    raise ArithmeticError("growth threshold comparison could not be certified")
+    s = sign(lambda prec: ln(beta, prec) ** 5 * d ** (2 * n) - ln(ab, prec) ** 5 * 243)
+    if s == 0:
+        raise ArithmeticError("growth threshold comparison could not be certified")
+    return s > 0
 
 
 def growth_threshold(d: int, alpha, beta) -> int:
@@ -366,7 +360,7 @@ def growth_threshold(d: int, alpha, beta) -> int:
     R = 3 ln(alpha beta) / ln(beta), which is monotone in n.  The search
     walks up from n = 30 and every comparison is certified exactly: in
     integers when R is an integer (the only case that can tie), otherwise
-    by escalating-precision interval arithmetic.
+    by the sign of a zsig.enclosure difference.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -382,50 +376,52 @@ def growth_threshold(d: int, alpha, beta) -> int:
     return n
 
 
-def ln_value_ceiling(orbit: OrbitRecord) -> float:
-    """ln of 2 |u_d|^2 B_hat max(|c|, 4L): the per-step numerator growth base.
-
-    B_hat is the deep part of the first denominator, taken from the
-    recorded valuations so the integer itself is never built.
-    """
-    g = orbit.poly
-    base = 2 * g.lead * g.lead * escape_radius(g, orbit.c)
-    ln_base = ln_abs_ratio(base.numerator, base.denominator)
-    first = orbit.entries[0]
-    ln_hat = sum(e * math.log(p) for p, e in first.deep_valuations.items())
-    return ln_base + ln_hat
-
-
-def cross_bound_ok(ln_values: Sequence[float], d: int, ln_ceiling: float, n: int) -> bool:
+def cross_bound_ok(ln_values: Sequence, d: int, ln_ceiling: float | Fraction, n: int) -> bool:
     """sum of ln|N_(n/p)| over primes p | n stays under d^(3n/5) * ln_ceiling.
 
-    Compared in the log domain so the d^(3n/5) factor never overflows;
-    ln_values is 1-indexed via ln_values[k-1].
+    Exact on the inputs as rationals (a float is one): (sum)^5 <= d^(3n) *
+    ln_ceiling^5.  ln_values is 1-indexed via ln_values[k-1].
     """
     if ln_ceiling <= 0:
         raise ValueError("ceiling must exceed 1 in the log domain")
     if n < 30:
         raise ValueError("cross bound only applies for n >= 30")
-    lhs = sum(ln_values[n // p - 1] for p in distinct_prime_factors(n))
+    lhs = sum(Fraction(ln_values[n // p - 1]) for p in distinct_prime_factors(n))
     if lhs <= 0:
         return True
-    log_lhs = math.log(lhs)
-    log_rhs = (3 * n / 5) * math.log(d) + math.log(ln_ceiling)
-    return _approx_le(log_lhs, log_rhs)
+    return lhs**5 <= d ** (3 * n) * Fraction(ln_ceiling) ** 5
 
 
 def check_cross_bound(orbit: OrbitRecord) -> list[str]:
-    """Violations of the cross bound at every computed index n >= 30."""
-    lns = [ln_abs_int(abs(e.num)) if e.num != 0 else float("-inf") for e in orbit.entries]
-    if any(x == float("-inf") for x in lns):
+    """Violations of the cross bound at every computed index n >= 30.
+
+    The ceiling is ln(2 |u_d|^2 B_hat max(|c|, 4L)), B_hat the deep part of
+    den(c).  An index holds when cross_bound_ok passes on the upper ends of
+    the enclosed ln|N_k| against the lower end of the ceiling's, and fails
+    when it fails on the lower ends against the upper end.
+    """
+    if any(e.num == 0 for e in orbit.entries):
         raise ValueError("orbit hits zero; cross bound undefined")
-    ceiling = ln_value_ceiling(orbit)
-    d = orbit.poly.degree
-    bad = []
-    for n in range(30, len(lns) + 1):
-        if not cross_bound_ok(lns, d, ceiling, n):
-            bad.append(f"cross bound fails at n={n}")
-    return bad
+    from .enclosure import PRECISIONS, ln
+
+    g = orbit.poly
+    d = g.degree
+    hat = math.prod(p**e for p, e in orbit.entries[0].deep_valuations.items())
+    ceiling = 2 * g.lead * g.lead * hat * escape_radius(g, orbit.c)
+    bad, open_ = [], list(range(30, len(orbit.entries) + 1))
+    for prec in PRECISIONS:
+        if not open_:
+            break
+        lo, hi = zip(*(ln(e.num, prec).bounds() for e in orbit.entries))
+        c_lo, c_hi = ln(ceiling, prec).bounds()
+        undecided = []
+        for n in open_:
+            if not cross_bound_ok(hi, d, c_lo, n):
+                (undecided if cross_bound_ok(lo, d, c_hi, n) else bad).append(n)
+        open_ = undecided
+    if open_:
+        raise ArithmeticError(f"cross bound at n={open_[0]} could not be certified")
+    return [f"cross bound fails at n={n}" for n in sorted(bad)]
 
 
 def check_monomial_sandwich(orbit: OrbitRecord) -> list[str]:

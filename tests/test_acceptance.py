@@ -177,7 +177,7 @@ def test_criterion_3_growth_inequalities_random_orbits():
     _gate(
         3,
         not failures,
-        f"growth envelopes hold at rel tol 1e-9 on {entries_checked} orbit "
+        f"growth envelopes hold exactly on {entries_checked} orbit "
         f"entries (40 cubic orbits with >= 8 iterates, 20 monomial sandwich "
         f"orbits); violations: {failures or 'none'}",
     )

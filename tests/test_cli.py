@@ -216,6 +216,10 @@ def test_bounds_command(capsys):
     assert "n0 = 7" in out and "n1 = 12" in out
     assert "preimage root bound: 4" in out
     assert "4.004038e+12" in out
+    # log2(2^60 + 1) is past 60, so 60^3 does not reach its cube: n2 = 4 + 2 * 132
+    rc, out, _ = run(capsys, "bounds", "--poly", "x^60", "--L", str(2**60 - 1), "--N", "1")
+    assert rc == 0
+    assert "n2 = 268" in out
 
 
 def test_normalize_with_explicit_point(capsys):

@@ -437,3 +437,12 @@ def test_checkers_report_fabricated_violations():
     bad_entries[3] = dataclasses.replace(e, den=2 * e.den)
     bad = dataclasses.replace(orbit, entries=tuple(bad_entries))
     assert check_valuation_recursion(bad) != []
+    # M_n = 2^(3^(n-1)) meets its ceiling M_1^(d^(n-1)) exactly, so one more
+    # unit is a violation that no log slack may forgive
+    orbit = iterate(CUBIC, F(1, 2), horizon=8)
+    entries = list(orbit.entries)
+    entries[6] = dataclasses.replace(entries[6], den=entries[6].den + 1)
+    assert check_upper_bounds(orbit) == []
+    assert check_upper_bounds(dataclasses.replace(orbit, entries=tuple(entries))) == [
+        "denominator bound fails at n=7"
+    ]

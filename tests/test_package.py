@@ -25,10 +25,28 @@ def _fresh_python(code: str) -> str:
 
 
 def test_importing_the_cli_loads_neither_mpmath_nor_the_process_pool():
-    # only the bound solvers need mpmath and only a multi-worker scan needs a pool
+    # mpmath is only a test oracle, and only a multi-worker scan needs a pool
     code = ("import sys, zsig.cli; "
             "print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])")
     assert _fresh_python(code) == "[]"
+
+
+def test_bounds_and_verify_run_without_mpmath():
+    # a process that cannot import mpmath, as after a plain `pip install`
+    code = ("import sys; sys.modules['mpmath'] = None; from zsig.cli import main; "
+            "print('rc', main(['bounds', '--poly', 'x^3+x^2'])); print('rc', main(['verify']))")
+    bounds, verify = _fresh_python(code).split("\nrc 0\n")
+    assert bounds == """polynomial: x^3 + x^2
+degree 3, leading coefficient 1, length 2
+parameter height 2, preimage depth 3
+preimage root bound: 10
+index bounds: n0 = 7, n1 = 12, n2 = 18
+unit equation count at n0: 4.004038e+12
+growth threshold (escape): 30
+growth threshold (monomial): 30
+growth threshold (bounded): 30
+largest index bound: 30"""
+    assert verify.endswith("23/23 checks passed\nrc 0") and "FAIL" not in verify
 
 
 def test_import_footprint():
@@ -62,4 +80,4 @@ namespace = {}
 exec('from zsig import *', namespace)
 print(len(zsig.__all__), len(set(namespace) & set(zsig.__all__)))
 """
-    assert _fresh_python(code) == "65 65"
+    assert _fresh_python(code) == "64 64"

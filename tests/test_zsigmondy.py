@@ -26,7 +26,6 @@ from zsig.zsigmondy import (
     index_bound_n0,
     index_bound_n1,
     index_bound_n2,
-    mahler_measure,
     power_sum_dominated,
     primitive_divisor_verdicts,
     root_bound,
@@ -305,12 +304,6 @@ def test_power_sum_domination_holds_from_thirty():
             assert power_sum_dominated(d, n), (d, n)
 
 
-def test_mahler_rational():
-    assert mahler_measure(F(3, 2)) == 3
-    assert mahler_measure(F(0)) == 1
-    assert mahler_measure(F(-7, 8)) == 8
-
-
 def test_evertse_bound_frozen():
     assert evertse_bound(1, F(1, 10)) == pytest.approx(90562246551.29185838852762, rel=1e-12)
     assert evertse_bound(2187, F(1, 10)) == pytest.approx(4004038152653.899089341588, rel=1e-12)
@@ -357,6 +350,31 @@ def test_bound_N2_definition():
         target = math.log2(m) ** 3
         assert d**k >= target and (k == 0 or d ** (k - 1) < target)
     assert index_bound_n2(3, 1, 4) == 17
+
+
+def test_bound_N2_exact_near_powers_of_two():
+    # 60 < log2(2^60 + 1) < 61 and 60^3 < 61^3 < 60^4, so k = 4; the float
+    # log2(2^60 + 1) rounds to 60.0, whose cube ties d^3
+    assert index_bound_n2(60, 1, 2**60) - 2 * index_bound_n0(60) == 4
+    # exact oracle: L = bitlen(m) - 1 <= log2 m < L + 1, equal only for m = 2^L,
+    # so k is pinned whenever the least d^k past L^3 also reaches (L + 1)^3
+    checked = 0
+    for d in range(2, 40):
+        for a in (1, 2, 3):
+            for e in (d**a - 1, d**a, d**a + 1):
+                for m in (2**e - 1, 2**e, 2**e + 1):
+                    if m < 2:
+                        continue
+                    L = m.bit_length() - 1
+                    power = m == 1 << L
+                    k = 0
+                    while d**k < L**3 or (d**k == L**3 and not power):
+                        k += 1
+                    if not power and d**k < (L + 1) ** 3:
+                        continue
+                    assert index_bound_n2(d, 1, m - 1) - 2 * index_bound_n0(d) == k, (d, m)
+                    checked += 1
+    assert checked > 100
 
 
 def test_root_bound_frozen():
