@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # each public name, listed under the submodule that defines it
 _EXPORTS = {
     "arith": (
-        "IncompleteFactorizationError", "factor_small", "is_probable_prime", "ln_abs_int",
-        "ln_abs_ratio", "omega", "prime_quotient_power_sum", "strip_common_primes", "val_p",
+        "IncompleteFactorizationError", "factor_small", "is_probable_prime", "ln_abs_ratio",
+        "omega", "prime_quotient_power_sum", "strip_common_primes", "val_p",
     ),
     "harness": (
         "CSV_HEADER", "ScanConfig", "ScanRow", "ScanSummary", "csv_text", "grid",

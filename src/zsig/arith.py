@@ -271,17 +271,6 @@ def prime_quotient_power_sum(d: int, n: int) -> int:
     return sum(d ** (n // p) for p in distinct_prime_factors(n))
 
 
-def ln_abs_int(n: int) -> float:
-    """ln|n| for a nonzero int, accurate to ~1 ulp at any size.
-
-    math.log takes an int of any size and reduces it through frexp itself;
-    this wrapper only rejects 0.
-    """
-    if n == 0:
-        raise ValueError("ln|0| is undefined")
-    return math.log(abs(n))
-
-
 def ln_abs_ratio(num: int, den: int) -> float:
     """ln|num/den| with den > 0; -inf when num == 0.
 
@@ -298,4 +287,4 @@ def ln_abs_ratio(num: int, den: int) -> float:
         return 0.0
     if abs(a.bit_length() - den.bit_length()) <= 2:
         return math.log1p((a - den) / den)  # int division rounds once, with no gcd
-    return ln_abs_int(a) - ln_abs_int(den)
+    return math.log(a) - math.log(den)  # math.log takes an int of any size

@@ -17,11 +17,12 @@ On an orbit the strip needs no earlier numerator but N_(n/q) for the
 primes q | n.  For a prime p not dividing den(c) the critical orbit is
 rigidly divisible: p | N_n exactly when m_p | n, m_p the first index p
 divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
-some N_(n/q), and only the few primes of den(c) are tested against the
-earlier numerators one by one.  Generic value sequences have no such
-structure and are stripped against every earlier numerator.  The primes
-q of each index come from one smallest-prime-factor sieve per orbit, so
-an orbit's indices are never factored one by one.
+some N_(n/q).  The few primes of den(c) fall outside that argument; a
+running product keeps those that divided an earlier numerator, so each
+numerator is read once and stripped once.  Generic value sequences have
+no such structure and are stripped against every earlier numerator.  The
+primes q of each index come from one smallest-prime-factor sieve per
+orbit, so an orbit's indices are never factored one by one.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
@@ -46,7 +47,6 @@ from .arith import (
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
-    ln_abs_int,
     ln_abs_ratio,
     prime_quotient_power_sum,
     primes_up_to,
@@ -126,21 +126,6 @@ def _strip_index(nums: Sequence[int], n: int) -> int:
     return residue
 
 
-def _orbit_residue(nums: Sequence[int], n: int, prod: int, den_primes: Sequence[int]) -> int:
-    """_strip_index for orbit numerators, by rigid divisibility.
-
-    prod is _quotient_product(nums, n); den_primes are the primes of
-    den(c), the only ones that can divide N_n and an earlier numerator
-    without dividing prod.
-    """
-    residue = strip_common_primes(nums[n - 1], prod)
-    for p in den_primes:
-        if residue % p == 0 and any(nums[k] % p == 0 for k in range(n - 1)):
-            while residue % p == 0:
-                residue //= p
-    return residue
-
-
 def primitive_divisor_verdicts(values: Iterable) -> tuple[PrimitiveDivisorVerdict, ...]:
     """Primitivity verdicts for a generic value sequence (1-indexed)."""
     nums = _abs_numerators(values)
@@ -190,6 +175,10 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     are fine and typically put every index in the set).  rin_failures
     lists indices where the strict numerator-product inequality fails;
     krieger_checks records the divisibility status at every index.
+
+    Each N_n is stripped once, against the product of the N_(n/q), q a
+    prime of n, times seen: the primes of den(c) that divide an earlier
+    numerator, the only earlier primes that product can miss.
     """
     n_max = len(orbit.entries)
     if n_max < 1:
@@ -197,10 +186,14 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     nums = _abs_numerators(e.num for e in orbit.entries)
     spf = smallest_prime_factor_sieve(n_max)
     verdicts, rin_failures, krieger = [], [], []
+    seen = 1
     for n, num in enumerate(nums, start=1):
         prod = _quotient_product(nums, n, _sieve_primes(spf, n))
-        v = PrimitiveDivisorVerdict(n, _orbit_residue(nums, n, prod, orbit.den_prime_support))
+        v = PrimitiveDivisorVerdict(n, strip_common_primes(num, prod * seen))
         verdicts.append(v)
+        for p in orbit.den_prime_support:
+            if num % p == 0 and seen % p:
+                seen *= p
         if num <= prod:
             rin_failures.append(n)
         krieger.append((n, _krieger_status(num, prod, v.has_primitive)))
@@ -249,14 +242,21 @@ def power_sum_dominated(d: int, n: int) -> bool:
 
 
 def evertse_bound(r: int, delta) -> float:
-    """2e7 * delta^-4 * ln(4r) * ln(ln(4r)): unit-equation solution count cap."""
+    """2e7 * delta^-4 * ln(4r) * ln(ln(4r)): unit-equation solution count cap.
+
+    delta is checked and divided by exactly, so it may lie as close to 0 or 1
+    as a Fraction can; OverflowError when the bound exceeds every float.
+    """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    dl = float(delta)
-    if not 0.0 < dl < 1.0:
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    outer = ln_abs_int(4 * r)
-    return 2e7 / dl**4 * outer * math.log(outer)
+    outer = math.log(4 * r)
+    try:
+        return float(Fraction(2e7 * outer * math.log(outer)) / delta**4)
+    except OverflowError:
+        raise OverflowError(f"evertse bound at delta = {delta} exceeds the float range") from None
 
 
 def index_bound_n0(d: int) -> int:
@@ -432,6 +432,10 @@ def check_monomial_sandwich(orbit: OrbitRecord) -> list[str]:
     orbit is the mirror image) obeys |c| <= |v_n| <= (u_d+1)^E |c| with
     E = (d^(n-1) - 1)/(d - 1); negative c in even degree contracts:
     |c| (1 - u_d |c|^(d-1)) <= |v_n| <= |c|.
+
+    With c = a/b and v_n = N/M, every side but one is an integer
+    cross-multiplication; the expanding ceiling is decided in the power
+    form |N b| / (M |a|) <= (u_d+1)^E by enclosure.power_le.
     """
     g = orbit.poly
     if not g.is_monomial or g.lead <= 0:
@@ -439,20 +443,23 @@ def check_monomial_sandwich(orbit: OrbitRecord) -> list[str]:
     c = orbit.c
     if c == 0 or 4 * g.lead * abs(c) >= 1:
         raise ValueError("parameter outside the window 0 < |c| < 1/(4 u_d)")
+    from .enclosure import power_le  # only the checkers need it; scans never load it
+
     d = g.degree
+    a, b = abs(c.numerator), c.denominator
     bad: list[str] = []
     if c > 0 or d % 2 == 1:
-        base = g.lead + 1
         for e in orbit.entries:
             expo = (d ** (e.n - 1) - 1) // (d - 1)
-            v = abs(e.value)
-            if v < abs(c) or v > base**expo * abs(c):
+            num_b, den_a = abs(e.num) * b, e.den * a
+            if num_b < den_a or not power_le((num_b, den_a), 1, g.lead + 1, expo):
                 bad.append(f"expanding sandwich fails at n={e.n}")
     else:
-        lower = abs(c) * (1 - g.lead * abs(c) ** (d - 1))
+        # |c| (1 - u_d |c|^(d-1)) = a (b^(d-1) - u_d a^(d-1)) / b^d
+        low_num, low_den = a * (b ** (d - 1) - g.lead * a ** (d - 1)), b**d
         for e in orbit.entries:
-            v = abs(e.value)
-            if v < lower or v > abs(c):
+            v = abs(e.num)
+            if v * low_den < low_num * e.den or v * b > a * e.den:
                 bad.append(f"contracting sandwich fails at n={e.n}")
     return bad
 

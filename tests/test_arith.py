@@ -14,7 +14,6 @@ from zsig.arith import (
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
-    ln_abs_int,
     ln_abs_ratio,
     omega,
     prime_quotient_power_sum,
@@ -194,22 +193,23 @@ def test_distinct_prime_factors():
     assert distinct_prime_factors(1) == ()
 
 
-def test_ln_abs_int_accuracy():
-    """Exact-shift log against mpmath at sizes far past float overflow."""
+def test_ln_abs_ratio_integer_accuracy():
+    """ln|n/1| against mpmath at sizes far past float overflow."""
     import mpmath
 
     for n in [1, 2, 3, 10**10, 2**600 + 12345, 3**5000, -(7**1234)]:
         if n == 0:
             continue
         expected = float(mpmath.log(abs(mpmath.mpf(n)))) if abs(n) < 10**300 else None
-        got = ln_abs_int(n)
+        got = ln_abs_ratio(n, 1)
         with mpmath.workprec(300):
             ref = float(mpmath.log(abs(mpmath.mpmathify(n))))
         assert got == pytest.approx(ref, rel=1e-12)
         if expected is not None:
             assert got == pytest.approx(expected, rel=1e-12)
+    assert ln_abs_ratio(0, 1) == float("-inf")
     with pytest.raises(ValueError):
-        ln_abs_int(0)
+        ln_abs_ratio(1, 0)
 
 
 # bit-lengths within 2 take the log1p path

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zsig.zsigmondy as zsigmondy_module
-from zsig.orbit import iterate
+from zsig.orbit import OrbitEntry, iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
     KriegerStatus,
@@ -322,6 +322,15 @@ def test_evertse_bound_formula_and_domain():
     for bad in (0, 1, -2):
         with pytest.raises(ValueError):
             evertse_bound(5, bad)
+    # delta is read exactly: 1 - 10^-20 is inside (0, 1), and 10^-70 still fits a float
+    for delta in (1 - F(1, 10**20), F(1, 10**70)):
+        with mpmath.workprec(120):
+            d_mp = mpmath.mpf(delta.numerator) / delta.denominator
+            want = float(2e7 / d_mp**4 * mpmath.log(20) * mpmath.log(mpmath.log(20)))
+        assert evertse_bound(5, delta) == pytest.approx(want, rel=1e-11)
+    for tiny in (F(1, 10**77), F(1, 10**100)):
+        with pytest.raises(OverflowError, match="delta"):
+            evertse_bound(5, tiny)
 
 
 def test_bound_N0_frozen_and_defining_inequality():
@@ -487,6 +496,46 @@ def test_monomial_sandwich_preconditions():
         check_monomial_sandwich(iterate(CUBIC, F(1, 5), horizon=3))
     with pytest.raises(ValueError):
         check_monomial_sandwich(iterate(X2DivisiblePoly.parse("x^3"), 2, horizon=3))
+
+
+def test_monomial_sandwich_reads_integer_pairs(monkeypatch):
+    """The envelopes are decided on each entry's num/den: no value is built."""
+    def refuse(self):
+        raise AssertionError("OrbitEntry.value read")
+
+    monkeypatch.setattr(OrbitEntry, "value", property(refuse))
+    for text, c, horizon in (("x^2", F(1, 5), 20), ("x^2", F(-1, 5), 20),
+                             ("2*x^3", F(1, 9), 8), ("2*x^3", F(-1, 9), 8)):
+        orbit = iterate(X2DivisiblePoly.parse(text), c, horizon=horizon)
+        assert check_monomial_sandwich(orbit) == [], (text, c)
+
+
+def _with_entries(orbit, pairs):
+    """orbit with entry n replaced by num/den for each n: (num, den) in pairs."""
+    entries = tuple(replace(e, num=pairs[e.n][0], den=pairs[e.n][1]) if e.n in pairs else e
+                    for e in orbit.entries)
+    return replace(orbit, entries=entries)
+
+
+def test_monomial_sandwich_reports_fabricated_violations():
+    """An entry on an envelope passes and one just past it fails, in each regime."""
+    cases = [
+        # x^2, c = 1/5: 1/5 <= |v_n| <= 2^(2^(n-1) - 1) / 5, so 128/5 at n = 4
+        (SQUARE, F(1, 5), {3: (1, 5), 4: (128, 5)}, {3: (19, 96), 4: (641, 25)},
+         "expanding"),
+        # 2x^3, c = -1/9 mirrors c = 1/9: 1/9 <= |v_n| <= 3^((3^(n-1) - 1)/2) / 9
+        (X2DivisiblePoly.parse("2*x^3"), F(-1, 9), {2: (-1, 9), 3: (-9, 1)},
+         {2: (-10, 91), 3: (-82, 9)}, "expanding"),
+        # x^2, c = -1/5 contracts: 4/25 <= |v_n| <= 1/5
+        (SQUARE, F(-1, 5), {2: (-4, 25), 5: (1, 5)}, {2: (399, 2500), 5: (-201, 1000)},
+         "contracting"),
+    ]
+    for g, c, on_edges, past, regime in cases:
+        orbit = iterate(g, c, horizon=6)
+        assert check_monomial_sandwich(_with_entries(orbit, on_edges)) == [], (g, c)
+        assert check_monomial_sandwich(_with_entries(orbit, past)) == [
+            f"{regime} sandwich fails at n={n}" for n in sorted(past)
+        ], (g, c)
 
 
 def test_sandwich_envelopes_by_direct_iteration():
