@@ -32,7 +32,13 @@ class IncompleteFactorizationError(ArithmeticError, ValueError):
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, via a byte sieve."""
+    """All primes <= limit, via a byte sieve.
+
+    The one prime list: factor_small and witness naming trial-divide by
+    primes_up_to(10**5), zsigmondy_set reads the primes of each orbit index
+    off primes_up_to(window length), and zsig verify counts omega(n) with
+    primes_up_to(20000).
+    """
     if limit < 2:
         return ()
     sieve = bytearray([1]) * (limit + 1)
@@ -41,33 +47,6 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
     return tuple(compress(range(limit + 1), sieve))
-
-
-def smallest_prime_factor_sieve(limit: int) -> list[int]:
-    """spf[n] = smallest prime factor of n for 2 <= n <= limit (spf[0] = spf[1] = 0).
-
-    Backs the orbit index primes and the exhaustive small-n suites; one
-    pass, O(limit log log limit).
-    """
-    spf = list(range(limit + 1))
-    spf[0] = spf[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
-def _sieve_primes(spf: list[int], n: int) -> tuple[int, ...]:
-    """Ascending distinct primes of 1 <= n < len(spf), read off the sieve."""
-    primes = []
-    while n > 1:
-        p = spf[n]
-        primes.append(p)
-        while n % p == 0:
-            n //= p
-    return tuple(primes)
 
 
 def is_probable_prime(n: int) -> bool:

@@ -7,12 +7,13 @@ for a polynomial), normalize (conjugate an arbitrary polynomial into the
 x^2-divisible family).
 
 Exit codes: 0 success, 1 a verification failure, 2 malformed input or a
-factorization that cannot be certified.
+factorization that cannot be certified, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from fractions import Fraction
 
@@ -246,7 +247,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader left (`| head`): stdout goes to devnull so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
     except (ZeroDivisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,9 +232,11 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     """
     c = Fraction(c)
     radius = escape_radius(g, c)
-    # _state_space_bound is at least 2*floor(radius) + 3 (its m = 1 term plus 2)
-    # and nearly every walk ends sooner, so it is worked out only past that floor;
-    # for |lead| = 1 it equals the floor, so the step that works it out checks again
+    # _state_space_bound factors the lead, which factor_small may refuse.  It is at
+    # least 2*floor(radius) + 3 (its m = 1 term plus 2) and nearly every walk ends
+    # sooner, so it is worked out only past that floor: worked out first, a refused
+    # lead would make every parameter "cannot certify".  For |lead| = 1 it equals
+    # the floor, so the step that works it out checks again.
     limit = 2 * int(radius) + 3
 
     seen: dict[tuple[int, int], int] = {}

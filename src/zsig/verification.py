@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    _sieve_primes,
     factor_small,
     omega,
     prime_quotient_power_sum,
-    smallest_prime_factor_sieve,
+    primes_up_to,
     strip_common_primes,
     val_p,
 )
@@ -99,11 +98,18 @@ def valuation_additivity() -> str:
 
 @_check
 def omega_under_log2() -> str:
-    spf = smallest_prime_factor_sieve(20000)
-    for n in range(2, 20001):
-        count = len(_sieve_primes(spf, n))
-        if count > math.log2(n):
-            return f"omega({n}) = {count} exceeds log2"
+    limit = 20000
+    counts = [0] * (limit + 1)
+    for p in primes_up_to(limit):
+        for m in range(p, limit + 1, p):
+            counts[m] += 1
+    for n in range(2, limit + 1):
+        if 1 << counts[n] > n:
+            return f"omega({n}) = {counts[n]} exceeds log2"
+    # the factoriser must agree with the count on a seeded sample
+    for n in random.Random(102).sample(range(2, limit + 1), 300):
+        if omega(n) != counts[n]:
+            return f"omega({n}) = {omega(n)}, but {counts[n]} primes divide it"
     if omega(30) != 3:
         return "omega(30) != 3"
     return ""

@@ -21,8 +21,8 @@ some N_(n/q).  The few primes of den(c) fall outside that argument; a
 running product keeps those that divided an earlier numerator, so each
 numerator is read once and stripped once.  Generic value sequences have
 no such structure and are stripped against every earlier numerator.  The
-primes q of each index come from one smallest-prime-factor sieve per
-orbit, so an orbit's indices are never factored one by one.
+primes q of each index are read off one prime list per orbit, the primes
+up to the window length, so an orbit's indices are never factored.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
@@ -43,18 +43,16 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .arith import (
-    _sieve_primes,
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
     ln_abs_ratio,
     prime_quotient_power_sum,
     primes_up_to,
-    smallest_prime_factor_sieve,
     strip_common_primes,
     val_p,
 )
-from .orbit import OrbitRecord, _deep_valuations, escape_radius
+from .orbit import OrbitRecord, escape_radius
 from .poly import X2DivisiblePoly, length
 
 
@@ -184,11 +182,11 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     if n_max < 1:
         raise ValueError("empty window")
     nums = _abs_numerators(e.num for e in orbit.entries)
-    spf = smallest_prime_factor_sieve(n_max)
+    primes = primes_up_to(n_max)
     verdicts, rin_failures, krieger = [], [], []
     seen = 1
     for n, num in enumerate(nums, start=1):
-        prod = _quotient_product(nums, n, _sieve_primes(spf, n))
+        prod = _quotient_product(nums, n, [p for p in primes if n % p == 0])
         v = PrimitiveDivisorVerdict(n, strip_common_primes(num, prod * seen))
         verdicts.append(v)
         for p in orbit.den_prime_support:
@@ -211,9 +209,9 @@ def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
     a = abs(a)
     if a == 0:
         raise ValueError("excess primes of zero are undefined")
-    lead_vals = {p: val_p(lead, p) if lead % p == 0 else 0 for p, _ in factor_small(a)}
-    deep = _deep_valuations(a, lead_vals)
-    return frozenset(deep), math.prod(p**e for p, e in deep.items())
+    deep = [(p, e) for p, e in factor_small(a)
+            if e > (val_p(lead, p) if lead % p == 0 else 0)]
+    return frozenset(p for p, _ in deep), math.prod(p**e for p, e in deep)
 
 
 def excess_bound_ok(a: int, lead: int) -> bool:

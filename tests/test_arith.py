@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
-from hypothesis import strategies as st
 
 from zsig.arith import (
     IncompleteFactorizationError,
-    _sieve_primes,
+    _split_completely,
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
@@ -18,7 +16,6 @@ from zsig.arith import (
     omega,
     prime_quotient_power_sum,
     primes_up_to,
-    smallest_prime_factor_sieve,
     strip_common_primes,
     val_p,
 )
@@ -33,19 +30,6 @@ def test_primes_up_to_matches_sympy():
     assert primes_up_to(1) == ()
     # the size witness naming sieves to
     assert primes_up_to(10**5) == tuple(sympy.primerange(2, 10**5 + 1))
-
-
-def test_smallest_prime_factor_sieve():
-    spf = smallest_prime_factor_sieve(1000)
-    for n in range(2, 1001):
-        assert spf[n] == min(sympy.primefactors(n))
-
-
-@given(limit=st.integers(1, 500), data=st.data())
-def test_sieve_primes_match_distinct_prime_factors(limit, data):
-    spf = smallest_prime_factor_sieve(limit)
-    n = data.draw(st.integers(1, limit))
-    assert _sieve_primes(spf, n) == distinct_prime_factors(n)
 
 
 def test_probable_prime_agrees_with_sympy():
@@ -148,6 +132,12 @@ def test_factor_small_leaves_unproven_primes_unfactored():
     assert factor_small(small * mid) == ((small, 1), (mid, 1))
     with pytest.raises(IncompleteFactorizationError):
         omega(big)
+
+
+def test_rho_backtracks_when_a_batch_gcd_overshoots():
+    # the batched product collapses to n for these, so rho replays its last batch
+    for n in (49, 55, 65, 77, 91, 143, 361):
+        assert _split_completely(n) == sympy.factorint(n, multiple=True), n
 
 
 def test_strip_common_primes():

@@ -262,6 +262,45 @@ def test_uncertified_denominator_support_exits_two(capsys):
         assert "Traceback" not in err and out == ""
 
 
+def test_unfactorable_lead_still_gets_verdicts(capsys):
+    # factor_small refuses this lead; only a walk past 2*floor(R) + 3 steps may factor it
+    poly = f"{(2**89 - 1) * (2**107 - 1)}*x^3+x^2"
+    rc, out, err = run(capsys, "zsigmondy", "--poly", poly, "--c", "1/2", "--horizon", "4")
+    assert (rc, err) == (0, "")
+    assert "verdict:    denominator (n=1;p=2)" in out.splitlines()
+    rc, out, err = run(capsys, "scan", "--poly", poly,
+                       "--num-bound", "2", "--den-bound", "2", "--horizon", "3")
+    assert rc == 0 and "Traceback" not in err
+    assert out.splitlines() == [
+        "c_num,c_den,verdict,witness,horizon,zset,zset_size,rin_failures,capped_at",
+        "-2,1,escape,n=1,3,,0,,",
+        "-1,1,escape,n=1,3,1,1,1,",
+        "0,1,finite,tail=1;cycle=1,3,,,,",
+        "1,1,escape,n=1,3,1,1,1,",
+        "2,1,escape,n=1,3,,0,,",
+        "-1,2,denominator,n=1;p=2,3,1,1,1,",
+        "1,2,denominator,n=1;p=2,3,1,1,1,",
+    ]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # buffered, the report reaches the pipe at the final flush; unbuffered, at its first print
+    src_dir = str(Path(zsig.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zsig.cli", "orbit", "--poly", "x^3+x^2",
+                 "--c", "1/2", "--horizon", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env={**env, **extra}, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), extra
+
+
 def test_non_model_polynomial_exits_two(capsys):
     # a linear term is outside the family
     rc, _, err = run(capsys, "orbit", "--poly", "x^3+x", "--c", "1")

@@ -300,7 +300,7 @@ def test_clamp_note_names_the_usable_cpus(monkeypatch, capsys):
 
 
 def test_scan_factors_no_orbit_index(monkeypatch):
-    """Index primes come from one sieve per orbit, never from factoring n."""
+    """Index primes come from one prime list per orbit, never from factoring n."""
     calls = []
 
     def recording(fn):

@@ -446,3 +446,25 @@ def test_checkers_report_fabricated_violations():
     assert check_upper_bounds(dataclasses.replace(orbit, entries=tuple(entries))) == [
         "denominator bound fails at n=7"
     ]
+
+    def tampered(orbit, n, **changes):
+        entries = list(orbit.entries)
+        entries[n - 1] = dataclasses.replace(entries[n - 1], **changes)
+        return dataclasses.replace(orbit, entries=tuple(entries))
+
+    # the value ceiling at c = 1/2 is 2 |u_d| R = 16: 32/2 meets it, 33/2 passes it
+    assert check_upper_bounds(tampered(orbit, 1, num=32)) == []
+    assert check_upper_bounds(tampered(orbit, 1, num=33)) == ["value bound fails at n=1"]
+    # an odd denominator with an empty ledger is consistent, but 2 was deep at n = 3
+    assert check_valuation_recursion(tampered(orbit, 4, den=1, deep_valuations={})) == [
+        "p=2 deep at n=3 but not at n=4"
+    ]
+    # hat = 2 needs M_5^3 >= 2^(3^4)
+    assert check_denominator_lower_bound(orbit) == []
+    assert check_denominator_lower_bound(tampered(orbit, 5, den=2)) == [
+        "denominator lower bound fails at n=5"
+    ]
+    # c = 1 escapes past k0 = 2, so |value(6)| must reach (|value(3)| / 2)^27
+    orbit = iterate(CUBIC, 1, horizon=7, bit_cap=10**6)
+    assert escape_check(orbit) == 2
+    assert check_escape_growth(tampered(orbit, 6, num=1)) == ["escape growth fails at n=6"]

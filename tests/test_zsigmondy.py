@@ -234,6 +234,20 @@ def test_rin_matches_direct_product():
             for p in sympy.primefactors(n):
                 prod *= nums[n // p - 1]
             assert (n not in rin_failures) == (nums[n - 1] > prod)
+    # fabricated 40-entry windows reach three index primes (n = 30) and a prime power (32)
+    orbit = iterate(CUBIC, 2, horizon=1)  # integer c: no den(c) primes to carry
+    rng = random.Random(40)
+    outcomes = set()
+    for _ in range(20):
+        nums = [rng.randint(2, 4 ** rng.randint(1, n)) for n in range(1, 41)]
+        fake = replace(orbit, entries=tuple(
+            OrbitEntry(n, num, 1, {}) for n, num in enumerate(nums, start=1)))
+        rin_failures = zsigmondy_set(fake).rin_failures
+        for n in range(1, 41):
+            prod = math.prod(nums[n // p - 1] for p in sympy.primefactors(n))
+            assert (n in rin_failures) == (nums[n - 1] <= prod), n
+        outcomes |= {(n, n in rin_failures) for n in (30, 32)}
+    assert outcomes == {(30, True), (30, False), (32, True), (32, False)}
 
 
 def test_krieger_divisibility_frozen():
