@@ -6,10 +6,10 @@ pairs; the one float is ln |value|, which `zsig orbit` prints.  The bound
 checkers decide exactly, comparing powers through zsig.enclosure.
 
 A reduced denominator M_n can only contain primes dividing den(c), so the
-support is factored once up front.  The "deep" part of a denominator,
-the primes whose valuation exceeds their valuation in the leading
-coefficient, is what triggers the InfiniteDenominator verdict: once
-val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
+support is factored once per (lead, den(c)) pair and kept.  The "deep"
+part of a denominator, the primes whose valuation exceeds their valuation
+in the leading coefficient, is what triggers the InfiniteDenominator
+verdict: once val_p(M_n) > val_p(u_d) the recursion val_p(M_{n+1}) =
 d*val_p(M_n) - val_p(u_d) forces strict growth forever.
 
 The same support reduces each step.  With c = A/B and entry a/M, the raw
@@ -23,23 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
 from .arith import factor_small, ln_abs_ratio, val_p
-from .poly import RatPolynomial, X2DivisiblePoly, length
+from .poly import RatPolynomial, X2DivisiblePoly
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
 DEFAULT_BIT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitEntry:
     """One orbit value as a reduced fraction num/den, den > 0.
 
     deep_valuations is val_p(den) at the primes where it exceeds val_p(lead),
-    as the step ledger recorded it; ln_abs is worked out on first read.
+    as the step ledger recorded it; ln_abs is worked out on each read.
     """
 
     n: int
@@ -51,7 +51,7 @@ class OrbitEntry:
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    @cached_property
+    @property
     def ln_abs(self) -> float:
         return ln_abs_ratio(self.num, self.den)
 
@@ -77,12 +77,16 @@ class OrbitRecord:
         return self.entry(n).value
 
 
-def _den_support(g: X2DivisiblePoly, c: Fraction) -> tuple[tuple[int, int, int], ...]:
-    """(p, val_p(den(c)), val_p(lead)) for each prime p of den(c), ascending in p."""
-    if c.denominator == 1:
+@lru_cache(maxsize=64)
+def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, val_p(den), val_p(lead)) for each prime p of den = den(c), ascending in p.
+
+    Kept per (lead, den) pair: a scan meets a few denominators over its whole
+    grid, and decide_membership and iterate both read each parameter's support.
+    """
+    if den == 1:
         return ()
-    return tuple((p, b, val_p(g.lead, p) if g.lead % p == 0 else 0)
-                 for p, b in factor_small(c.denominator))
+    return tuple((p, b, val_p(lead, p) if lead % p == 0 else 0) for p, b in factor_small(den))
 
 
 def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
@@ -94,7 +98,7 @@ def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
     """Reduced (num, den, deep) of entries 1, 2, 3, ...; each step runs on demand.
 
-    support is _den_support(g, c); deep maps each p with m = val_p(den) >
+    support is _den_support(g.lead, den(c)); deep maps each p with m = val_p(den) >
     val_p(u_d) to m.  The raw step shares p^k with its denominator at each
     p | den(c).  With b = val_p(den(c)), a deep p has k = val_p(u_d) + b:
     u_d*a^d is the term of P with least valuation, and a deep m is at least
@@ -139,7 +143,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
         raise ValueError("horizon must be at least 1")
     if bit_cap < 1:
         raise ValueError("bit_cap must be at least 1")
-    support = _den_support(g, c)
+    support = _den_support(g.lead, c.denominator)
 
     entries: list[OrbitEntry] = []
     capped_at = None
@@ -160,7 +164,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
 
 def escape_radius(g: X2DivisiblePoly, c: Fraction) -> Fraction:
     """max(4 * length(g), |c|): beyond this the orbit grows forever."""
-    return max(4 * length(g), abs(Fraction(c)))
+    return max(g._escape_floor, abs(Fraction(c)))
 
 
 def escape_check(orbit: OrbitRecord) -> Optional[int]:
@@ -231,7 +235,7 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     space and must repeat within the state-space bound.
     """
     c = Fraction(c)
-    radius = escape_radius(g, c)
+    radius = max(g._escape_floor, abs(c))
     # _state_space_bound factors the lead, which factor_small may refuse.  It is at
     # least 2*floor(radius) + 3 (its m = 1 term plus 2) and nearly every walk ends
     # sooner, so it is worked out only past that floor: worked out first, a refused
@@ -239,8 +243,9 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     # the floor, so the step that works it out checks again.
     limit = 2 * int(radius) + 3
 
+    support = _den_support(g.lead, c.denominator)
     seen: dict[tuple[int, int], int] = {}
-    for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, _den_support(g, c)), start=1):
+    for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, support), start=1):
         if n > limit:
             limit = _state_space_bound(g, radius)
             if n > limit:

@@ -136,9 +136,10 @@ class X2DivisiblePoly(RatPolynomial):
 
     A RatPolynomial with int coeffs (u_0, u_1, ..., u_d), u_0 = u_1 = 0,
     so degree, evaluation and printing are the RatPolynomial ones.  The
-    coefficient length and the divisors of the leading coefficient are
-    worked out on first read and kept on the instance, so one instance
-    serves a whole scan.
+    coefficient length, 4 * length (the escape radius floor), the divisors
+    of the leading coefficient and the Horner coefficients of
+    eval_int_pair are worked out on first read and kept on the instance,
+    so one instance serves a whole scan.
     """
 
     coeffs: tuple[int, ...]
@@ -183,23 +184,31 @@ class X2DivisiblePoly(RatPolynomial):
         return 1 + sum(Fraction(abs(u), lead) for u in self.coeffs[2:-1])
 
     @cached_property
+    def _escape_floor(self) -> Fraction:
+        return 4 * self._length
+
+    @cached_property
     def _lead_divisors(self) -> tuple[int, ...]:
         return tuple(_divisors_from_factorization(self.lead))
+
+    @cached_property
+    def _horner(self) -> tuple[int, tuple[int, ...]]:
+        return self.coeffs[-1], self.coeffs[-2:1:-1]
 
     def eval_int_pair(self, num: int, den: int) -> tuple[int, int]:
         """g(num/den) as an unreduced integer pair (P, den^degree).
 
-        P = sum u_i num^i den^(d-i), evaluated by Horner with precomputed
-        den powers; no rational normalization happens here.
+        P = sum u_i num^i den^(d-i) = num^2 * sum u_i num^(i-2) den^(d-i),
+        evaluated by homogeneous Horner from u_d down to u_2, raising the
+        den power one step per coefficient; no rational normalization
+        happens here.
         """
-        d = self.degree
-        dp = [1] * (d - 1)
-        for i in range(1, d - 1):
-            dp[i] = dp[i - 1] * den
-        acc = 0
-        for i in range(d, 1, -1):
-            acc = acc * num + self.coeffs[i] * dp[d - i]
-        return acc * num * num, dp[-1] * den * den
+        acc, lower = self._horner
+        den_k = 1
+        for u in lower:
+            den_k *= den
+            acc = acc * num + u * den_k
+        return acc * num * num, den_k * den * den
 
 
 def _poly_from_text(poly: str | None, coeffs: str | None) -> X2DivisiblePoly:

@@ -26,9 +26,13 @@ up to the window length, so an orbit's indices are never factored.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
-inequality at each index of the orbit it is given.  Index n reads only
-entries 1..n, so the report of a shorter orbit, iterate(g, c, k), is the
-first k rows of a longer one's; the window is the orbit passed in.
+inequality at each index of the orbit it is given.  Its strip pass keeps
+the residues, the Zsigmondy set, the inequality failures and the two
+numbers Krieger's check reads at each index of the set; the verdicts and
+Krieger statuses are built from those on first read, so a scan, which
+reads neither, builds neither.  Index n reads only entries 1..n, so the
+report of a shorter orbit, iterate(g, c, k), is the first k rows of a
+longer one's; the window is the orbit passed in.
 
 The bound solvers and check_cross_bound compare logs through zsig.enclosure,
 imported when they run, so scans and single orbits never load it.
@@ -150,19 +154,35 @@ def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int
     return prod
 
 
-def _krieger_status(num: int, prod: int, has_primitive: bool) -> KriegerStatus:
-    """At a primitive-free index |N_n| must divide prod; vacuous otherwise."""
-    if has_primitive:
-        return KriegerStatus.VACUOUS
+def _krieger_status(num: int, prod: int) -> KriegerStatus:
+    """At a primitive-free index |N_n| must divide prod."""
     return KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS
 
 
 @dataclass(frozen=True)
 class ZsigmondyReport:
-    verdicts: tuple[PrimitiveDivisorVerdict, ...]
+    """Every per-index answer of zsigmondy_set on one orbit.
+
+    residues[n - 1] is the residue at index n.  krieger_pairs holds, for
+    each index of zset in order, |N_n| and the product of the N_(n/q) over
+    the primes q | n.  verdicts and krieger_checks (vacuous wherever a
+    primitive prime exists) are built from these on first read and kept.
+    """
+
+    residues: tuple[int, ...] = field(repr=False)
     zset: tuple[int, ...]
     rin_failures: tuple[int, ...]
-    krieger_checks: tuple[tuple[int, KriegerStatus], ...]
+    krieger_pairs: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def verdicts(self) -> tuple[PrimitiveDivisorVerdict, ...]:
+        return tuple(PrimitiveDivisorVerdict(n, r) for n, r in enumerate(self.residues, start=1))
+
+    @cached_property
+    def krieger_checks(self) -> tuple[tuple[int, KriegerStatus], ...]:
+        pairs = dict(zip(self.zset, self.krieger_pairs))
+        return tuple((n, _krieger_status(*pairs[n]) if n in pairs else KriegerStatus.VACUOUS)
+                     for n in range(1, len(self.residues) + 1))
 
 
 def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
@@ -172,7 +192,8 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     interesting Zsigmondy window; periodic orbits through nonzero values
     are fine and typically put every index in the set).  rin_failures
     lists indices where the strict numerator-product inequality fails;
-    krieger_checks records the divisibility status at every index.
+    krieger_checks, built on first read like verdicts, records the
+    divisibility status at every index.
 
     Each N_n is stripped once, against the product of the N_(n/q), q a
     prime of n, times seen: the primes of den(c) that divide an earlier
@@ -183,21 +204,22 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
         raise ValueError("empty window")
     nums = _abs_numerators(e.num for e in orbit.entries)
     primes = primes_up_to(n_max)
-    verdicts, rin_failures, krieger = [], [], []
+    residues, zset, rin_failures, krieger_pairs = [], [], [], []
     seen = 1
     for n, num in enumerate(nums, start=1):
         prod = _quotient_product(nums, n, [p for p in primes if n % p == 0])
-        v = PrimitiveDivisorVerdict(n, strip_common_primes(num, prod * seen))
-        verdicts.append(v)
+        residue = strip_common_primes(num, prod * seen)
+        residues.append(residue)
+        if residue == 1:
+            zset.append(n)
+            krieger_pairs.append((num, prod))
         for p in orbit.den_prime_support:
             if num % p == 0 and seen % p:
                 seen *= p
         if num <= prod:
             rin_failures.append(n)
-        krieger.append((n, _krieger_status(num, prod, v.has_primitive)))
-    zset = tuple(v.n for v in verdicts if not v.has_primitive)
-    return ZsigmondyReport(verdicts=tuple(verdicts), zset=zset,
-                           rin_failures=tuple(rin_failures), krieger_checks=tuple(krieger))
+    return ZsigmondyReport(residues=tuple(residues), zset=tuple(zset),
+                           rin_failures=tuple(rin_failures), krieger_pairs=tuple(krieger_pairs))
 
 
 def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:

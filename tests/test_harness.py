@@ -1,6 +1,7 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
 import concurrent.futures
 import csv
+import hashlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from functools import cached_property
 import pytest
 
 import zsig.harness
+import zsig.orbit
 import zsig.zsigmondy
 from zsig.harness import (
     CSV_HEADER,
@@ -255,6 +257,7 @@ def test_write_output_path(tmp_path):
 
 
 def test_scans_name_no_witnesses(monkeypatch):
+    """A scan names no witness and builds no verdict or Krieger status."""
     orbit = iterate(CUBIC, F(-5, 3), horizon=6)
 
     def facts(report):
@@ -262,15 +265,24 @@ def test_scans_name_no_witnesses(monkeypatch):
                              for v in report.verdicts]
 
     base_csv = csv_text(run_scan(_cfg()))
-    base_facts = facts(zsig.zsigmondy.zsigmondy_set(orbit))
+    base = zsig.zsigmondy.zsigmondy_set(orbit)
+    base_facts = facts(base)
 
-    def refuse(residue):
-        raise AssertionError(f"witness named for residue {residue}")
+    def refuse(*args):
+        raise AssertionError(f"built during a scan: {args}")
 
     monkeypatch.setattr(zsig.zsigmondy, "_bounded_witness", refuse)
     assert csv_text(run_scan(_cfg())) == base_csv
     assert facts(zsig.zsigmondy.zsigmondy_set(orbit)) == base_facts
     assert any(has for has, _ in base_facts[1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zsig.zsigmondy, "PrimitiveDivisorVerdict", refuse)
+        patch.setattr(zsig.zsigmondy, "_krieger_status", refuse)
+        assert csv_text(run_scan(_cfg())) == base_csv
+        report = zsig.zsigmondy.zsigmondy_set(orbit)
+    assert report.verdicts == base.verdicts
+    assert report.krieger_checks == base.krieger_checks
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -300,21 +312,25 @@ def test_clamp_note_names_the_usable_cpus(monkeypatch, capsys):
 
 
 def test_scan_factors_no_orbit_index(monkeypatch):
-    """Index primes come from one prime list per orbit, never from factoring n."""
-    calls = []
+    """Index primes come from one prime list per orbit, never from factoring n,
+    and each den(c) is factored once per scan, not once per parameter."""
+    calls, den_calls = [], []
 
-    def recording(fn):
+    def recording(fn, log):
         def wrapper(n, *args, **kwargs):
-            calls.append(n)
+            log.append(n)
             return fn(n, *args, **kwargs)
         return wrapper
 
     for name in ("distinct_prime_factors", "factor_small"):
-        monkeypatch.setattr(zsig.zsigmondy, name, recording(getattr(zsig.zsigmondy, name)))
+        monkeypatch.setattr(zsig.zsigmondy, name, recording(getattr(zsig.zsigmondy, name), calls))
+    monkeypatch.setattr(zsig.orbit, "factor_small", recording(zsig.orbit.factor_small, den_calls))
+    zsig.orbit._den_support.cache_clear()  # the memo outlives a scan
     cfg = ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)
     rows = run_scan(cfg).rows
     assert len(rows) == 155 and any(r.zset is not None for r in rows)
     assert [n for n in calls if 1 <= abs(n) <= cfg.horizon] == []
+    assert len(den_calls) == len(set(den_calls)) <= 5
 
 
 def test_scan_builds_coefficient_length_once(monkeypatch):
@@ -333,3 +349,19 @@ def test_scan_builds_coefficient_length_once(monkeypatch):
     rows = run_scan(ScanConfig(poly=poly, num_bound=20, den_bound=6, horizon=8)).rows
     assert len(rows) == 155
     assert builds == [poly]
+
+
+# sha256 of the survey grid's CSV (|a| <= 20, b <= 6, horizon 8)
+SURVEY_CSV_SHA256 = {
+    "x^3+x^2": "4602956dacc07b9687ecbb52853f43ff1a1091d62864d91ac90646afcc0da9f0",
+    "2*x^3+x^2": "8a8a1d5517b3c2934a906ca3ba8612a7f136445d450c842df142e738cdf68e00",
+}
+
+
+def test_survey_scan_bytes_are_pinned():
+    """The survey grid's CSV is fixed byte for byte, at one worker and at two."""
+    for text, digest in SURVEY_CSV_SHA256.items():
+        poly = X2DivisiblePoly.parse(text)
+        for workers in (1, 2):
+            out = csv_text(run_scan(ScanConfig(poly, 20, 6, horizon=8, parallelism=workers)))
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (text, workers)

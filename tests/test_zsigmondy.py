@@ -127,11 +127,24 @@ def _poly_and_param(draw):
 @settings(max_examples=80, deadline=None)
 @given(g_c=_poly_and_param(), horizon=st.integers(1, 7))
 def test_rigid_strip_matches_all_pairs(g_c, horizon):
-    """Stripping against N_(n/q) plus the den(c) pass leaves the all-pairs residues."""
+    """Stripping against N_(n/q) plus the den(c) pass leaves the all-pairs residues,
+    and the Krieger statuses built on read match ones recomputed from the entries."""
     orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
     assume(all(e.num != 0 for e in orbit.entries))
     report = zsigmondy_set(orbit)
-    assert [v.residue for v in report.verdicts] == _all_pairs_residues(orbit)
+    residues = _all_pairs_residues(orbit)
+    assert [v.residue for v in report.verdicts] == residues
+    assert report.verdicts is report.verdicts
+    nums = [abs(e.num) for e in orbit.entries]
+    expected = []
+    for n, residue in enumerate(residues, start=1):
+        prod = math.prod(nums[n // q - 1] for q in _primes_of(n))
+        if residue > 1:
+            expected.append((n, KriegerStatus.VACUOUS))
+        else:
+            divides = prod % nums[n - 1] == 0
+            expected.append((n, KriegerStatus.HOLDS if divides else KriegerStatus.FAILS))
+    assert report.krieger_checks == tuple(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,6 +269,12 @@ def test_krieger_divisibility_frozen():
     assert sq[3] == (4, KriegerStatus.VACUOUS)
     cu = zsigmondy_set(iterate(CUBIC, 1, horizon=4)).krieger_checks
     assert cu[0] == (1, KriegerStatus.HOLDS)
+    # no orbit drawn so far fails; a fabricated window does: N_2 = 4 has no prime
+    # that N_1 = 2 lacks, yet does not divide it
+    fake = replace(iterate(CUBIC, 2, horizon=1), entries=tuple(
+        OrbitEntry(n, num, 1, {}) for n, num in enumerate([2, 4, 3], start=1)))
+    assert zsigmondy_set(fake).krieger_checks == (
+        (1, KriegerStatus.VACUOUS), (2, KriegerStatus.FAILS), (3, KriegerStatus.VACUOUS))
 
 
 def test_zset_implies_rin_failure():
