@@ -166,8 +166,6 @@ def factor_small(n: int) -> tuple[tuple[int, int], ...]:
 
 def _brent_rho(n: int) -> int | None:
     # one nontrivial factor of an odd composite n, deterministic parameters
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -195,10 +193,8 @@ def _brent_rho(n: int) -> int | None:
 
 
 def _split_completely(n: int, depth: int = 0) -> list[int] | None:
-    # full prime split of n via recursive rho; None when a split fails or
-    # leaves a prime too large to prove
-    if n == 1:
-        return []
+    # full prime split of an odd n > 1 via recursive rho; None when a split
+    # fails or leaves a prime too large to prove
     if is_probable_prime(n):
         return [n] if n < _MR_PROVEN_LIMIT else None
     if depth > 64:

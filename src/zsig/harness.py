@@ -177,7 +177,8 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     """Run the full grid on up to config.parallelism worker processes.
 
     Every payload carries the same polynomial instance, so the invariants it
-    caches (length, divisors of the lead) are worked out once per process.
+    caches (length, escape floor, Horner coefficients) are worked out once
+    per process.
     """
     requested = config.parallelism
     started = time.perf_counter()

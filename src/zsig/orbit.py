@@ -216,14 +216,20 @@ class MembershipDecision:
         return f"n={self.trigger_index};p={self.trigger_prime}"
 
 
-def _state_space_bound(g: X2DivisiblePoly, radius: Fraction) -> int:
+def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ...]) -> int:
     """Upper bound on how long a non-escaping, shallow-denominator orbit can run.
 
-    Such values a/b satisfy |a/b| < radius and b | |lead|, so counting
-    reduced fractions with each divisor of |lead| as denominator bounds
-    the reachable states; two extra steps cover the start and the repeat.
+    Such values a/b satisfy |a/b| < radius and b | D, the product of
+    p^val_p(lead) over the support primes of den(c): b has no other primes
+    and none above its valuation in the lead.  Counting fractions with each
+    divisor of D as denominator bounds the reachable states; two extra
+    steps cover the start and the repeat.  Nothing is factored.
     """
-    return sum(2 * int(radius * m) + 1 for m in g._lead_divisors) + 2
+    divisors = [1]
+    for p, _, lead_val in support:
+        divisors = [m * p**k for m in divisors for k in range(lead_val + 1)]
+    r, s = radius.numerator, radius.denominator
+    return sum(2 * (r * m // s) + 1 for m in divisors) + 2
 
 
 def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
@@ -232,26 +238,16 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     Per step, in order: repeated value (finite orbit), escape-radius
     crossing, deep denominator.  The procedure always terminates: an orbit
     that never triggers either infinite verdict lives in a finite state
-    space and must repeat within the state-space bound.
+    space, read off the den(c) support, and must repeat within its bound.
     """
     c = Fraction(c)
-    radius = max(g._escape_floor, abs(c))
-    # _state_space_bound factors the lead, which factor_small may refuse.  It is at
-    # least 2*floor(radius) + 3 (its m = 1 term plus 2) and nearly every walk ends
-    # sooner, so it is worked out only past that floor: worked out first, a refused
-    # lead would make every parameter "cannot certify".  For |lead| = 1 it equals
-    # the floor, so the step that works it out checks again.
-    limit = 2 * int(radius) + 3
-
+    radius = escape_radius(g, c)
     support = _den_support(g.lead, c.denominator)
+    limit = _state_space_bound(radius, support)
     seen: dict[tuple[int, int], int] = {}
     for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, support), start=1):
         if n > limit:
-            limit = _state_space_bound(g, radius)
-            if n > limit:
-                raise ArithmeticError(
-                    f"no verdict after {limit} steps; state-space bound violated"
-                )
+            raise ArithmeticError(f"no verdict after {limit} steps; state-space bound violated")
         if (num, den) in seen:
             first = seen[num, den]
             return MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)

@@ -136,10 +136,9 @@ class X2DivisiblePoly(RatPolynomial):
 
     A RatPolynomial with int coeffs (u_0, u_1, ..., u_d), u_0 = u_1 = 0,
     so degree, evaluation and printing are the RatPolynomial ones.  The
-    coefficient length, 4 * length (the escape radius floor), the divisors
-    of the leading coefficient and the Horner coefficients of
-    eval_int_pair are worked out on first read and kept on the instance,
-    so one instance serves a whole scan.
+    coefficient length, 4 * length (the escape radius floor) and the Horner
+    coefficients of eval_int_pair are worked out on first read and kept on
+    the instance, so one instance serves a whole scan.
     """
 
     coeffs: tuple[int, ...]
@@ -186,10 +185,6 @@ class X2DivisiblePoly(RatPolynomial):
     @cached_property
     def _escape_floor(self) -> Fraction:
         return 4 * self._length
-
-    @cached_property
-    def _lead_divisors(self) -> tuple[int, ...]:
-        return tuple(_divisors_from_factorization(self.lead))
 
     @cached_property
     def _horner(self) -> tuple[int, tuple[int, ...]]:
@@ -362,11 +357,10 @@ def normalize_to_x2_divisible(f: RatPolynomial, u) -> NormalizationCertificate:
     pure square term) with rational scale t = 1/u_2; such certificates are
     flagged krieger_regime since the quadratic theory runs through x^2.
     """
-    g0, s = shift_to_origin(f, u)
-    d = g0.degree
-    if d < 2 or g0.coeffs[-1] == 0:
+    if f.degree < 2:  # the shift keeps the degree; a constant f has no linear term to check
         raise ValueError("shifted polynomial must have degree >= 2")
-    if d == 2:
+    g0, s = shift_to_origin(f, u)
+    if g0.degree == 2:
         u2 = g0.coeffs[2]
         t = 1 / u2
         target = X2DivisiblePoly.from_coeffs([0, 0, 1])

@@ -28,6 +28,11 @@ def test_orbit_command(capsys):
     assert rc == 0
     assert "verdict:    escape (n=2)" in out
     assert "52023" in out
+    # entry 5 (48 bits) is the first past a 20-bit cap: it is printed, then the walk stops
+    rc, out, _ = run(capsys, "orbit", "--poly", "x^3+x^2", "--c", "1", "--bit-cap", "20")
+    assert rc == 0
+    assert out.splitlines()[-2].split()[-1] == "140797364928697"
+    assert out.splitlines()[-1] == "stopped at n=5: entry exceeds 20 bits"
 
 
 def test_orbit_rational_parameter_shows_deep_primes(capsys):
@@ -78,6 +83,10 @@ def test_zsigmondy_command(capsys):
     assert rc == 0
     assert "zsigmondy set in window: 1" in out
     assert "17341" in out
+    rc, out, _ = run(capsys, "zsigmondy", "--poly", "x^3+x^2", "--c", "1", "--bit-cap", "20")
+    assert rc == 0
+    assert "window:     1..5" in out.splitlines()
+    assert out.splitlines()[-1] == "window truncated at n=5 by the 20-bit cap"
 
 
 def test_zsigmondy_zero_orbit_notes_and_exits_clean(capsys):
@@ -162,6 +171,10 @@ def test_scan_missing_config_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "scan", "--config", "/nonexistent/path.cfg")
     assert rc == 2
     assert "error:" in err
+    # without a config file the polynomial must come from the flags
+    rc, out, err = run(capsys, "scan", "--num-bound", "2", "--den-bound", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: scan needs --config, or --poly/--coeffs with bounds\n"
 
 
 def test_scan_config_non_integer_names_path_line_and_key(capsys, tmp_path):
@@ -233,6 +246,13 @@ def test_normalize_ambiguous_point_lists_candidates(capsys):
     rc, _, err = run(capsys, "normalize", "--poly", "x^3-3*x")
     assert rc == 2
     assert "-1, 1" in err
+    # a constant has no critical point to find, and none to shift to the origin
+    for argv, message in ((("--poly", "5"), "derivative vanishes identically"),
+                          (("--poly", "5", "--u", "0"),
+                           "shifted polynomial must have degree >= 2")):
+        rc, out, err = run(capsys, "normalize", *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_normalize_maps_parameter(capsys):
@@ -263,7 +283,7 @@ def test_uncertified_denominator_support_exits_two(capsys):
 
 
 def test_unfactorable_lead_still_gets_verdicts(capsys):
-    # factor_small refuses this lead; only a walk past 2*floor(R) + 3 steps may factor it
+    # factor_small refuses this lead; membership never factors it, only den(c)
     poly = f"{(2**89 - 1) * (2**107 - 1)}*x^3+x^2"
     rc, out, err = run(capsys, "zsigmondy", "--poly", poly, "--c", "1/2", "--horizon", "4")
     assert (rc, err) == (0, "")

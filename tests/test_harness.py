@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 from fractions import Fraction
 from functools import cached_property
 
@@ -232,6 +233,10 @@ def test_config_file_rejects_bad_keys(tmp_path):
     both.write_text("poly = x^2\ncoeffs = 0,0,1\nnum_bound = 2\nden_bound = 1\n")
     with pytest.raises(ValueError, match="not both"):
         ScanConfig.from_file(str(both))
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("poly = x^2\nnum_bound 2\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bare))}:2: expected key = value$"):
+        ScanConfig.from_file(str(bare))
     # the settings without a default are required
     short = tmp_path / "short.cfg"
     short.write_text("poly = x^2\nnum_bound = 2\n")

@@ -330,6 +330,8 @@ def test_decide_membership_square_cycles():
 
 
 def test_membership_agrees_with_brute_force_on_grid():
+    # 1, 3, 37, ... never repeats: three steps give the oracle nothing to conclude
+    assert brute_force_verdict(CUBIC, 1, steps=3) is None
     for g_text in ["x^3+x^2", "2*x^3+x^2", "x^2", "-x^3+x^2"]:
         g = X2DivisiblePoly.parse(g_text)
         for b in range(1, 3):
@@ -365,34 +367,47 @@ def test_escape_index_is_recheckable():
             assert abs(v) < radius
 
 
-def test_state_space_guard_still_raises(monkeypatch):
-    """A walk that never settles is stopped at the bound, worked out past its floor."""
-    g = X2DivisiblePoly.parse("2*x^3+x^2")
-    radius = escape_radius(g, 1)
-    bound = orbit_module._state_space_bound(g, radius)
-    assert bound > 2 * int(radius) + 3  # lead 2: the bound is past its floor
-
-    steps = []
-
-    def never_settles(g, c, support):
-        # distinct values 1/k, inside the radius, never with a deep denominator
+def _never_settles(steps):
+    """A fake _orbit_pairs: distinct values 1/k, inside the radius, never deep."""
+    def pairs(g, c, support):
         for k in itertools.count(1):
             steps.append(k)
             yield 1, k, {}
+    return pairs
 
-    monkeypatch.setattr(orbit_module, "_orbit_pairs", never_settles)
+
+def test_state_space_guard_still_raises(monkeypatch):
+    """A walk that never settles is stopped at the bound read off the den(c) support."""
+    bound = orbit_module._state_space_bound
+    g = X2DivisiblePoly.parse("2*x^3+x^2")
+    # c = 1/2: shallow denominators divide 2^val_2(lead) = 2, radius 6
+    radius = escape_radius(g, F(1, 2))
+    assert radius == 6
+    assert bound(radius, orbit_module._den_support(g.lead, 2)) == (2 * 6 + 1) + (2 * 12 + 1) + 2
+    # integer c has no support: the bound is 2*floor(R) + 3 whatever the lead
+    for poly in (CUBIC, g):
+        radius = escape_radius(poly, 1)
+        assert bound(radius, ()) == 2 * math.floor(radius) + 3
+
+    steps = []
+    monkeypatch.setattr(orbit_module, "_orbit_pairs", _never_settles(steps))
+    for poly, c in ((g, 1), (CUBIC, 1), (g, F(1, 2))):
+        support = orbit_module._den_support(poly.lead, F(c).denominator)
+        limit = bound(escape_radius(poly, c), support)
+        steps.clear()
+        with pytest.raises(ArithmeticError,
+                           match=f"^no verdict after {limit} steps; state-space bound violated$"):
+            decide_membership(poly, c)
+        assert len(steps) == limit + 1
+
+
+def test_state_space_guard_never_factors_the_lead(monkeypatch):
+    # factor_small refuses this lead; the guard reads only the (empty) support of den(c) = 1
+    g = X2DivisiblePoly.parse(f"{(2**89 - 1) * (2**107 - 1)}*x^3+x^2")
+    monkeypatch.setattr(orbit_module, "_orbit_pairs", _never_settles([]))
     with pytest.raises(ArithmeticError,
-                       match=f"^no verdict after {bound} steps; state-space bound violated$"):
+                       match="^no verdict after 11 steps; state-space bound violated$"):
         decide_membership(g, 1)
-    assert len(steps) == bound + 1
-    # lead 1: the bound equals its floor, so the step that works it out must stop
-    radius = escape_radius(CUBIC, 1)
-    floor = 2 * int(radius) + 3
-    assert orbit_module._state_space_bound(CUBIC, radius) == floor
-    steps.clear()
-    with pytest.raises(ArithmeticError, match=f"^no verdict after {floor} steps;"):
-        decide_membership(CUBIC, 1)
-    assert len(steps) == floor + 1
 
 
 def test_valuation_recursion_checker():

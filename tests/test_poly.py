@@ -1,5 +1,6 @@
 """Polynomial types, parsing, the length invariant, and normalization."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,8 @@ def test_x2divisible_validation():
         X2DivisiblePoly.from_coeffs([0, 2, 0, 1])
     with pytest.raises(ValueError):
         X2DivisiblePoly.from_coeffs([0, 0])
+    with pytest.raises(ValueError, match="^coefficients must be integers$"):
+        X2DivisiblePoly((0, 0, 1.5))
 
 
 def test_eval_int_pair_is_unreduced_evaluation():
@@ -186,6 +189,10 @@ def test_scale_to_integer_frozen_cases():
         h, t = scale_to_integer(RatPolynomial.parse(src))
         assert h == X2DivisiblePoly.parse(want), src
         assert t == t_want, src
+    for src, message in (("1/2*x^2", "integral rescaling needs degree >= 3"),
+                         ("x^3 + x", "polynomial is not x^2-divisible")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scale_to_integer(RatPolynomial.parse(src))
 
 
 def test_scale_identity_holds():

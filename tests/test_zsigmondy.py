@@ -597,6 +597,8 @@ def test_cross_bound_on_synthetic_sequences():
     # divisor terms past d^(3n/5) * ceiling must be rejected
     flat = [1e7] * 40
     assert not cross_bound_ok(flat, 2, 0.1, 36)
+    # numerators of absolute value 1 put nothing on the left
+    assert cross_bound_ok([0.0] * 40, 2, 0.1, 36)
 
 
 def test_check_cross_bound_on_orbits():
@@ -608,6 +610,9 @@ def test_check_cross_bound_on_orbits():
     big = replace(e, num=e.num << 800_000)
     tampered = replace(orbit, entries=orbit.entries[:14] + (big,) + orbit.entries[15:])
     assert check_cross_bound(tampered) == ["cross bound fails at n=30"]
+    # x^2 - 1 runs -1, 0, -1, ...: ln|N_2| is undefined
+    with pytest.raises(ValueError, match="^orbit hits zero; cross bound undefined$"):
+        check_cross_bound(iterate(SQUARE, -1, horizon=35))
 
 
 # ---------------------------------------------------------------- bound report
