@@ -4,7 +4,9 @@ Everything here operates on plain Python ints and fractions.Fraction.
 `factor_small` is the one factorizer: trial division up to 10^6, then a
 deterministic rho split for cofactors below 2^128.  It returns only proven
 primes and refuses, with IncompleteFactorizationError ("cannot certify"),
-whenever it cannot finish.
+whenever it cannot finish.  `mul` is the exact product the orbit step
+uses on big operands: CPython's own multiply below 24000 bits, a
+recursive Toom-3 above it.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
+_TOOM_BITS = 24_000  # mul leaves a pair whose shorter operand is under this to CPython
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):
@@ -263,3 +266,71 @@ def ln_abs_ratio(num: int, den: int) -> float:
     if abs(a.bit_length() - den.bit_length()) <= 2:
         return math.log1p((a - den) / den)  # int division rounds once, with no gcd
     return math.log(a) - math.log(den)  # math.log takes an int of any size
+
+
+def mul(a: int, b: int) -> int:
+    """a * b, exact, by Toom-3 once both operands reach _TOOM_BITS bits.
+
+    CPython multiplies by Karatsuba, which splits each operand in two and
+    recurses on three products of half the size; Toom-3 splits in three
+    and recurses on five products of a third.  It evaluates both operands
+    at 0, 1, -1, -2 and infinity, multiplies pointwise, and interpolates
+    with Bodrato's sequence, whose only divisions are exact: // 3 and >> 1.
+    mul(a, a) squares, evaluating a once; an operand more than 1.5 times
+    the length of the other is cut into pieces of the shorter length.
+    From 60k to 10^6 bits it takes 0.65-0.87 of the time of a * b
+    (CPython 3.11.7, AMD EPYC; the README has the table).
+    """
+    if a is b:
+        n = a.bit_length()
+        if n < _TOOM_BITS:
+            return a * a
+        a = abs(a)
+        return _toom3(a, a, n)
+    na, nb = a.bit_length(), b.bit_length()
+    if na < nb:
+        a, b, na, nb = b, a, nb, na
+    if nb < _TOOM_BITS:
+        return a * b
+    negative = (a < 0) != (b < 0)
+    a, b = abs(a), abs(b)
+    r = _mul_pieces(a, b, na, nb) if 2 * na > 3 * nb else _toom3(a, b, na)
+    return -r if negative else r
+
+
+def _mul_pieces(a: int, b: int, na: int, nb: int) -> int:
+    # a * b for a, b >= 0 with a the longer: nb-bit pieces of a, top piece first
+    mask = (1 << nb) - 1
+    shift = (na - 1) // nb * nb
+    r = 0
+    while shift >= 0:
+        r = (r << nb) + mul((a >> shift) & mask, b)
+        shift -= nb
+    return r
+
+
+def _toom3_points(a: int, k: int) -> tuple[int, int, int, int, int]:
+    # a = a2 X^2 + a1 X + a0 with X = 2^k, evaluated at 0, 1, -1, -2, infinity
+    mask = (1 << k) - 1
+    a0, a1, a2 = a & mask, (a >> k) & mask, a >> (2 * k)
+    s = a0 + a2
+    at_m1 = s - a1
+    return a0, s + a1, at_m1, ((at_m1 + a2) << 1) - a0, a2
+
+
+def _toom3(a: int, b: int, n: int) -> int:
+    # a * b for a, b >= 0 of at most n bits; a is b squares
+    k = (n + 2) // 3
+    pa = _toom3_points(a, k)
+    if a is b:
+        r0, r1, rm1, rm2, rinf = (mul(x, x) for x in pa)
+    else:
+        r0, r1, rm1, rm2, rinf = map(mul, pa, _toom3_points(b, k))
+    # Bodrato's interpolation: the coefficients c0..c4 of the product in X
+    c3 = (rm2 - r1) // 3
+    c1 = (r1 - rm1) >> 1
+    c2 = rm1 - r0
+    c3 = ((c2 - c3) >> 1) + (rinf << 1)
+    c2 += c1 - rinf
+    c1 -= c3
+    return ((((((rinf << k) + c3) << k) + c2) << k) + c1 << k) + r0

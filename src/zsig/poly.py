@@ -13,12 +13,13 @@ how far the transfer can move Zsigmondy counts.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import factor_small, omega
+from .arith import _TOOM_BITS, factor_small, mul, omega
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
@@ -196,14 +197,18 @@ class X2DivisiblePoly(RatPolynomial):
         P = sum u_i num^i den^(d-i) = num^2 * sum u_i num^(i-2) den^(d-i),
         evaluated by homogeneous Horner from u_d down to u_2, raising the
         den power one step per coefficient; no rational normalization
-        happens here.
+        happens here.  The multiply is picked once per call: CPython's
+        while num and den are both under arith's Toom-3 cutoff, arith.mul
+        once either reaches it (deep orbit entries, 10^4-10^6 bits).
         """
+        small = num.bit_length() < _TOOM_BITS and den.bit_length() < _TOOM_BITS
+        times = operator.mul if small else mul
         acc, lower = self._horner
         den_k = 1
         for u in lower:
-            den_k *= den
-            acc = acc * num + u * den_k
-        return acc * num * num, den_k * den * den
+            den_k = times(den_k, den)
+            acc = times(acc, num) + u * den_k
+        return times(acc, times(num, num)), times(den_k, times(den, den))
 
 
 def _poly_from_text(poly: str | None, coeffs: str | None) -> X2DivisiblePoly:
@@ -264,10 +269,12 @@ def shift_to_origin(f: RatPolynomial, u) -> tuple[RatPolynomial, Fraction]:
 
     Returns (g0, shift_constant) where g0(x) = f(x + u) - f(u) has zero
     constant and linear coefficients, and shift_constant = f(u) - u is
-    the additive parameter offset.  Rejects u that is not a critical
-    point of f.
+    the additive parameter offset.  Rejects a constant f and u that is
+    not a critical point of f.
     """
     u = _as_fraction(u)
+    if f.degree == 0:
+        raise ValueError(f"constant polynomial {f} has no critical point to shift")
     if f.derivative()(u) != 0:
         raise ValueError(f"u = {u} is not a critical point of {f}")
     shifted = f.taylor_shift(u)
@@ -357,7 +364,7 @@ def normalize_to_x2_divisible(f: RatPolynomial, u) -> NormalizationCertificate:
     pure square term) with rational scale t = 1/u_2; such certificates are
     flagged krieger_regime since the quadratic theory runs through x^2.
     """
-    if f.degree < 2:  # the shift keeps the degree; a constant f has no linear term to check
+    if f.degree < 2:  # the shift keeps the degree
         raise ValueError("shifted polynomial must have degree >= 2")
     g0, s = shift_to_origin(f, u)
     if g0.degree == 2:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    _TOOM_BITS,
     factor_small,
+    mul,
     omega,
     prime_quotient_power_sum,
     primes_up_to,
@@ -171,6 +173,23 @@ def prime_factor_roundtrip() -> str:
         n = rng.randint(2, 10**12)
         if math.prod(p**e for p, e in factor_small(n)) != n:
             return f"factor_small({n}) does not multiply back"
+    return ""
+
+
+@_check
+def multiply_kernel_matches_plain() -> str:
+    # the orbit step's multiply against CPython's, on both sides of the Toom-3
+    # cutoff: balanced and lopsided pairs (long:short in quarters), two levels
+    # of recursion at 3 * cutoff, mixed signs, powers of two and squares
+    rng = random.Random(454)
+    t = _TOOM_BITS
+    for short, quarters in ((t - 1, 4), (t, 4), (t, 5), (t, 7), (t, 12), (3 * t + 1, 4), (3 * t + 1, 6)):
+        long = short * quarters // 4
+        a = -(rng.getrandbits(long) | 1 << (long - 1))
+        b = rng.getrandbits(short) | 1 << (short - 1)
+        for x, y in ((a, b), (a, -b), (a, a), (b, b), (1 << short, a)):
+            if mul(x, y) != x * y:
+                return f"mul differs from * on a {x.bit_length()}-bit by {y.bit_length()}-bit pair"
     return ""
 
 

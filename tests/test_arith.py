@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zsig.arith as arith
 from zsig.arith import (
+    _TOOM_BITS,
     IncompleteFactorizationError,
     _split_completely,
     distinct_prime_factors,
     factor_small,
     is_probable_prime,
     ln_abs_ratio,
+    mul,
     omega,
     prime_quotient_power_sum,
     primes_up_to,
@@ -253,3 +258,56 @@ def test_every_complete_factorization_refuses_through_one_route():
     for call in calls:
         with pytest.raises(IncompleteFactorizationError, match="^cannot certify"):
             call()
+
+
+def _operand(rng, bits, shape):
+    if shape == "power of two":  # the c = 1/2 orbit's denominators are 2^k
+        return 1 << (bits - 1)
+    if shape == "all ones":  # every evaluation point carries
+        return (1 << bits) - 1
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+SHAPES = st.sampled_from(("random", "power of two", "all ones"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    short=st.integers(_TOOM_BITS - 1, 4 * _TOOM_BITS),
+    quarters=st.integers(4, 16),  # long / short from 1:1 to 4:1
+    shapes=st.tuples(SHAPES, SHAPES),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_is_the_plain_product(short, quarters, shapes, signs, seed):
+    rng = random.Random(seed)
+    a = signs[0] * _operand(rng, short * quarters // 4, shapes[0])
+    b = signs[1] * _operand(rng, short, shapes[1])
+    assert mul(a, b) == a * b
+    assert mul(b, a) == a * b
+    assert mul(a, a) == a * a  # a is b: the squaring path
+    assert mul(b, b) == b * b
+    assert mul(a, 0) == 0 == mul(0, b)
+
+
+def test_mul_takes_toom3_from_the_cutoff(monkeypatch):
+    """Operands under _TOOM_BITS go to CPython's multiply; from the cutoff on, to Toom-3."""
+    calls = []
+    real = arith._toom3
+
+    def spy(a, b, n):
+        calls.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(arith, "_toom3", spy)
+    below = (1 << (_TOOM_BITS - 1)) - 3
+    at = (1 << _TOOM_BITS) - 5
+    assert mul(below, below) == below * below and mul(below, at) == below * at
+    assert calls == []
+    assert mul(at, at) == at * at and mul(-at, at + 2) == -at * (at + 2)
+    assert calls[0] == _TOOM_BITS and len(calls) == 2
+    # a lopsided pair is cut into pieces the length of the shorter operand
+    calls.clear()
+    longer = (1 << (4 * _TOOM_BITS)) - 7
+    assert mul(longer, at) == longer * at
+    assert calls == [_TOOM_BITS] * 4

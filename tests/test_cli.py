@@ -1,5 +1,6 @@
 """CLI surface: subcommands, flags, exit codes, output wiring."""
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import pytest
 
 import zsig
 import zsig.cli as cli
+import zsig.poly
 from zsig.cli import main
 from zsig.harness import ScanConfig, csv_text, run_scan
 from zsig.poly import X2DivisiblePoly
@@ -87,6 +89,38 @@ def test_zsigmondy_command(capsys):
     assert rc == 0
     assert "window:     1..5" in out.splitlines()
     assert out.splitlines()[-1] == "window truncated at n=5 by the 20-bit cap"
+
+
+# stdout digests recorded before arith.mul served the orbit step; every
+# command's orbit entries pass the kernel's Toom-3 cutoff
+DEEP_STDOUT_SHA256 = {
+    ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "12"):
+        "745539c1266ea58378e1372bc3c4e8b35cfebbd395c8d0c19aefd22c7a4fd312",
+    ("zsigmondy", "--poly", "x^3+x^2", "--c", "3", "--horizon", "12"):
+        "bdabcd2293d29c32ccfae1e66552f83518750be3e10e9d979f2e36891174b03f",
+    ("orbit", "--poly", "2*x^3+x^2", "--c", "1/12", "--horizon", "12"):
+        "bab08c268ce4cc162ac8656da30584d383e40820e3598d35a27c4d269f5fb173",
+    ("scan", "--poly", "x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "10"):
+        "cbbb4af0958a6cdb0e6c4a68d1936ac52b7d628dc22948de0e7ba423c08385f1",
+}
+
+
+def test_deep_orbit_bytes_are_pinned(capsys, monkeypatch):
+    """Deep orbits print the same bytes, and their steps run through arith.mul."""
+    kernel_calls = []
+    real_mul = zsig.poly.mul
+
+    def counting_mul(a, b):
+        kernel_calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(zsig.poly, "mul", counting_mul)
+    for argv, digest in DEEP_STDOUT_SHA256.items():
+        kernel_calls.clear()
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert kernel_calls, argv
 
 
 def test_zsigmondy_zero_orbit_notes_and_exits_clean(capsys):

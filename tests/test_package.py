@@ -46,7 +46,7 @@ growth threshold (escape): 30
 growth threshold (monomial): 30
 growth threshold (bounded): 30
 largest index bound: 30"""
-    assert verify.endswith("23/23 checks passed\nrc 0") and "FAIL" not in verify
+    assert verify.endswith("24/24 checks passed\nrc 0") and "FAIL" not in verify
 
 
 def test_import_footprint():

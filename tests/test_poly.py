@@ -8,6 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zsig.poly as poly
+from zsig.arith import _TOOM_BITS
 from zsig.poly import (
     NormalizationCertificate,
     PolynomialSyntaxError,
@@ -101,6 +103,39 @@ def test_eval_int_pair_is_unreduced_evaluation():
         P, Q = g.eval_int_pair(num, den)
         assert Q == den**g.degree
         assert F(P, Q) == g(F(num, den))
+    # past arith's Toom-3 cutoff, on either side of it, against the plain sum
+    for _ in range(12):
+        d = rng.randint(2, 5)
+        g = X2DivisiblePoly.from_coeffs(
+            [0, 0] + [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(d - 1)]
+        )
+        num = -rng.getrandbits(rng.choice((_TOOM_BITS - 1, _TOOM_BITS, 2 * _TOOM_BITS + 3)))
+        den = rng.getrandbits(rng.choice((5, _TOOM_BITS - 1, _TOOM_BITS + 1))) | 1
+        P, Q = g.eval_int_pair(num, den)
+        assert Q == den**d
+        assert P == sum(u * num**i * den ** (d - i) for i, u in enumerate(g.coeffs))
+
+
+def test_eval_int_pair_multiplies_big_operands_with_the_kernel(monkeypatch):
+    """arith.mul serves a call once num or den reaches the cutoff, and only then."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return a * b
+
+    monkeypatch.setattr(poly, "mul", spy)
+    g = X2DivisiblePoly.parse("2*x^4 - 3*x^3 + x^2")
+    small, big = 3**100, 3**_TOOM_BITS
+    assert g.eval_int_pair(-small, small + 2) == (
+        sum(u * (-small) ** i * (small + 2) ** (4 - i) for i, u in enumerate(g.coeffs)),
+        (small + 2) ** 4,
+    )
+    assert calls == []
+    for num, den in ((big, 7), (7, big)):
+        assert g.eval_int_pair(num, den)[1] == den**4
+        assert calls
+        calls.clear()
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,6 +194,9 @@ def test_shift_to_origin_frozen():
     assert g0 == RatPolynomial.parse("x^2") and s == 0
     with pytest.raises(ValueError):
         shift_to_origin(RatPolynomial.parse("x^3-3*x"), 2)  # not critical
+    for text in ("5", "0"):
+        with pytest.raises(ValueError, match="^constant polynomial"):
+            shift_to_origin(RatPolynomial.parse(text), 0)
 
 
 def test_shift_output_is_x2_divisible():

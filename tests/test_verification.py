@@ -12,6 +12,7 @@ EXPECTED_CHECKS = {
     "power_sum_fifth_power",
     "gcd_strip_properties",
     "prime_factor_roundtrip",
+    "multiply_kernel_matches_plain",
     "normalization_identity",
     "normalization_distortion",
     "critical_point_search",
@@ -76,3 +77,13 @@ def test_sampling_checks_can_fail(monkeypatch, name, checker, filtered):
         monkeypatch.setattr(verification, "decide_membership", lambda g, c: finite)
         [result] = run_all([name])
         assert not result.ok and result.detail.startswith("only 0"), result
+
+
+def test_multiply_kernel_check_can_fail(monkeypatch):
+    # a kernel that is off by one only past the cutoff
+    def off_by_one(a, b):
+        return a * b + (min(a.bit_length(), b.bit_length()) >= verification._TOOM_BITS)
+
+    monkeypatch.setattr(verification, "mul", off_by_one)
+    [result] = run_all(["multiply_kernel_matches_plain"])
+    assert not result.ok and result.detail.startswith("mul differs from * on a "), result
