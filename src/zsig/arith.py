@@ -6,7 +6,8 @@ deterministic rho split for cofactors below 2^128.  It returns only proven
 primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
 uses on big operands: CPython's own multiply below 24000 bits, a
-recursive Toom-3 above it.
+recursive Toom-3 above it, and a Schönhage-Strassen transform for
+products of 550000 bits or more.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _TOOM_BITS = 24_000  # mul leaves a pair whose shorter operand is under this to CPython
+_SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):
@@ -269,32 +271,49 @@ def ln_abs_ratio(num: int, den: int) -> float:
 
 
 def mul(a: int, b: int) -> int:
-    """a * b, exact, by Toom-3 once both operands reach _TOOM_BITS bits.
+    """a * b, exact, in three tiers once both operands reach _TOOM_BITS bits.
 
     CPython multiplies by Karatsuba, which splits each operand in two and
     recurses on three products of half the size; Toom-3 splits in three
     and recurses on five products of a third.  It evaluates both operands
     at 0, 1, -1, -2 and infinity, multiplies pointwise, and interpolates
     with Bodrato's sequence, whose only divisions are exact: // 3 and >> 1.
-    mul(a, a) squares, evaluating a once; an operand more than 1.5 times
-    the length of the other is cut into pieces of the shorter length.
-    From 60k to 10^6 bits it takes 0.65-0.87 of the time of a * b
-    (CPython 3.11.7, AMD EPYC; the README has the table).
+    An operand more than 1.5 times the length of the other is cut into
+    pieces of the shorter length.  A product of _SSA_BITS bits or more
+    whose longer operand is at most 3 times the shorter goes to a
+    Schönhage-Strassen transform over Z/(2^N + 1) instead (`_ssa`).  A
+    positive power of two multiplies by a shift before any tier is picked,
+    and mul(a, a) squares, transforming a once.  Against a * b (CPython
+    3.11.7, AMD EPYC; the README has the tables) Toom-3 takes 0.65-0.87 of
+    the time from 60k to 10^6 bits.  The transform takes 0.70-0.85 of
+    Toom-3's time from 7.6 * 10^5 to 2 * 10^6 product bits, and 0.42-0.56
+    from 3 * 10^6 to 5.1 * 10^6.
     """
     if a is b:
         n = a.bit_length()
         if n < _TOOM_BITS:
             return a * a
+        if a.bit_count() == 1:
+            return 1 << 2 * (n - 1)
         a = abs(a)
-        return _toom3(a, a, n)
+        return _ssa(a, a, n, n) if 2 * n >= _SSA_BITS else _toom3(a, a, n)
     na, nb = a.bit_length(), b.bit_length()
     if na < nb:
         a, b, na, nb = b, a, nb, na
     if nb < _TOOM_BITS:
         return a * b
+    if a > 0 and a.bit_count() == 1:
+        return b << (na - 1)
+    if b > 0 and b.bit_count() == 1:
+        return a << (nb - 1)
     negative = (a < 0) != (b < 0)
     a, b = abs(a), abs(b)
-    r = _mul_pieces(a, b, na, nb) if 2 * na > 3 * nb else _toom3(a, b, na)
+    if na + nb >= _SSA_BITS and na <= 3 * nb:
+        r = _ssa(a, b, na, nb)
+    elif 2 * na > 3 * nb:
+        r = _mul_pieces(a, b, na, nb)
+    else:
+        r = _toom3(a, b, na)
     return -r if negative else r
 
 
@@ -334,3 +353,110 @@ def _toom3(a: int, b: int, n: int) -> int:
     c2 += c1 - rinf
     c1 -= c3
     return ((((((rinf << k) + c3) << k) + c2) << k) + c1 << k) + r0
+
+
+def _ssa_layout(n: int) -> tuple[int, int, int]:
+    """(k, M, N) for a product of n bits: 2^k M-bit pieces in Z/(2^N + 1).
+
+    M is a multiple of 8 and at least n / 2^k, so an na-bit by nb-bit pair
+    (na + nb = n) has at most 2^k + 1 pieces between them, and its
+    convolution at most 2^k coefficients.  N is a multiple of 2^(k-1), so
+    omega = 2^(2N / 2^k) is a root of unity of order 2^k, and every twiddle
+    is a shift.  Each coefficient sums at most 2^k products of two M-bit
+    pieces, so it lies in [0, 2^(2M + k)); N >= 2M + k + 1 puts that below
+    2^N + 1, and the coefficient comes back from its residue exactly.
+    With 4^k <= n / 4, N >= 2n / 2^k > 2^(k+2), so every twiddle shift is
+    at most N - 2 bits.
+    """
+    k = (n.bit_length() - 1) // 2 - 1
+    m = (-(-n >> k) + 7) & -8
+    half = 1 << (k - 1)
+    return k, m, -(-(2 * m + k + 1) // half) * half
+
+
+def _ssa(a: int, b: int, na: int, nb: int) -> int:
+    # a * b for a, b >= 0 of na and nb bits by Schönhage-Strassen; a is b
+    # squares.  Stored residues stay within (-2^(N+1), 2^(N+1)): the fold
+    # (x & mask) - (x >> N) maps a sum of two into [-4, 2^N + 4], the same
+    # shifted by at most N - 2 bits into [-2^N, 2^(N+1)), and a pointwise
+    # product, folded twice, into [-8, 2^N + 8].
+    k, m, n = _ssa_layout(na + nb)
+    size = 1 << k
+    mask = (1 << n) - 1
+    x = _ssa_forward(_ssa_pieces(a, na, m, size), n, mask)
+    y = x if a is b else _ssa_forward(_ssa_pieces(b, nb, m, size), n, mask)
+    for i, v in enumerate(y):
+        u = x[i] * v
+        u = (u & mask) - (u >> n)
+        x[i] = (u & mask) - (u >> n)
+    del y
+    _ssa_inverse(x, n, mask)
+    # scale by 2^-k = -2^(N-k); each coefficient is its residue in [0, 2^N]
+    count = -(-na // m) + -(-nb // m) - 1
+    modulus = mask + 2
+    width = 3 * m >> 3
+    for i in range(count):
+        u = -x[i] << (n - k)
+        u = ((u & mask) - (u >> n)) % modulus
+        x[i] = u.to_bytes(width, "little")
+    # coefficients 3 apart start 3M bits apart and have at most 2M + k < 3M
+    # bits, so each residue class j mod 3 is one byte string, led by jM zero bits
+    r = 0
+    for j in (0, 1, 2):
+        r += int.from_bytes(b"".join([bytes(j * m >> 3), *x[j:count:3]]), "little")
+    return r
+
+
+def _ssa_pieces(a: int, na: int, m: int, size: int) -> list[int]:
+    # the M-bit pieces of a, lowest first, padded with zeros to the transform length
+    step = m >> 3
+    raw = a.to_bytes(-(-na // m) * step, "little")
+    pieces = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+    return pieces + [0] * (size - len(pieces))
+
+
+def _ssa_forward(x: list[int], n: int, mask: int) -> list[int]:
+    # decimation in frequency with omega = 2^(2N/len(x)), in place; the
+    # output is in bit-reversed order
+    size = len(x)
+    span = size
+    while span > 1:
+        h = span >> 1
+        unit = 2 * n // span
+        for j in range(h):
+            e = j * unit
+            for i in range(j, size, span):
+                u, v = x[i], x[i + h]
+                t = u + v
+                x[i] = (t & mask) - (t >> n)
+                t = (u - v) << e
+                x[i + h] = (t & mask) - (t >> n)
+        span = h
+    return x
+
+
+def _ssa_inverse(x: list[int], n: int, mask: int) -> None:
+    # decimation in time with omega^-1 on bit-reversed input, in place, unscaled.
+    # omega^-e = 2^(2N - e) = -2^(N - e), so each twiddle is a shift by N - e
+    # whose sign the butterfly absorbs.
+    size = len(x)
+    span = 2
+    while span <= size:
+        h = span >> 1
+        unit = 2 * n // span
+        for i in range(0, size, span):
+            u, v = x[i], x[i + h]
+            t = u + v
+            x[i] = (t & mask) - (t >> n)
+            t = u - v
+            x[i + h] = (t & mask) - (t >> n)
+        for j in range(1, h):
+            e = n - j * unit
+            for i in range(j, size, span):
+                u, t = x[i], x[i + h] << e
+                t = (t & mask) - (t >> n)
+                v = u - t
+                x[i] = (v & mask) - (v >> n)
+                v = u + t
+                x[i + h] = (v & mask) - (v >> n)
+        span <<= 1

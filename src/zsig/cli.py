@@ -52,7 +52,8 @@ def _format_value(num: int, den: int) -> str:
     nd, dd = _decimal_digits(num), _decimal_digits(den)
     if (num < 0) + nd + (0 if den == 1 else 1 + dd) <= 60:
         return str(num) if den == 1 else f"{num}/{den}"
-    return f"<{nd}-digit>/<{dd}-digit>" if den != 1 else f"<{nd}-digit>"
+    sign = "-" if num < 0 else ""
+    return f"{sign}<{nd}-digit>/<{dd}-digit>" if den != 1 else f"{sign}<{nd}-digit>"
 
 
 def _orbit_preamble(args) -> OrbitRecord:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    _SSA_BITS,
     _TOOM_BITS,
     factor_small,
     mul,
@@ -180,16 +181,25 @@ def prime_factor_roundtrip() -> str:
 def multiply_kernel_matches_plain() -> str:
     # the orbit step's multiply against CPython's, on both sides of the Toom-3
     # cutoff: balanced and lopsided pairs (long:short in quarters), two levels
-    # of recursion at 3 * cutoff, mixed signs, powers of two and squares
+    # of recursion at 3 * cutoff, mixed signs, powers of two and squares; then
+    # across the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones
+    # operands (the largest convolution coefficients) and a negative
     rng = random.Random(454)
     t = _TOOM_BITS
+    pairs = []
     for short, quarters in ((t - 1, 4), (t, 4), (t, 5), (t, 7), (t, 12), (3 * t + 1, 4), (3 * t + 1, 6)):
         long = short * quarters // 4
         a = -(rng.getrandbits(long) | 1 << (long - 1))
         b = rng.getrandbits(short) | 1 << (short - 1)
-        for x, y in ((a, b), (a, -b), (a, a), (b, b), (1 << short, a)):
-            if mul(x, y) != x * y:
-                return f"mul differs from * on a {x.bit_length()}-bit by {y.bit_length()}-bit pair"
+        pairs += [(a, b), (a, -b), (a, a), (b, b), (1 << short, a)]
+    third = _SSA_BITS // 3 + 1
+    a = rng.getrandbits(2 * third) | 1 << (2 * third - 1)
+    b = rng.getrandbits(third) | 1 << (third - 1)
+    ones = (1 << _SSA_BITS // 2) - 1
+    pairs += [(a, a), (a, b), (-a, b), (ones, ones), (ones >> 1, ones)]
+    for x, y in pairs:
+        if mul(x, y) != x * y:
+            return f"mul differs from * on a {x.bit_length()}-bit by {y.bit_length()}-bit pair"
     return ""
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import zsig.arith as arith
 from zsig.arith import (
+    _SSA_BITS,
     _TOOM_BITS,
     IncompleteFactorizationError,
     _split_completely,
@@ -311,3 +312,93 @@ def test_mul_takes_toom3_from_the_cutoff(monkeypatch):
     longer = (1 << (4 * _TOOM_BITS)) - 7
     assert mul(longer, at) == longer * at
     assert calls == [_TOOM_BITS] * 4
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    product=st.integers(_SSA_BITS - 4000, 2 * _SSA_BITS),
+    tenths=st.integers(10, 32),  # long / short from 1:1 to just past 3:1
+    shapes=st.tuples(SHAPES, SHAPES),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mul_past_the_ssa_cutoff_is_the_plain_product(product, tenths, shapes, signs, seed):
+    rng = random.Random(seed)
+    short = product * 10 // (10 + tenths)
+    a = signs[0] * _operand(rng, product - short, shapes[0])
+    b = signs[1] * _operand(rng, short, shapes[1])
+    assert mul(a, b) == a * b
+    assert mul(b, a) == a * b
+    assert mul(a, a) == a * a
+    assert mul(a, 0) == 0 == mul(0, b)
+
+
+@given(st.integers(_SSA_BITS, 10**8))
+def test_ssa_layout_fits_every_split(n):
+    k, m, big = arith._ssa_layout(n)
+    size = 1 << k
+    assert m % 8 == 0 and big % (size // 2) == 0 and big >= 2 * m + k + 1
+    assert 2 * big // size >= 2  # every twiddle shift is at most N - 2 bits
+    for na in (1, n // 3, n // 2, n - 1):
+        assert -(-na // m) + -(-(n - na) // m) - 1 <= size
+
+
+def test_ssa_exact_fill_and_extreme_coefficients():
+    """All-ones operands whose pieces fill the transform exactly.
+
+    Every piece is 2^M - 1, so the middle coefficients reach their largest
+    value, where N >= 2M + k + 1 is tight.
+    """
+    k, m, _ = arith._ssa_layout(256 * 2152)
+    assert (k, m) == (8, 2152)
+    na, nb = 128 * m + m // 2, 127 * m + m // 2  # 129 + 128 pieces: 256 coefficients
+    a, b = (1 << na) - 1, (1 << nb) - 1
+    assert arith._ssa(a, b, na, nb) == a * b
+    assert mul(a, -b) == -a * b
+    assert mul(a, a) == a * a
+
+
+def test_mul_takes_ssa_from_its_cutoff(monkeypatch):
+    """The transform runs from _SSA_BITS product bits on, up to 3:1 operands."""
+    calls = []
+    real = arith._ssa
+
+    def spy(a, b, na, nb):
+        calls.append(na + nb)
+        return real(a, b, na, nb)
+
+    monkeypatch.setattr(arith, "_ssa", spy)
+    half = _SSA_BITS // 2
+    below, at = (1 << (half - 1)) - 3, (1 << half) - 5
+    assert mul(below, at) == below * at and mul(below, below) == below * below
+    assert calls == []
+    assert mul(at, at) == at * at and mul(-at, at + 2) == -at * (at + 2)
+    assert calls == [_SSA_BITS, _SSA_BITS]
+    calls.clear()
+    third = _SSA_BITS // 4
+    lopsided = (1 << (3 * third)) - 9
+    b = (1 << third) - 1
+    assert mul(lopsided, b) == lopsided * b and calls == [4 * third]
+    calls.clear()
+    assert mul(lopsided << 1, b) == (lopsided << 1) * b  # past 3:1: cut into pieces
+    assert calls == []
+    power = 1 << _SSA_BITS
+    assert mul(power, at) == power * at and mul(power, power) == power * power
+    assert calls == []
+
+
+def test_mul_by_a_power_of_two_is_a_shift(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a power of two reached a multiply kernel")
+
+    monkeypatch.setattr(arith, "_toom3", no_kernel)
+    monkeypatch.setattr(arith, "_ssa", no_kernel)
+    rng = random.Random(77)
+    for bits in (_TOOM_BITS, 3 * _TOOM_BITS, _SSA_BITS):
+        power = 1 << bits
+        other = rng.getrandbits(bits) | 1 << (bits - 1)
+        for x in (other, -other):
+            assert mul(power, x) == power * x == mul(x, power)
+        assert mul(power, power) == power * power
+        negative = -power
+        assert mul(negative, negative) == power * power

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import zsig
+import zsig.arith
 import zsig.cli as cli
 import zsig.poly
 from zsig.cli import main
@@ -68,6 +69,18 @@ def test_orbit_default_horizon_prints_past_the_str_digit_limit(capsys):
     assert rows[9].split() == ["10", "1800.7048", "2^19683", "<6708-digit>/<5926-digit>"]
 
 
+def test_orbit_abbreviated_negative_values_keep_their_sign(capsys):
+    rc, out, _ = run(capsys, "orbit", "--poly", "x^3+x^2", "--c=-3", "--horizon", "7")
+    assert rc == 0
+    rows = [line.split() for line in out.splitlines()[-3:]]
+    assert rows[0] == ["5", "81.7657", "-", "-323890966670970704829668980624583643"]
+    assert rows[1] == ["6", "245.2971", "-", "-<107-digit>"]
+    assert rows[2] == ["7", "735.8914", "-", "-<320-digit>"]
+    rc, out, _ = run(capsys, "orbit", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "5")
+    assert rc == 0
+    assert out.splitlines()[-1].split() == ["5", "31.3338", "3^81", "-<53-digit>/<39-digit>"]
+
+
 def test_orbit_coeffs_form(capsys):
     rc, out, _ = run(capsys, "orbit", "--coeffs", "0,0,1,1", "--c", "1", "--horizon", "2")
     assert rc == 0 and "x^3 + x^2" in out
@@ -91,8 +104,16 @@ def test_zsigmondy_command(capsys):
     assert out.splitlines()[-1] == "window truncated at n=5 by the 20-bit cap"
 
 
-# stdout digests recorded before arith.mul served the orbit step; every
-# command's orbit entries pass the kernel's Toom-3 cutoff
+# stdout digests, each recorded before the multiply kernels the command
+# reaches served the orbit step; every command's orbit entries pass the
+# Toom-3 cutoff, and these make products of arith._SSA_BITS bits or more
+SSA_STDOUT_SHA256 = {
+    ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "13"):
+        "b0230f5b9a0e6710011d2e6595ba0450581bb3d97d0ee24145e551e04842aa5e",
+    # the 2000000-bit cap truncates this window at n = 15
+    ("zsigmondy", "--poly", "x^3+x^2", "--c", "1/2", "--horizon", "16"):
+        "84cc3818ea3985e2587b9d6f288284ffe55aeb8cdae705fe7cd891aa14209098",
+}
 DEEP_STDOUT_SHA256 = {
     ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "12"):
         "745539c1266ea58378e1372bc3c4e8b35cfebbd395c8d0c19aefd22c7a4fd312",
@@ -102,25 +123,33 @@ DEEP_STDOUT_SHA256 = {
         "bab08c268ce4cc162ac8656da30584d383e40820e3598d35a27c4d269f5fb173",
     ("scan", "--poly", "x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "10"):
         "cbbb4af0958a6cdb0e6c4a68d1936ac52b7d628dc22948de0e7ba423c08385f1",
+    **SSA_STDOUT_SHA256,
 }
 
 
 def test_deep_orbit_bytes_are_pinned(capsys, monkeypatch):
     """Deep orbits print the same bytes, and their steps run through arith.mul."""
-    kernel_calls = []
-    real_mul = zsig.poly.mul
+    kernel_calls, ssa_calls = [], []
+    real_mul, real_ssa = zsig.poly.mul, zsig.arith._ssa
 
     def counting_mul(a, b):
         kernel_calls.append(1)
         return real_mul(a, b)
 
+    def counting_ssa(a, b, na, nb):
+        ssa_calls.append(1)
+        return real_ssa(a, b, na, nb)
+
     monkeypatch.setattr(zsig.poly, "mul", counting_mul)
+    monkeypatch.setattr(zsig.arith, "_ssa", counting_ssa)
     for argv, digest in DEEP_STDOUT_SHA256.items():
         kernel_calls.clear()
+        ssa_calls.clear()
         rc, out, _ = run(capsys, *argv)
         assert rc == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
         assert kernel_calls, argv
+        assert ssa_calls or argv not in SSA_STDOUT_SHA256, argv
 
 
 def test_zsigmondy_zero_orbit_notes_and_exits_clean(capsys):

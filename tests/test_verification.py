@@ -80,10 +80,15 @@ def test_sampling_checks_can_fail(monkeypatch, name, checker, filtered):
 
 
 def test_multiply_kernel_check_can_fail(monkeypatch):
-    # a kernel that is off by one only past the cutoff
-    def off_by_one(a, b):
+    # kernels that are off by one only past the Toom-3 cutoff, and only on
+    # products of _SSA_BITS bits or more
+    def past_toom(a, b):
         return a * b + (min(a.bit_length(), b.bit_length()) >= verification._TOOM_BITS)
 
-    monkeypatch.setattr(verification, "mul", off_by_one)
-    [result] = run_all(["multiply_kernel_matches_plain"])
-    assert not result.ok and result.detail.startswith("mul differs from * on a "), result
+    def past_ssa(a, b):
+        return a * b + (a.bit_length() + b.bit_length() >= verification._SSA_BITS)
+
+    for kernel in (past_toom, past_ssa):
+        monkeypatch.setattr(verification, "mul", kernel)
+        [result] = run_all(["multiply_kernel_matches_plain"])
+        assert not result.ok and result.detail.startswith("mul differs from * on a "), result
