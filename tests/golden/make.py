@@ -1,0 +1,79 @@
+"""Write the golden corpus: one file per CLI command, its exit code and exact stdout.
+
+Each file starts with two header lines, `$ zsig <argv>` and `exit <code>`,
+and the command's stdout follows byte for byte.  tests/test_golden.py
+runs every command through zsig.cli.main and compares.  The files record
+the output of the commit they were made at; a change that alters one
+changes output and must say so line by line.  Run from the repository
+root, with the tree whose output is to be recorded on the path:
+
+    PYTHONPATH=src python tests/golden/make.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import shlex
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+_ORBITS = (
+    ("x^3+x^2", ("1/2", "-5/3", "1/6", "3", "-3/4")),
+    ("2*x^3+x^2", ("1/12", "1/2", "3/2")),
+    ("6*x^3+3*x^2", ("-5/2",)),
+)
+_SURVEY = ("x^3+x^2", "2*x^3+x^2")
+_BOUNDS = ("x^3+x^2", "2*x^3+x^2", "x^4+x^2", "x^2", "3*x^3+2*x^2", "-x^3+x^2", "x^60",
+           "100*x^50+x^2", "7*x^5-3*x^3+2*x^2")
+
+COMMANDS: tuple[tuple[str, ...], ...] = (
+    *((cmd, f"--poly={poly}", f"--c={c}")
+      for cmd in ("orbit", "zsigmondy") for poly, cs in _ORBITS for c in cs),
+    ("zsigmondy", "--poly=x^3+x^2", "--c=1/2", "--bit-cap", "20"),
+    *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6",
+       "--horizon", str(horizon), "--format", fmt)
+      for poly in _SURVEY for horizon in (8, 10) for fmt in ("csv", "json")),
+    *(("bounds", f"--poly={poly}") for poly in _BOUNDS),
+    ("bounds", "--poly=x^3+x^2", "--L", "1/3", "--N", "5"),
+    ("normalize", "--poly", "x^3-3*x", "--u", "1"),
+    ("verify",),
+)
+
+
+def file_name(argv: tuple[str, ...]) -> str:
+    """A readable file name for argv; the header line keeps the exact argv."""
+    words = (re.sub(r"[^A-Za-z0-9+=.-]", "", a.removeprefix("--").replace("/", "over"))
+             for a in argv)
+    return "_".join(words) + ".txt"
+
+
+def run(argv: tuple[str, ...]) -> tuple[int, str]:
+    """(exit code, stdout) of `zsig argv`, run in this process; stderr is dropped."""
+    from zsig.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(list(argv))
+    return rc, out.getvalue()
+
+
+def render(argv: tuple[str, ...], rc: int, stdout: str) -> str:
+    return f"$ zsig {shlex.join(argv)}\nexit {rc}\n{stdout}"
+
+
+def main() -> int:
+    names = [file_name(argv) for argv in COMMANDS]
+    assert len(set(names)) == len(names), "two commands share a file name"
+    for old in HERE.glob("*.txt"):
+        old.unlink()
+    for argv, name in zip(COMMANDS, names):
+        (HERE / name).write_text(render(argv, *run(argv)), encoding="utf-8", newline="")
+    print(f"wrote {len(names)} files to {HERE}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
