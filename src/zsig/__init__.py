@@ -23,11 +23,18 @@ _EXPORTS = {
         "CSV_HEADER", "ScanConfig", "ScanRow", "ScanSummary", "csv_text", "grid",
         "json_text", "run_scan", "write_output",
     ),
+    "lemmas": (
+        "check_cross_bound", "check_denominator_lower_bound", "check_escape_growth",
+        "check_monomial_sandwich", "check_upper_bounds", "check_valuation_recursion",
+        "cross_bound_ok", "excess_bound_ok", "excess_primes", "power_sum_dominated",
+    ),
+    "oracle": (
+        "brute_force_verdict", "iterate_rational", "primitive_divisor_verdicts",
+        "zsigmondy_of_values",
+    ),
     "orbit": (
-        "MembershipDecision", "OrbitEntry", "OrbitRecord", "Verdict", "brute_force_verdict",
-        "check_denominator_lower_bound", "check_escape_growth", "check_upper_bounds",
-        "check_valuation_recursion", "decide_membership", "escape_check", "escape_radius",
-        "iterate", "iterate_rational",
+        "MembershipDecision", "OrbitEntry", "OrbitRecord", "Verdict", "decide_membership",
+        "escape_check", "escape_radius", "iterate",
     ),
     "poly": (
         "NormalizationCertificate", "PolynomialSyntaxError", "RatPolynomial",
@@ -37,11 +44,8 @@ _EXPORTS = {
     "verification": ("CheckResult", "check_names", "run_all"),
     "zsigmondy": (
         "BoundReport", "KriegerStatus", "PrimitiveDivisorVerdict", "ZsigmondyReport",
-        "bound_report", "check_cross_bound", "check_monomial_sandwich", "cross_bound_ok",
-        "evertse_bound", "excess_bound_ok", "excess_primes", "growth_threshold",
-        "index_bound_n0", "index_bound_n1", "index_bound_n2",
-        "power_sum_dominated", "primitive_divisor_verdicts", "root_bound",
-        "zsigmondy_of_values", "zsigmondy_set",
+        "bound_report", "evertse_bound", "growth_threshold", "index_bound_n0",
+        "index_bound_n1", "index_bound_n2", "root_bound", "zsigmondy_set",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

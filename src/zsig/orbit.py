@@ -2,8 +2,8 @@
 
 Entries are 1-indexed: value(1) = g_c(0) = c, value(n+1) = g(value(n)) + c.
 Everything is exact integer arithmetic on reduced numerator/denominator
-pairs; the one float is ln |value|, which `zsig orbit` prints.  The bound
-checkers decide exactly, comparing powers through zsig.enclosure.
+pairs; the one float is ln |value|, which `zsig orbit` prints.  The growth
+lemmas these orbits obey are checked in zsig.lemmas.
 
 A reduced denominator M_n can only contain primes dividing den(c), so the
 support is factored once per (lead, den(c)) pair and kept.  The "deep"
@@ -16,11 +16,11 @@ The same support reduces each step.  With c = A/B and entry a/M, the raw
 step (P*B + A*M^d) / (M^d*B) can only share primes of B with itself, so
 it is divided by p^k over those primes, with k read off a small ledger of
 val_p(M) rather than found by a gcd of the million-bit raw pair.  Each
-entry's depth is read off that ledger; check_valuation_recursion is its oracle.
+entry's depth is read off that ledger; lemmas.check_valuation_recursion
+is its oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import factor_small, ln_abs_ratio, val_p
-from .poly import RatPolynomial, X2DivisiblePoly
+from .poly import X2DivisiblePoly
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
 DEFAULT_BIT_CAP = 2_000_000
@@ -87,12 +87,6 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     if den == 1:
         return ()
     return tuple((p, b, val_p(lead, p) if lead % p == 0 else 0) for p, b in factor_small(den))
-
-
-def _deep_valuations(den: int, lead_vals: dict[int, int]) -> dict[int, int]:
-    """val_p(den) at the support primes where it exceeds val_p(lead)."""
-    vals = {p: val_p(den, p) for p in lead_vals if den % p == 0}
-    return {p: e for p, e in vals.items() if e > lead_vals[p]}
 
 
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
@@ -257,125 +251,3 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
             return MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,
                                       trigger_index=n, trigger_prime=min(deep))
         seen[num, den] = n
-
-
-def brute_force_verdict(g: X2DivisiblePoly, c, steps: int = 500,
-                        bit_cap: int = 10**6) -> Optional[tuple[str, int, int]]:
-    """Independent repeat detector on plain Fractions, for cross-checking.
-
-    Returns ("finite", tail, cycle) when a repeat shows up within the
-    step and size limits, None when nothing can be concluded.
-    """
-    c = Fraction(c)
-    seen: dict[Fraction, int] = {}
-    x = c
-    for n in range(1, steps + 1):
-        if x in seen:
-            return ("finite", seen[x], n - seen[x])
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) > bit_cap:
-            return None
-        seen[x] = n
-        x = g(x) + c
-    return None
-
-
-def iterate_rational(f: RatPolynomial, c, start, horizon: int) -> list[Fraction]:
-    """[x, f_c(x), ..., f_c^horizon(x)] for an arbitrary rational map f + c."""
-    c = Fraction(c)
-    x = Fraction(start)
-    out = [x]
-    for _ in range(horizon):
-        x = f(x) + c
-        out.append(x)
-    return out
-
-
-def check_upper_bounds(orbit: OrbitRecord) -> list[str]:
-    """Violations of the growth ceilings; empty when the orbit obeys them.
-
-    Denominators: M_n <= M_1^(d^(n-1)).  Values: |value(n)| <= C^(d^(n-1))
-    with C = 2 |u_d| max(|c|, 4 L).  Zero values are skipped.  enclosure.power_le decides.
-    """
-    from .enclosure import power_le  # only the checkers need it; scans never load it
-
-    g = orbit.poly
-    d = g.degree
-    bad: list[str] = []
-    m1 = orbit.entries[0].den if orbit.entries else 1
-    ceiling = 2 * abs(g.lead) * escape_radius(g, orbit.c)
-    for e in orbit.entries:
-        scale = d ** (e.n - 1)
-        if not power_le(e.den, 1, m1, scale):
-            bad.append(f"denominator bound fails at n={e.n}")
-        if e.num != 0 and not power_le((e.num, e.den), 1, ceiling, scale):
-            bad.append(f"value bound fails at n={e.n}")
-    return bad
-
-
-def check_valuation_recursion(orbit: OrbitRecord) -> list[str]:
-    """Exact oracle for the step ledger's denominator depths.
-
-    Depth is derived afresh from each stored denominator and must equal the
-    entry's deep_valuations.  For p deep at entry n: val_p(M_{n+1}) =
-    d * val_p(M_n) - val_p(u_d), and the new valuation must stay deep (persistence).
-    """
-    g = orbit.poly
-    lead_vals = {p: val_p(g.lead, p) for p in orbit.den_prime_support}
-    bad: list[str] = []
-    prev: dict[int, int] = {}  # depth of the entry before e
-    for e in orbit.entries:
-        deep = _deep_valuations(e.den, lead_vals)
-        if e.deep_valuations != deep:
-            bad.append(f"n={e.n}: ledger depth {e.deep_valuations}, denominator depth {deep}")
-        for p, m in prev.items():
-            expected = g.degree * m - lead_vals[p]
-            if p not in deep:
-                bad.append(f"p={p} deep at n={e.n - 1} but not at n={e.n}")
-            elif deep[p] != expected:
-                bad.append(f"p={p} at n={e.n}: val {deep[p]}, expected {expected}")
-        prev = deep
-    return bad
-
-
-def check_denominator_lower_bound(orbit: OrbitRecord) -> list[str]:
-    """hat^(d^(n-n')) <= M_n^3 for degree >= 3, decided by enclosure.power_le.
-
-    n' is the first entry with a deep denominator and hat, the deep part
-    of M_n', is the product of p^val_p over its deep primes.
-    """
-    g = orbit.poly
-    d = g.degree
-    if d < 3:
-        raise ValueError("denominator lower bound needs degree >= 3")
-    first = None
-    for e in orbit.entries:
-        if e.deep_valuations:
-            first = e
-            break
-    if first is None:
-        return []
-    from .enclosure import power_le
-
-    hat = math.prod(p**e for p, e in first.deep_valuations.items())
-    bad = []
-    for e in orbit.entries[first.n - 1:]:
-        if not power_le(hat, d ** (e.n - first.n), e.den, 3):
-            bad.append(f"denominator lower bound fails at n={e.n}")
-    return bad
-
-
-def check_escape_growth(orbit: OrbitRecord) -> list[str]:
-    """(|value(k0+1)| / 2)^(d^(n-1-k0)) <= |value(n)| past the escape index k0, by power_le."""
-    g = orbit.poly
-    d = g.degree
-    k0 = escape_check(orbit)
-    if k0 is None:
-        return []
-    from .enclosure import power_le
-
-    base = orbit.entry(k0 + 1)
-    bad = []
-    for e in orbit.entries[k0:]:
-        if not power_le((base.num, 2 * base.den), d ** (e.n - 1 - k0), (e.num, e.den), 1):
-            bad.append(f"escape growth fails at n={e.n}")
-    return bad

@@ -28,35 +28,30 @@ from .arith import (
     val_p,
 )
 from .harness import ScanConfig, csv_text, grid, run_scan
-from .orbit import (
-    Verdict,
-    brute_force_verdict,
+from .lemmas import (
     check_denominator_lower_bound,
     check_escape_growth,
+    check_monomial_sandwich,
     check_upper_bounds,
     check_valuation_recursion,
-    decide_membership,
-    iterate,
-    iterate_rational,
+    cross_bound_ok,
+    excess_bound_ok,
+    power_sum_dominated,
 )
+from .oracle import (
+    brute_force_verdict,
+    iterate_rational,
+    primitive_divisor_verdicts,
+    zsigmondy_of_values,
+)
+from .orbit import Verdict, decide_membership, iterate
 from .poly import (
     RatPolynomial,
     X2DivisiblePoly,
     critical_points_rational,
     normalize_to_x2_divisible,
 )
-from .zsigmondy import (
-    KriegerStatus,
-    check_monomial_sandwich,
-    cross_bound_ok,
-    excess_bound_ok,
-    growth_threshold,
-    index_bound_n0,
-    power_sum_dominated,
-    primitive_divisor_verdicts,
-    zsigmondy_of_values,
-    zsigmondy_set,
-)
+from .zsigmondy import KriegerStatus, growth_threshold, index_bound_n0, zsigmondy_set
 
 
 @dataclass(frozen=True)

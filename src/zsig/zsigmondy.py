@@ -19,10 +19,9 @@ rigidly divisible: p | N_n exactly when m_p | n, m_p the first index p
 divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
 some N_(n/q).  The few primes of den(c) fall outside that argument; a
 running product keeps those that divided an earlier numerator, so each
-numerator is read once and stripped once.  Generic value sequences have
-no such structure and are stripped against every earlier numerator.  The
-primes q of each index are read off one prime list per orbit, the primes
-up to the window length, so an orbit's indices are never factored.
+numerator is read once and stripped once.  The primes q of each index are
+read off one prime list per orbit, the primes up to the window length, so
+an orbit's indices are never factored.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
@@ -34,8 +33,9 @@ reads neither, builds neither.  Index n reads only entries 1..n, so the
 report of a shorter orbit, iterate(g, c, k), is the first k rows of a
 longer one's; the window is the orbit passed in.
 
-The bound solvers and check_cross_bound compare logs through zsig.enclosure,
-imported when they run, so scans and single orbits never load it.
+The bound solvers compare logs through zsig.enclosure, imported when they
+run, so scans and single orbits never load it.  The naive all-pairs strip
+is in zsig.oracle and the growth lemmas are checked in zsig.lemmas.
 """
 from __future__ import annotations
 
@@ -44,19 +44,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import (
-    distinct_prime_factors,
-    factor_small,
+    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 7
     is_probable_prime,
     ln_abs_ratio,
-    prime_quotient_power_sum,
     primes_up_to,
     strip_common_primes,
-    val_p,
 )
-from .orbit import OrbitRecord, escape_radius
+from .orbit import OrbitRecord
 from .poly import X2DivisiblePoly, length
 
 
@@ -93,16 +90,6 @@ class PrimitiveDivisorVerdict:
 _WITNESS_BIT_LIMIT = 4096
 
 
-def _abs_numerators(values: Iterable) -> list[int]:
-    nums = []
-    for i, v in enumerate(values, start=1):
-        a = Fraction(v).numerator if not isinstance(v, int) else v
-        if a == 0:
-            raise ValueError(f"value at index {i} is zero; orbit is preperiodic")
-        nums.append(abs(a))
-    return nums
-
-
 def _bounded_witness(residue: int) -> Optional[int]:
     """Smallest prime of the residue findable with bounded effort.
 
@@ -116,28 +103,6 @@ def _bounded_witness(residue: int) -> Optional[int]:
         if p * p > residue:
             return residue
     return residue if is_probable_prime(residue) else None
-
-
-def _strip_index(nums: Sequence[int], n: int) -> int:
-    """N_n without the primes it shares with N_1 .. N_(n-1); 1 if none is left."""
-    residue = nums[n - 1]
-    for k in range(n - 1):
-        if residue == 1:
-            break
-        residue = strip_common_primes(residue, nums[k])
-    return residue
-
-
-def primitive_divisor_verdicts(values: Iterable) -> tuple[PrimitiveDivisorVerdict, ...]:
-    """Primitivity verdicts for a generic value sequence (1-indexed)."""
-    nums = _abs_numerators(values)
-    return tuple(PrimitiveDivisorVerdict(n, _strip_index(nums, n))
-                 for n in range(1, len(nums) + 1))
-
-
-def zsigmondy_of_values(values: Iterable) -> tuple[int, ...]:
-    """Indices of the sequence with no primitive prime."""
-    return tuple(v.n for v in primitive_divisor_verdicts(values) if not v.has_primitive)
 
 
 class KriegerStatus(str, Enum):
@@ -202,11 +167,13 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     n_max = len(orbit.entries)
     if n_max < 1:
         raise ValueError("empty window")
-    nums = _abs_numerators(e.num for e in orbit.entries)
+    nums = [abs(e.num) for e in orbit.entries]
     primes = primes_up_to(n_max)
     residues, zset, rin_failures, krieger_pairs = [], [], [], []
     seen = 1
     for n, num in enumerate(nums, start=1):
+        if num == 0:
+            raise ValueError(f"value at index {n} is zero; orbit is preperiodic")
         prod = _quotient_product(nums, n, [p for p in primes if n % p == 0])
         residue = strip_common_primes(num, prod * seen)
         residues.append(residue)
@@ -220,45 +187,6 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
             rin_failures.append(n)
     return ZsigmondyReport(residues=tuple(residues), zset=tuple(zset),
                            rin_failures=tuple(rin_failures), krieger_pairs=tuple(krieger_pairs))
-
-
-def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
-    """Primes of a with valuation above their valuation in lead, plus their part.
-
-    Returns (I, I_hat) where I = {p : val_p(a) > val_p(lead)} and I_hat is
-    the product of p^val_p(a) over I.  a is factored completely.
-    """
-    a = abs(a)
-    if a == 0:
-        raise ValueError("excess primes of zero are undefined")
-    deep = [(p, e) for p, e in factor_small(a)
-            if e > (val_p(lead, p) if lead % p == 0 else 0)]
-    return frozenset(p for p, _ in deep), math.prod(p**e for p, e in deep)
-
-
-def excess_bound_ok(a: int, lead: int) -> bool:
-    """|a| <= |lead| * (excess part of a): shallow primes cannot beat the lead."""
-    _, part = excess_primes(a, lead)
-    return abs(a) <= abs(lead) * part
-
-
-def power_sum_dominated(d: int, n: int) -> bool:
-    """Exact check that (sum of d^(n/p) over primes p | n)^5 <= d^(3n).
-
-    Two-step ladder, every step an exact integer statement: each term is
-    at most d^floor(n/2), so the sum is at most omega(n) * d^ceil(n/2),
-    and omega(n) <= floor(log2 n) <= d^(floor(3n/5) - ceil(n/2)) closes
-    it since 5 * floor(3n/5) <= 3n.  The ladder factors nothing; when its
-    gap is inconclusive the sum is built literally and fifth-powered.
-    """
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
-    w = n.bit_length() - 1  # n is at least the product of its omega(n) primes
-    gap = (3 * n) // 5 - (n + 1) // 2
-    if gap >= 0 and (gap >= w.bit_length() or w <= d**gap):
-        return True
-    s = prime_quotient_power_sum(d, n)
-    return s**5 <= d ** (3 * n)
 
 
 def evertse_bound(r: int, delta) -> float:
@@ -394,94 +322,6 @@ def growth_threshold(d: int, alpha, beta) -> int:
     while not _growth_exceeds(d, n, alpha, beta, exact_m):
         n += 1
     return n
-
-
-def cross_bound_ok(ln_values: Sequence, d: int, ln_ceiling: float | Fraction, n: int) -> bool:
-    """sum of ln|N_(n/p)| over primes p | n stays under d^(3n/5) * ln_ceiling.
-
-    Exact on the inputs as rationals (a float is one): (sum)^5 <= d^(3n) *
-    ln_ceiling^5.  ln_values is 1-indexed via ln_values[k-1].
-    """
-    if ln_ceiling <= 0:
-        raise ValueError("ceiling must exceed 1 in the log domain")
-    if n < 30:
-        raise ValueError("cross bound only applies for n >= 30")
-    lhs = sum(Fraction(ln_values[n // p - 1]) for p in distinct_prime_factors(n))
-    if lhs <= 0:
-        return True
-    return lhs**5 <= d ** (3 * n) * Fraction(ln_ceiling) ** 5
-
-
-def check_cross_bound(orbit: OrbitRecord) -> list[str]:
-    """Violations of the cross bound at every computed index n >= 30.
-
-    The ceiling is ln(2 |u_d|^2 B_hat max(|c|, 4L)), B_hat the deep part of
-    den(c).  An index holds when cross_bound_ok passes on the upper ends of
-    the enclosed ln|N_k| against the lower end of the ceiling's, and fails
-    when it fails on the lower ends against the upper end.
-    """
-    if any(e.num == 0 for e in orbit.entries):
-        raise ValueError("orbit hits zero; cross bound undefined")
-    from .enclosure import PRECISIONS, ln
-
-    g = orbit.poly
-    d = g.degree
-    hat = math.prod(p**e for p, e in orbit.entries[0].deep_valuations.items())
-    ceiling = 2 * g.lead * g.lead * hat * escape_radius(g, orbit.c)
-    bad, open_ = [], list(range(30, len(orbit.entries) + 1))
-    for prec in PRECISIONS:
-        if not open_:
-            break
-        lo, hi = zip(*(ln(e.num, prec).bounds() for e in orbit.entries))
-        c_lo, c_hi = ln(ceiling, prec).bounds()
-        undecided = []
-        for n in open_:
-            if not cross_bound_ok(hi, d, c_lo, n):
-                (undecided if cross_bound_ok(lo, d, c_hi, n) else bad).append(n)
-        open_ = undecided
-    if open_:
-        raise ArithmeticError(f"cross bound at n={open_[0]} could not be certified")
-    return [f"cross bound fails at n={n}" for n in sorted(bad)]
-
-
-def check_monomial_sandwich(orbit: OrbitRecord) -> list[str]:
-    """Exact two-sided envelopes for monomials with small parameter.
-
-    Needs a monomial with positive leading coefficient and
-    0 < |c| < 1/(4 u_d).  Positive c (or negative c in odd degree, whose
-    orbit is the mirror image) obeys |c| <= |v_n| <= (u_d+1)^E |c| with
-    E = (d^(n-1) - 1)/(d - 1); negative c in even degree contracts:
-    |c| (1 - u_d |c|^(d-1)) <= |v_n| <= |c|.
-
-    With c = a/b and v_n = N/M, every side but one is an integer
-    cross-multiplication; the expanding ceiling is decided in the power
-    form |N b| / (M |a|) <= (u_d+1)^E by enclosure.power_le.
-    """
-    g = orbit.poly
-    if not g.is_monomial or g.lead <= 0:
-        raise ValueError("sandwich needs a monomial with positive leading coefficient")
-    c = orbit.c
-    if c == 0 or 4 * g.lead * abs(c) >= 1:
-        raise ValueError("parameter outside the window 0 < |c| < 1/(4 u_d)")
-    from .enclosure import power_le  # only the checkers need it; scans never load it
-
-    d = g.degree
-    a, b = abs(c.numerator), c.denominator
-    bad: list[str] = []
-    if c > 0 or d % 2 == 1:
-        for e in orbit.entries:
-            expo = (d ** (e.n - 1) - 1) // (d - 1)
-            num_b, den_a = abs(e.num) * b, e.den * a
-            if num_b < den_a or not power_le((num_b, den_a), 1, g.lead + 1, expo):
-                bad.append(f"expanding sandwich fails at n={e.n}")
-    else:
-        # |c| (1 - u_d |c|^(d-1)) = a (b^(d-1) - u_d a^(d-1)) / b^d
-        low_num, low_den = a * (b ** (d - 1) - g.lead * a ** (d - 1)), b**d
-        for e in orbit.entries:
-            v = abs(e.num)
-            if v * low_den < low_num * e.den or v * b > a * e.den:
-                bad.append(f"contracting sandwich fails at n={e.n}")
-    return bad
 
 
 @dataclass(frozen=True)

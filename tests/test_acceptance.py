@@ -15,26 +15,18 @@ import mpmath
 
 from zsig.arith import distinct_prime_factors, prime_quotient_power_sum, primes_up_to, val_p
 from zsig.harness import ScanConfig, csv_text, json_text, run_scan
-from zsig.orbit import (
-    Verdict,
-    brute_force_verdict,
+from zsig.lemmas import (
     check_denominator_lower_bound,
     check_escape_growth,
+    check_monomial_sandwich,
     check_upper_bounds,
     check_valuation_recursion,
-    decide_membership,
-    iterate,
-    iterate_rational,
-)
-from zsig.poly import RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible
-from zsig.zsigmondy import (
-    check_monomial_sandwich,
-    evertse_bound,
-    index_bound_n0,
     power_sum_dominated,
-    zsigmondy_of_values,
-    zsigmondy_set,
 )
+from zsig.oracle import brute_force_verdict, iterate_rational, zsigmondy_of_values
+from zsig.orbit import Verdict, decide_membership, iterate
+from zsig.poly import RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible
+from zsig.zsigmondy import evertse_bound, index_bound_n0, zsigmondy_set
 
 
 def _gate(num: int, ok: bool, detail: str) -> None:

@@ -27,7 +27,7 @@ from zsig.arith import (
 )
 from zsig.orbit import decide_membership, iterate
 from zsig.poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, scale_to_integer
-from zsig.zsigmondy import excess_primes
+from zsig.lemmas import excess_primes
 
 
 def test_primes_up_to_matches_sympy():

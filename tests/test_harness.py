@@ -12,6 +12,7 @@ from functools import cached_property
 
 import pytest
 
+import zsig.arith
 import zsig.harness
 import zsig.orbit
 import zsig.zsigmondy
@@ -327,8 +328,8 @@ def test_scan_factors_no_orbit_index(monkeypatch):
             return fn(n, *args, **kwargs)
         return wrapper
 
-    for name in ("distinct_prime_factors", "factor_small"):
-        monkeypatch.setattr(zsig.zsigmondy, name, recording(getattr(zsig.zsigmondy, name), calls))
+    # every factoring helper in arith (omega, distinct_prime_factors, ...) calls this one
+    monkeypatch.setattr(zsig.arith, "factor_small", recording(zsig.arith.factor_small, calls))
     monkeypatch.setattr(zsig.orbit, "factor_small", recording(zsig.orbit.factor_small, den_calls))
     zsig.orbit._den_support.cache_clear()  # the memo outlives a scan
     cfg = ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)

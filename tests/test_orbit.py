@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zsig.orbit as orbit_module
-from zsig.orbit import (
-    MembershipDecision,
-    Verdict,
-    brute_force_verdict,
+from zsig.lemmas import (
     check_denominator_lower_bound,
     check_escape_growth,
     check_upper_bounds,
     check_valuation_recursion,
+)
+from zsig.oracle import brute_force_verdict, iterate_rational
+from zsig.orbit import (
+    MembershipDecision,
+    Verdict,
     decide_membership,
     escape_check,
     escape_radius,
     iterate,
-    iterate_rational,
 )
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import zsigmondy_set

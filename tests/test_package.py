@@ -1,4 +1,6 @@
 """The package namespace: one name per object, and what importing it loads."""
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -56,6 +58,48 @@ def test_import_footprint():
     assert _fresh_python(f"import sys, zsig; {listing}") == "['zsig']"
     assert _fresh_python(f"import sys, zsig.cli; {listing}") == (
         "['zsig', 'zsig.arith', 'zsig.cli', 'zsig.orbit', 'zsig.poly', 'zsig.zsigmondy']")
+    # a scan and a single-orbit report, imported and run, load no checker code
+    code = """
+import contextlib, io, sys
+import zsig.harness
+from zsig.cli import main
+from zsig.poly import X2DivisiblePoly
+zsig.harness.run_scan(zsig.harness.ScanConfig(X2DivisiblePoly.parse('x^3+x^2'), 3, 2, horizon=6))
+with contextlib.redirect_stdout(io.StringIO()):
+    main(['zsigmondy', '--poly', 'x^3+x^2', '--c', '1/2'])
+print([m for m in ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure') if m in sys.modules])
+"""
+    assert _fresh_python(code) == "[]"
+
+
+# the modules a scan or a single orbit runs; the oracles and lemma checkers stay off them
+FAST_PATH = ("arith", "poly", "enclosure", "orbit", "zsigmondy", "harness", "cli")
+
+
+def test_fast_path_modules_never_import_oracles_or_lemmas():
+    package = Path(zsig.__file__).resolve().parent
+    for name in FAST_PATH:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):  # function bodies included
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            parts = {part for target in targets for part in target.split(".")}
+            assert not parts & {"oracle", "lemmas"}, f"{name}.py:{node.lineno}"
+
+
+def test_benchmark_trace_finds_every_name_it_patches(monkeypatch):
+    # perfbench --trace 1 swaps named zsig attributes for timers; a name a refactor
+    # drops breaks the traced runs, which no other tier-1 test starts
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    original = zsig.zsigmondy.distinct_prime_factors
+    with spans.installed(spans.Tracer(), zsig):
+        assert zsig.zsigmondy.distinct_prime_factors is not original
+    assert zsig.zsigmondy.distinct_prime_factors is original
 
 
 def test_lazy_namespace_resolves_every_public_name():

@@ -275,7 +275,7 @@ def test_normalize_frozen_certificates():
 
 def test_normalize_conjugacy_identity_random():
     """f_c^n(u) - u = t * target_{c'}^n(0) with c' = (c + s)/t, checked exactly."""
-    from zsig.orbit import iterate_rational
+    from zsig.oracle import iterate_rational
 
     rng = random.Random(77)
     polys = ["x^3-3*x", "x^4 - 2*x^2", "1/2*x^4", "x^3 + 3/2*x^2", "2*x^5 - 5/4*x^4"]

@@ -10,29 +10,29 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import zsig.zsigmondy as zsigmondy_module
+import zsig.oracle as oracle_module
+from zsig.lemmas import (
+    check_cross_bound,
+    check_monomial_sandwich,
+    cross_bound_ok,
+    excess_bound_ok,
+    excess_primes,
+    power_sum_dominated,
+)
+from zsig.oracle import _strip_index, primitive_divisor_verdicts, zsigmondy_of_values
 from zsig.orbit import OrbitEntry, iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
     KriegerStatus,
     bound_report,
-    check_cross_bound,
-    check_monomial_sandwich,
-    cross_bound_ok,
     evertse_bound,
-    excess_bound_ok,
-    excess_primes,
     growth_threshold,
     index_bound_n0,
     index_bound_n1,
     index_bound_n2,
-    power_sum_dominated,
-    primitive_divisor_verdicts,
     root_bound,
-    zsigmondy_of_values,
     zsigmondy_set,
 )
-from zsig.zsigmondy import _strip_index
 
 F = Fraction
 CUBIC = X2DivisiblePoly.parse("x^3+x^2")
@@ -103,6 +103,9 @@ def test_zsigmondy_refuses_zero_numerators():
     dead = iterate(SQUARE, 0, horizon=3)
     with pytest.raises(ValueError):
         zsigmondy_set(dead)
+    late = iterate(SQUARE, -1, horizon=3)  # -1, 0, -1
+    with pytest.raises(ValueError, match="^value at index 2 is zero; orbit is preperiodic$"):
+        zsigmondy_set(late)
 
 
 def _all_pairs_residues(orbit):
@@ -186,7 +189,7 @@ def test_orbit_routines_never_strip_all_pairs(monkeypatch):
     def refuse(*args):
         raise RuntimeError("all-pairs strip on an orbit")
 
-    monkeypatch.setattr(zsigmondy_module, "_strip_index", refuse)
+    monkeypatch.setattr(oracle_module, "_strip_index", refuse)
     for orbit, residues in zip(orbits, expected):
         report = zsigmondy_set(orbit)
         assert [v.residue for v in report.verdicts] == residues
