@@ -1,11 +1,11 @@
 """The paper's growth lemmas, checked on the data they are given.
 
-Each checker takes an orbit (or the numbers a lemma names) and returns
-its violations, empty when the inequality holds.  Every comparison is
-exact: powers are compared through zsig.enclosure, whose interval answer
-is settled in integers at a tie.  zsig verify and the tests read this
-module; no scan or single orbit imports it, so neither loads the
-enclosure module.
+Each check_* function takes an orbit and returns its violations, empty
+when the lemma holds; the others decide one inequality on the numbers
+they are given.  Every decision is exact: powers and logs are compared
+through zsig.enclosure, which settles a tie in integers.  zsig verify and
+the tests read this module; no scan or single orbit imports it, so
+neither loads the enclosure module.
 """
 from __future__ import annotations
 
