@@ -7,11 +7,16 @@ primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
 uses on big operands: CPython's own multiply below 24000 bits, a
 recursive Toom-3 above it, and a Schönhage-Strassen transform for
-products of 550000 bits or more.
+products of 550000 bits or more.  `power_on_helper` hands a big den^d to
+one forked helper process, so that it runs beside the numerator's chain.
 """
 from __future__ import annotations
 
+import _thread
+import atexit
 import math
+import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -26,6 +31,7 @@ _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _TOOM_BITS = 24_000  # mul leaves a pair whose shorter operand is under this to CPython
 _SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
+_HELPER_BITS = 50_000  # den bits from which eval_int_pair hands den^d to the helper
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):
@@ -460,3 +466,175 @@ def _ssa_inverse(x: list[int], n: int, mask: int) -> None:
                 v = u + t
                 x[i + h] = (v & mask) - (v >> n)
         span <<= 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _power(base: int, d: int) -> int:
+    # base^d for d >= 2 by eval_int_pair's chain: base^(d-2) one factor at a
+    # time, then times base squared
+    acc = 1
+    for _ in range(d - 2):
+        acc = mul(acc, base)
+    return mul(acc, mul(base, base))
+
+
+class _Helper:
+    """One forked process that reads (d, base) requests from a pipe and writes
+    base^d back on another.  Each int crosses as 8 little-endian bytes of
+    length, then its own little-endian bytes.  owner is the pid that forked it."""
+
+    __slots__ = ("pid", "owner", "requests", "replies")
+
+    def __init__(self, pid: int, requests, replies):
+        self.pid, self.owner = pid, os.getpid()
+        self.requests, self.replies = requests, replies
+
+
+_helper: _Helper | None = None  # at most one per process
+_helper_off = False  # set for good once this process may not or cannot use one
+_helper_lock = _thread.allocate_lock()  # held from a request until its reply is read
+
+
+def power_on_helper(base: int, d: int):
+    """Start base^d (base > 0, d >= 2) on the helper; a function that returns it, or None.
+
+    None means the caller computes base^d itself: base is a power of two,
+    which mul shifts, or no helper can be used here.  The helper is forked
+    on the first call that can use one, and only with two usable CPUs, an
+    os.fork, and no other thread running.  The returned function waits for
+    the reply; should the pipe fail, it runs the same chain (`_power`)
+    inline, so the value never depends on where it was computed.  One
+    request is in flight at a time; a request that is never collected
+    leaves every later call to the inline chain.
+    """
+    if not base & (base - 1) or not _helper_lock.acquire(False):
+        return None
+    helper = _running_helper()
+    if helper is not None:
+        try:
+            _write_ints(helper.requests, d, base)
+            return lambda: _power_reply(base, d)
+        except OSError:
+            _no_helper()
+    _helper_lock.release()
+    return None
+
+
+def _power_reply(base: int, d: int) -> int:
+    # the helper's answer to the request in flight; the inline chain if the pipe failed
+    try:
+        value = _read_int(_helper.replies)
+    except OSError:
+        value = None
+    if value is None:
+        _no_helper()
+        value = _power(base, d)
+    _helper_lock.release()
+    return value
+
+
+def _running_helper():
+    # this process's helper, forked now if it may have one; None where it may not
+    global _helper, _helper_off
+    if _helper is not None:
+        if _helper.owner == os.getpid():
+            return _helper
+        _no_helper()  # a forked child never writes to its parent's helper
+        return None
+    threading = sys.modules.get("threading")
+    if (_helper_off or not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading is not None and threading.active_count() > 1):
+        return None
+    fds: list[int] = []
+    try:
+        fds += os.pipe()  # requests: read end, write end
+        fds += os.pipe()  # replies: read end, write end
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        _helper_off = True
+        return None
+    if pid == 0:
+        try:
+            os.close(fds[1])
+            os.close(fds[2])
+            _serve(fds[0], fds[3])
+        finally:
+            os._exit(0)
+    os.close(fds[0])
+    os.close(fds[3])
+    atexit.register(_no_helper)
+    _helper = _Helper(pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb"))
+    return _helper
+
+
+def _no_helper() -> None:
+    """Let go of this process's helper and never start one here again.
+
+    Scan pool workers run it as their initializer, and a forked child runs it
+    on first reaching for its parent's helper: either closes its inherited
+    copies of the pipes.  The owner runs it at exit and after a pipe error,
+    and also ends the helper and reaps it.
+    """
+    global _helper, _helper_off
+    helper, _helper, _helper_off = _helper, None, True
+    if helper is None:
+        return
+    for pipe in (helper.requests, helper.replies):
+        try:
+            pipe.close()
+        except OSError:
+            pass
+    if helper.owner == os.getpid():
+        from _signal import SIGKILL
+        try:
+            os.kill(helper.pid, SIGKILL)
+        except OSError:
+            pass
+        try:
+            os.waitpid(helper.pid, 0)
+        except OSError:
+            pass
+
+
+def _serve(requests: int, replies: int) -> None:
+    # the helper's whole life: answer each (d, base) request until the owner
+    # closes its end.  Its stdio goes to /dev/null and every other descriptor
+    # it inherited is closed, so no reader of the owner's pipes waits on it.
+    from _signal import SIG_IGN, SIGINT, signal  # signal's enums would delay the first reply 2 ms
+    signal(SIGINT, SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(null, fd)
+    low, high = sorted((requests, replies))
+    os.closerange(3, low)
+    os.closerange(low + 1, high)
+    os.closerange(high + 1, max(high + 1, os.sysconf("SC_OPEN_MAX")))
+    with os.fdopen(requests, "rb") as src, os.fdopen(replies, "wb") as dst:
+        while (d := _read_int(src)) is not None and (base := _read_int(src)) is not None:
+            _write_ints(dst, _power(base, d))
+
+
+def _write_ints(pipe, *values: int) -> None:
+    for v in values:
+        body = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        pipe.write(len(body).to_bytes(8, "little"))
+        pipe.write(body)
+    pipe.flush()
+
+
+def _read_int(pipe) -> int | None:
+    # None at end of file or on a short read
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size)
+    return int.from_bytes(body, "little") if len(body) == size else None

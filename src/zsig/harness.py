@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -29,6 +28,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Optional, get_type_hints
 
+from .arith import _no_helper, _usable_cpus
 from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
 from .poly import X2DivisiblePoly, _poly_from_text
 from .zsigmondy import zsigmondy_set
@@ -161,13 +161,6 @@ class ScanSummary:
     runtime_seconds: float
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _worker_count(requested: int, grid_size: int) -> int:
     """Worker processes for a scan: no more than the grid points or the usable CPUs."""
     return max(1, min(requested, grid_size, _usable_cpus()))
@@ -178,7 +171,9 @@ def run_scan(config: ScanConfig) -> ScanSummary:
 
     Every payload carries the same polynomial instance, so the invariants it
     caches (length, escape floor, Horner coefficients) are worked out once
-    per process.
+    per process.  Pool workers start no den^d helper (arith.power_on_helper):
+    the pool already fills the CPUs, and a forked worker closes its copies
+    of the parent's helper pipes before its first parameter.
     """
     requested = config.parallelism
     started = time.perf_counter()
@@ -194,7 +189,7 @@ def run_scan(config: ScanConfig) -> ScanSummary:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
         chunk = max(1, len(payloads) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_no_helper) as pool:
             rows = tuple(pool.map(_scan_one, payloads, chunksize=chunk))
     else:
         rows = tuple(_scan_one(p) for p in payloads)

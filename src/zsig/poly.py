@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _TOOM_BITS, factor_small, mul, omega
+from .arith import _HELPER_BITS, _TOOM_BITS, factor_small, mul, omega, power_on_helper
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
@@ -200,15 +200,24 @@ class X2DivisiblePoly(RatPolynomial):
         happens here.  The multiply is picked once per call: CPython's
         while num and den are both under arith's Toom-3 cutoff, arith.mul
         once either reaches it (deep orbit entries, 10^4-10^6 bits).
+
+        From arith's _HELPER_BITS den bits on, den^degree is independent
+        work: arith.power_on_helper sends den to a helper process, which
+        runs the same chain on another CPU while this one runs Horner.
+        Where no helper can be used, or den is a power of two, den^degree
+        comes from the den power Horner built, as below the threshold.
         """
-        small = num.bit_length() < _TOOM_BITS and den.bit_length() < _TOOM_BITS
+        den_bits = den.bit_length()
+        small = num.bit_length() < _TOOM_BITS and den_bits < _TOOM_BITS
         times = operator.mul if small else mul
+        den_power = power_on_helper(den, self.degree) if den_bits >= _HELPER_BITS else None
         acc, lower = self._horner
         den_k = 1
         for u in lower:
             den_k = times(den_k, den)
             acc = times(acc, num) + u * den_k
-        return times(acc, times(num, num)), times(den_k, times(den, den))
+        value = times(acc, times(num, num))
+        return value, den_power() if den_power else times(den_k, times(den, den))
 
 
 def _poly_from_text(poly: str | None, coeffs: str | None) -> X2DivisiblePoly:

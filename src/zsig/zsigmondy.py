@@ -96,8 +96,10 @@ def _bounded_witness(residue: int) -> Optional[int]:
     Trial division to the sieve limit, then a probable-prime test on what
     is left.  A composite of primes all past the limit stays anonymous;
     rho-splitting residues this size loses far more often than it wins.
+    A residue below 10^6 has a prime factor below 1000 unless it is prime,
+    so it is divided by those primes only, and never builds the 10^5 sieve.
     """
-    for p in primes_up_to(10**5):
+    for p in primes_up_to(1000 if residue < 10**6 else 10**5):
         if residue % p == 0:
             return p
         if p * p > residue:

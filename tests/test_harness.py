@@ -174,9 +174,9 @@ def test_parallelism_setting_starts_its_pool(monkeypatch):
     real_pool = concurrent.futures.ProcessPoolExecutor
     started = []
 
-    def recording_pool(max_workers):
+    def recording_pool(max_workers, **options):
         started.append(max_workers)
-        return real_pool(max_workers=max_workers)
+        return real_pool(max_workers=max_workers, **options)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     assert csv_text(run_scan(_cfg(parallelism=2))) == serial
