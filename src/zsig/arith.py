@@ -31,7 +31,7 @@ _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _TOOM_BITS = 24_000  # mul leaves a pair whose shorter operand is under this to CPython
 _SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
-_HELPER_BITS = 50_000  # den bits from which eval_int_pair hands den^d to the helper
+_HELPER_BITS = 50_000  # base bits from which power_on_helper hands base^d to the helper
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):
@@ -43,13 +43,7 @@ class IncompleteFactorizationError(ArithmeticError, ValueError):
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, via a byte sieve.
-
-    The one prime list: factor_small and witness naming trial-divide by
-    primes_up_to(10**5), zsigmondy_set reads the primes of each orbit index
-    off primes_up_to(window length), and zsig verify counts omega(n) with
-    primes_up_to(20000).
-    """
+    """All primes <= limit, via a byte sieve: the package's one prime list."""
     if limit < 2:
         return ()
     sieve = bytearray([1]) * (limit + 1)
@@ -130,22 +124,32 @@ def val_p(x: Fraction | int, p: int) -> int:
     return _int_val(int(x), p)
 
 
+def trial_primes(n: int) -> tuple[int, ...]:
+    """Ascending primes that factor_small and witness naming trial-divide n >= 1 by.
+
+    Below 10^6, n with no prime factor under 1000 is 1 or prime, so those
+    primes suffice and the sieve to 10^5, which larger n get, is never built.
+    """
+    return primes_up_to(1000 if n < 10**6 else 10**5)
+
+
 def factor_small(n: int) -> tuple[tuple[int, int], ...]:
     """Ascending (prime, exponent) pairs of |n| != 0, every prime proven.
 
-    Trial division up to 10^6 finishes whenever |n| < 10^12 or every prime
-    factor is < 10^6; a cofactor below 2^128 is then split with a
-    deterministic Brent rho.  Anything left over -- a cofactor of 2^128 or
-    more, a rare rho failure, or a prime of 3.3 * 10^24 or more, which
-    Miller-Rabin can only call probable -- raises
-    IncompleteFactorizationError ("cannot certify") rather than guess.
+    Trial division (trial_primes(|n|), then odd steps to 10^6) finishes
+    whenever |n| < 10^12 or every prime factor is < 10^6; a cofactor below
+    2^128 is then split with a deterministic Brent rho.  Anything left over
+    -- a cofactor of 2^128 or more, a rare rho failure, or a prime of
+    3.3 * 10^24 or more, which Miller-Rabin can only call probable --
+    raises IncompleteFactorizationError ("cannot certify") rather than guess.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     m = abs(n)
     found: dict[int, int] = {}
     if m > 1:
-        for p in primes_up_to(10**5):
+        primes = trial_primes(m)
+        for p in primes:
             if p * p > m:
                 break
             if m % p == 0:
@@ -155,7 +159,7 @@ def factor_small(n: int) -> tuple[tuple[int, int], ...]:
         if m > 1 and not _is_proven_prime(m):
             # odd-step trial division above the sieved range; composite steps
             # are harmless because their prime parts are already stripped
-            q = 100_001
+            q = primes[-1] + 2
             while q <= _TRIAL_LIMIT and q * q <= m:
                 if m % q == 0:
                     e = _int_val(m, q)
@@ -231,6 +235,14 @@ def omega(n: int) -> int:
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Ascending distinct primes of |n|.  Raises on 0 or incomplete factorization."""
     return tuple(p for p, _ in factor_small(n))
+
+
+def divisors(factorization) -> list[int]:
+    """Ascending divisors of the product of p^e over the (p, e) pairs given."""
+    divs = [1]
+    for p, e in factorization:
+        divs = [m * p**k for m in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def strip_common_primes(r: int, s: int) -> int:
@@ -504,7 +516,8 @@ _helper_lock = _thread.allocate_lock()  # held from a request until its reply is
 def power_on_helper(base: int, d: int):
     """Start base^d (base > 0, d >= 2) on the helper; a function that returns it, or None.
 
-    None means the caller computes base^d itself: base is a power of two,
+    None means the caller computes base^d itself: base is under
+    _HELPER_BITS bits, too small to repay the pipes, or a power of two,
     which mul shifts, or no helper can be used here.  The helper is forked
     on the first call that can use one, and only with two usable CPUs, an
     os.fork, and no other thread running.  The returned function waits for
@@ -513,7 +526,7 @@ def power_on_helper(base: int, d: int):
     request is in flight at a time; a request that is never collected
     leaves every later call to the inline chain.
     """
-    if not base & (base - 1) or not _helper_lock.acquire(False):
+    if base.bit_length() < _HELPER_BITS or not base & (base - 1) or not _helper_lock.acquire(False):
         return None
     helper = _running_helper()
     if helper is not None:

@@ -97,20 +97,16 @@ def ln(x, prec: int) -> Enclosure:
     return out if shift <= 0 else Enclosure(out.lo >> shift, -(-out.hi >> shift), out.exp + shift)
 
 
-def _sign(build, precisions) -> int:
+def sign(build, precisions=PRECISIONS) -> int:
+    """Sign of the number that build(prec) encloses, trying each precision in turn.
+
+    0 means that even the last precision could not separate it from 0.
+    """
     for prec in precisions:
         s = build(prec)
         if s.lo > 0 or s.hi < 0:
             return 1 if s.lo > 0 else -1
     return 0
-
-
-def sign(build) -> int:
-    """Sign of the number that build(prec) encloses, trying each of PRECISIONS.
-
-    0 means that even the last precision could not separate it from 0.
-    """
-    return _sign(build, PRECISIONS)
 
 
 def power_le(x, j: int, y, k: int) -> bool:
@@ -119,7 +115,7 @@ def power_le(x, j: int, y, k: int) -> bool:
     Decided by the sign of k ln|y| - j ln|x|, and from the integer powers
     when 256 bits cannot separate the two sides, as on an exact tie.
     """
-    s = _sign(lambda prec: ln(y, prec) * k - ln(x, prec) * j, PRECISIONS[:3])
+    s = sign(lambda prec: ln(y, prec) * k - ln(x, prec) * j, PRECISIONS[:3])
     if s:
         return s > 0
     (a, b), (c, e) = _pair(x), _pair(y)

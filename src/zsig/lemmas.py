@@ -118,8 +118,7 @@ def excess_primes(a: int, lead: int) -> tuple[frozenset, int]:
     a = abs(a)
     if a == 0:
         raise ValueError("excess primes of zero are undefined")
-    deep = [(p, e) for p, e in factor_small(a)
-            if e > (val_p(lead, p) if lead % p == 0 else 0)]
+    deep = [(p, e) for p, e in factor_small(a) if e > val_p(lead, p)]
     return frozenset(p for p, _ in deep), math.prod(p**e for p, e in deep)
 
 

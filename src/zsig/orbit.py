@@ -27,7 +27,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .arith import factor_small, ln_abs_ratio, val_p
+from .arith import divisors, factor_small, ln_abs_ratio, val_p
 from .poly import X2DivisiblePoly
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
@@ -86,7 +86,7 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     """
     if den == 1:
         return ()
-    return tuple((p, b, val_p(lead, p) if lead % p == 0 else 0) for p, b in factor_small(den))
+    return tuple((p, b, val_p(lead, p)) for p, b in factor_small(den))
 
 
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
@@ -219,11 +219,9 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
     divisor of D as denominator bounds the reachable states; two extra
     steps cover the start and the repeat.  Nothing is factored.
     """
-    divisors = [1]
-    for p, _, lead_val in support:
-        divisors = [m * p**k for m in divisors for k in range(lead_val + 1)]
+    denominators = divisors((p, lead_val) for p, _, lead_val in support)
     r, s = radius.numerator, radius.denominator
-    return sum(2 * (r * m // s) + 1 for m in divisors) + 2
+    return sum(2 * (r * m // s) + 1 for m in denominators) + 2
 
 
 def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:

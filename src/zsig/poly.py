@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _HELPER_BITS, _TOOM_BITS, factor_small, mul, omega, power_on_helper
+from .arith import _TOOM_BITS, divisors, factor_small, mul, omega, power_on_helper
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
@@ -201,16 +201,15 @@ class X2DivisiblePoly(RatPolynomial):
         while num and den are both under arith's Toom-3 cutoff, arith.mul
         once either reaches it (deep orbit entries, 10^4-10^6 bits).
 
-        From arith's _HELPER_BITS den bits on, den^degree is independent
-        work: arith.power_on_helper sends den to a helper process, which
-        runs the same chain on another CPU while this one runs Horner.
-        Where no helper can be used, or den is a power of two, den^degree
-        comes from the den power Horner built, as below the threshold.
+        den^degree is independent work, and every den goes to
+        arith.power_on_helper, which decides from den's size and shape
+        whether a helper process runs the same chain on another CPU while
+        this one runs Horner.  Where it declines, den^degree comes from the
+        den power Horner built.
         """
-        den_bits = den.bit_length()
-        small = num.bit_length() < _TOOM_BITS and den_bits < _TOOM_BITS
+        small = num.bit_length() < _TOOM_BITS and den.bit_length() < _TOOM_BITS
         times = operator.mul if small else mul
-        den_power = power_on_helper(den, self.degree) if den_bits >= _HELPER_BITS else None
+        den_power = power_on_helper(den, self.degree)
         acc, lower = self._horner
         den_k = 1
         for u in lower:
@@ -236,13 +235,6 @@ def length(g: X2DivisiblePoly) -> Fraction:
     return g._length
 
 
-def _divisors_from_factorization(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factor_small(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def critical_points_rational(f: RatPolynomial) -> tuple[Fraction, ...]:
     """All rational roots of f', ascending (the rational critical points of f).
 
@@ -265,8 +257,8 @@ def critical_points_rational(f: RatPolynomial) -> tuple[Fraction, ...]:
         ip = ip[k:]
     if len(ip) > 1:
         const, lead = ip[0], ip[-1]
-        for p in _divisors_from_factorization(const):
-            for q in _divisors_from_factorization(lead):
+        for p in divisors(factor_small(const)):
+            for q in divisors(factor_small(lead)):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if fp(cand) == 0:
                         roots.add(cand)

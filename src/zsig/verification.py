@@ -165,10 +165,11 @@ def prime_factor_roundtrip() -> str:
     if fac != ((3, 1), (17341, 1)):
         return f"52023 factored as {fac}"
     rng = random.Random(404)
-    for _ in range(150):
-        n = rng.randint(2, 10**12)
-        if math.prod(p**e for p, e in factor_small(n)) != n:
-            return f"factor_small({n}) does not multiply back"
+    for high in (10**12, 10**6 - 1):  # below 10^6 trial division takes the short prime list
+        for _ in range(150):
+            n = rng.randint(2, high)
+            if math.prod(p**e for p, e in factor_small(n)) != n:
+                return f"factor_small({n}) does not multiply back"
     return ""
 
 

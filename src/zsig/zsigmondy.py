@@ -52,6 +52,7 @@ from .arith import (
     ln_abs_ratio,
     primes_up_to,
     strip_common_primes,
+    trial_primes,
 )
 from .orbit import OrbitRecord
 from .poly import X2DivisiblePoly, length
@@ -93,13 +94,12 @@ _WITNESS_BIT_LIMIT = 4096
 def _bounded_witness(residue: int) -> Optional[int]:
     """Smallest prime of the residue findable with bounded effort.
 
-    Trial division to the sieve limit, then a probable-prime test on what
-    is left.  A composite of primes all past the limit stays anonymous;
-    rho-splitting residues this size loses far more often than it wins.
-    A residue below 10^6 has a prime factor below 1000 unless it is prime,
-    so it is divided by those primes only, and never builds the 10^5 sieve.
+    Trial division by arith.trial_primes(residue), the list factor_small
+    divides by too, then a probable-prime test on what is left.  A
+    composite of primes all past the list stays anonymous; rho-splitting
+    residues this size loses far more often than it wins.
     """
-    for p in primes_up_to(1000 if residue < 10**6 else 10**5):
+    for p in trial_primes(residue):
         if residue % p == 0:
             return p
         if p * p > residue:

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zsig.arith as arith
+import zsig.zsigmondy as zsigmondy
 from zsig.arith import (
     _SSA_BITS,
     _TOOM_BITS,
     IncompleteFactorizationError,
     _split_completely,
     distinct_prime_factors,
+    divisors,
     factor_small,
     is_probable_prime,
     ln_abs_ratio,
@@ -25,16 +27,18 @@ from zsig.arith import (
     strip_common_primes,
     val_p,
 )
+from zsig.cli import main
 from zsig.orbit import decide_membership, iterate
-from zsig.poly import RatPolynomial, X2DivisiblePoly, _divisors_from_factorization, scale_to_integer
+from zsig.poly import RatPolynomial, X2DivisiblePoly, critical_points_rational, scale_to_integer
 from zsig.lemmas import excess_primes
+from zsig.zsigmondy import PrimitiveDivisorVerdict
 
 
 def test_primes_up_to_matches_sympy():
     assert primes_up_to(100) == tuple(sympy.primerange(2, 101))
     assert primes_up_to(2) == (2,)
     assert primes_up_to(1) == ()
-    # the size witness naming sieves to
+    # the list trial division takes from 10^6 on
     assert primes_up_to(10**5) == tuple(sympy.primerange(2, 10**5 + 1))
 
 
@@ -110,6 +114,41 @@ def test_factor_small_reconstruct_random():
         fac = factor_small(n)
         assert math.prod(p**e for p, e in fac) == n
         assert dict(fac) == sympy.factorint(n)
+
+
+def test_factor_small_matches_sympy_on_both_sides_of_the_short_prime_list():
+    # below 10^6 trial division stops at the primes below 1000; 997^2 = 994009
+    for n in (*range(2, 20001), *range(999_000, 1_000_051)):
+        assert factor_small(n) == tuple(sorted(sympy.factorint(n).items())), n
+
+
+def test_numbers_below_a_million_never_build_the_long_sieve(monkeypatch, capsys):
+    limits = []
+    real = arith.primes_up_to
+
+    def spy(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(arith, "primes_up_to", spy)
+    monkeypatch.setattr(zsigmondy, "primes_up_to", spy)
+    for n in (*range(-300, 0), *range(1, 3000), 994_009, 999_983, 999_999):
+        factor_small(n)
+    residues = (999_983, 994_009, 2 * 499_979)  # under 10^6: a prime, 997^2, a prime times 2
+    assert [PrimitiveDivisorVerdict(1, r).witness_prime for r in residues] == [999_983, 997, 2]
+    assert main(["orbit", "--poly", "x^3+x^2", "--c=1/2", "--horizon", "6"]) == 0
+    assert main(["scan", "--poly", "x^3+x^2", "--num-bound", "20", "--den-bound", "6"]) == 0
+    assert "scanned 155 parameters" in capsys.readouterr().err
+    assert limits and 10**5 not in limits
+    # the spy sees the long route too
+    factor_small(1_000_003)
+    assert limits[-1] == 10**5
+
+
+def test_divisors_match_sympy():
+    rng = random.Random(31)
+    for n in (1, 2, 720, 2**20, *(rng.randrange(2, 10**9) for _ in range(300))):
+        assert divisors(factor_small(n)) == sympy.divisors(n), n
 
 
 def test_factor_small_incomplete_on_large_semiprime():
@@ -254,7 +293,7 @@ def test_every_complete_factorization_refuses_through_one_route():
         lambda: iterate(cubic, Fraction(1, big), 4),
         lambda: excess_primes(big, 1),
         lambda: scale_to_integer(RatPolynomial.parse(f"x^3+1/{big}*x^2")),
-        lambda: _divisors_from_factorization(big),
+        lambda: critical_points_rational(RatPolynomial.from_coeffs([0, big, 1])),
     ]
     for call in calls:
         with pytest.raises(IncompleteFactorizationError, match="^cannot certify"):

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zsig.arith as arith
-import zsig.poly as poly
 from zsig.cli import main
 from zsig.harness import ScanConfig, csv_text, run_scan
 from zsig.orbit import iterate
@@ -65,14 +64,14 @@ def test_helper_matches_the_inline_chain(fresh, monkeypatch, coeffs, num, twos, 
     inline = g.eval_int_pair(num, den)
     fresh.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(poly, "_HELPER_BITS", 1)
+        patch.setattr(arith, "_HELPER_BITS", 1)
         assert g.eval_int_pair(num, den) == inline == _plain(g, num, den)
     # a power of two is a shift for mul, so it never goes to the helper
     assert fresh == ([] if den & (den - 1) == 0 else [den])
 
 
 def test_replies_longer_than_a_pipe_buffer(fresh, monkeypatch):
-    monkeypatch.setattr(poly, "_HELPER_BITS", 1)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 1)
     g = X2DivisiblePoly.parse("x^5-2*x^4+x^2")
     num, den = -(7**90_000), 3**150_000  # den^5 is 1.19 * 10^6 bits
     assert g.eval_int_pair(num, den) == _plain(g, num, den)
@@ -107,7 +106,7 @@ def test_killed_helper_falls_back_to_the_same_bytes(fresh, monkeypatch, capsys, 
 
 
 def test_forked_child_never_writes_to_its_parents_helper(fresh, monkeypatch):
-    monkeypatch.setattr(poly, "_HELPER_BITS", 1)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 1)
     g = X2DivisiblePoly.parse("2*x^3+x^2")
     assert g.eval_int_pair(5, 9) == _plain(g, 5, 9)
     helper = arith._helper
@@ -127,7 +126,7 @@ def test_forked_child_never_writes_to_its_parents_helper(fresh, monkeypatch):
 
 
 def test_scan_workers_start_no_helper(fresh, monkeypatch, tmp_path):
-    monkeypatch.setattr(poly, "_HELPER_BITS", 1)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 1)
     config = ScanConfig(X2DivisiblePoly.parse("x^3+x^2"), 4, 3, horizon=6)
     serial = csv_text(run_scan(config))
     assert arith._helper is not None and fresh  # every odd den(c) step used it
@@ -142,7 +141,7 @@ def test_scan_workers_start_no_helper(fresh, monkeypatch, tmp_path):
 
 
 def test_no_fork_while_another_thread_runs(fresh, monkeypatch):
-    monkeypatch.setattr(poly, "_HELPER_BITS", 1)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 1)
     g = X2DivisiblePoly.parse("x^3+x^2")
     release = threading.Event()
     other = threading.Thread(target=release.wait)
@@ -174,7 +173,7 @@ def test_benchmark_inputs_without_a_deep_odd_denominator_start_no_helper(fresh, 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
 def test_helper_keeps_only_its_pipes_and_ignores_sigint(fresh, monkeypatch):
-    monkeypatch.setattr(poly, "_HELPER_BITS", 1)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 1)
     g = X2DivisiblePoly.parse("x^3+x^2")
     assert g.eval_int_pair(2, 3) == _plain(g, 2, 3)
     pid = arith._helper.pid
@@ -212,10 +211,10 @@ def _wait_gone(pid: int) -> bool:
 def test_helper_ends_with_its_parent(ending):
     code = f"""
 import os, signal, sys
-import zsig.arith as arith, zsig.poly as poly
+import zsig.arith as arith
 from zsig.poly import X2DivisiblePoly
 arith._usable_cpus = lambda: 2
-poly._HELPER_BITS = 1
+arith._HELPER_BITS = 1
 assert X2DivisiblePoly.parse("x^3+x^2").eval_int_pair(2, 3) == (20, 27)
 print(arith._helper.pid, flush=True)
 if {ending!r} == "SIGKILL":
