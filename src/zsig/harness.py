@@ -139,16 +139,19 @@ class ScanRow:
 
 
 def _scan_one(payload: tuple) -> ScanRow:
-    """Classify one parameter; module level so process pools can pickle it."""
-    g, c_num, c_den, horizon, bit_cap = payload
-    c = Fraction(c_num, c_den)
+    """Classify one parameter; module level so process pools can pickle it.
+
+    The payload is (g, c, horizon, bit_cap) with c the grid's Fraction, which
+    decide_membership and iterate take as it is, without rebuilding it.
+    """
+    g, c, horizon, bit_cap = payload
     decision = decide_membership(g, c)
     if decision.verdict is Verdict.FINITE_ORBIT:
-        return ScanRow(c_num, c_den, decision.verdict.value, decision.witness_text(),
-                       horizon, None, None, None)
+        return ScanRow(c.numerator, c.denominator, decision.verdict.value,
+                       decision.witness_text(), horizon, None, None, None)
     orbit = iterate(g, c, horizon, bit_cap)
     report = zsigmondy_set(orbit)
-    return ScanRow(c_num, c_den, decision.verdict.value, decision.witness_text(),
+    return ScanRow(c.numerator, c.denominator, decision.verdict.value, decision.witness_text(),
                    horizon, report.zset, report.rin_failures, orbit.capped_at)
 
 
@@ -171,16 +174,14 @@ def run_scan(config: ScanConfig) -> ScanSummary:
 
     Every payload carries the same polynomial instance, so the invariants it
     caches (length, escape floor, Horner coefficients) are worked out once
-    per process.  Pool workers start no den^d helper (arith.power_on_helper):
-    the pool already fills the CPUs, and a forked worker closes its copies
-    of the parent's helper pipes before its first parameter.
+    per process, and the grid's own Fraction, so no parameter is rebuilt.
+    Pool workers start no den^d helper (arith.power_on_helper): the pool
+    already fills the CPUs, and a forked worker closes its copies of the
+    parent's helper pipes before its first parameter.
     """
     requested = config.parallelism
     started = time.perf_counter()
-    payloads = [
-        (config.poly, c.numerator, c.denominator, config.horizon, config.bit_cap)
-        for c in grid(config)
-    ]
+    payloads = [(config.poly, c, config.horizon, config.bit_cap) for c in grid(config)]
     workers = _worker_count(requested, len(payloads))
     if workers < requested:
         print(f"zsig: {requested} workers requested, using {workers} "

@@ -34,12 +34,15 @@ from .poly import X2DivisiblePoly
 DEFAULT_BIT_CAP = 2_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OrbitEntry:
     """One orbit value as a reduced fraction num/den, den > 0.
 
     deep_valuations is val_p(den) at the primes where it exceeds val_p(lead),
     as the step ledger recorded it; ln_abs is worked out on each read.
+    Entries are slotted records, not frozen ones (a frozen __init__ costs
+    several times as much, and a scan builds thousands): treat them as
+    read-only, and use dataclasses.replace for a changed copy.
     """
 
     n: int
@@ -132,7 +135,8 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
     If an entry's numerator or denominator exceeds bit_cap bits it is still
     recorded (so callers can see the crossing value) and capped_at marks it.
     """
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if bit_cap < 1:
@@ -217,7 +221,8 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
     p^val_p(lead) over the support primes of den(c): b has no other primes
     and none above its valuation in the lead.  Counting fractions with each
     divisor of D as denominator bounds the reachable states; two extra
-    steps cover the start and the repeat.  Nothing is factored.
+    steps cover the start and the repeat.  Nothing is factored.  The
+    divisor 1 counts at least one state, so the bound is at least 3.
     """
     denominators = divisors((p, lead_val) for p, _, lead_val in support)
     r, s = radius.numerator, radius.denominator
@@ -232,18 +237,25 @@ def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
     that never triggers either infinite verdict lives in a finite state
     space, read off the den(c) support, and must repeat within its bound.
     """
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     radius = escape_radius(g, c)
+    r_num, r_den = radius.numerator, radius.denominator
     support = _den_support(g.lead, c.denominator)
-    limit = _state_space_bound(radius, support)
+    # _state_space_bound is at least 3, so it is built only when a walk passes n = 3
+    limit = 3
     seen: dict[tuple[int, int], int] = {}
     for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, support), start=1):
         if n > limit:
-            raise ArithmeticError(f"no verdict after {limit} steps; state-space bound violated")
+            if n == 4:
+                limit = _state_space_bound(radius, support)
+            if n > limit:
+                raise ArithmeticError(
+                    f"no verdict after {limit} steps; state-space bound violated")
         if (num, den) in seen:
             first = seen[num, den]
             return MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)
-        if abs(num) * radius.denominator >= radius.numerator * den:
+        if abs(num) * r_den >= r_num * den:
             return MembershipDecision(Verdict.INFINITE_ESCAPE, n, escape_index=n - 1)
         if deep:
             return MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,

@@ -20,8 +20,8 @@ divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
 some N_(n/q).  The few primes of den(c) fall outside that argument; a
 running product keeps those that divided an earlier numerator, so each
 numerator is read once and stripped once.  The primes q of each index are
-read off one prime list per orbit, the primes up to the window length, so
-an orbit's indices are never factored.
+read off one table per window length, built from the primes up to that
+length and kept, so an orbit's indices are never factored.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .arith import (
@@ -113,6 +113,20 @@ class KriegerStatus(str, Enum):
     VACUOUS = "vacuous"
 
 
+@lru_cache(maxsize=8)
+def _index_primes(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The primes of each index 1..n_max, ascending: entry n - 1 lists those of n.
+
+    Kept per window length, as primes_up_to keeps its list: a scan asks
+    for the same few lengths once per parameter.
+    """
+    table: list[list[int]] = [[] for _ in range(n_max)]
+    for p in primes_up_to(n_max):
+        for m in range(p, n_max + 1, p):
+            table[m - 1].append(p)
+    return tuple(map(tuple, table))
+
+
 def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int:
     """Product of N_(n/p) over the primes p of n (the empty product is 1)."""
     prod = 1
@@ -170,14 +184,14 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     if n_max < 1:
         raise ValueError("empty window")
     nums = [abs(e.num) for e in orbit.entries]
-    primes = primes_up_to(n_max)
+    index_primes = _index_primes(n_max)
     residues, zset, rin_failures, krieger_pairs = [], [], [], []
     seen = 1
     for n, num in enumerate(nums, start=1):
         if num == 0:
             raise ValueError(f"value at index {n} is zero; orbit is preperiodic")
-        prod = _quotient_product(nums, n, [p for p in primes if n % p == 0])
-        residue = strip_common_primes(num, prod * seen)
+        prod = _quotient_product(nums, n, index_primes[n - 1])
+        residue = strip_common_primes(num, prod if seen == 1 else prod * seen)
         residues.append(residue)
         if residue == 1:
             zset.append(n)

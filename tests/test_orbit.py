@@ -402,6 +402,29 @@ def test_state_space_guard_still_raises(monkeypatch):
         assert len(steps) == limit + 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    r_num=st.integers(0, 10**6),
+    r_den=st.integers(1, 10**6),
+    support=st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                            st.tuples(st.integers(1, 6), st.integers(0, 6)), max_size=4),
+)
+def test_state_space_bound_is_at_least_three(r_num, r_den, support):
+    """decide_membership defers the bound to step 4 because it is never below 3."""
+    support = tuple((p, b, lead_val) for p, (b, lead_val) in sorted(support.items()))
+    assert orbit_module._state_space_bound(F(r_num, r_den), support) >= 3
+
+
+def test_orbit_entries_are_slotted_records():
+    """Entries compare on (n, num, den) only and still copy with dataclasses.replace."""
+    e = iterate(CUBIC, F(1, 6), horizon=2).entry(2)
+    assert not hasattr(e, "__dict__")
+    twin = replace(e, deep_valuations={})
+    assert twin == e and twin.deep_valuations == {} and e.deep_valuations == {2: 3, 3: 3}
+    moved = replace(e, den=3 * e.den)
+    assert moved != e and (moved.n, moved.num, moved.deep_valuations) == (2, e.num, {2: 3, 3: 3})
+
+
 def test_state_space_guard_never_factors_the_lead(monkeypatch):
     # factor_small refuses this lead; the guard reads only the (empty) support of den(c) = 1
     g = X2DivisiblePoly.parse(f"{(2**89 - 1) * (2**107 - 1)}*x^3+x^2")

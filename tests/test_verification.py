@@ -51,8 +51,8 @@ def test_subset_runs_in_suite_order():
     assert [r.name for r in results] == sorted(names, key=suite.index)
 
 
-def test_full_suite_is_green():
-    results = run_all()
+def test_full_suite_is_green(verify_run):
+    results = verify_run[2]
     failures = [f"{r.name}: {r.detail}" for r in results if not r.ok]
     assert failures == []
     assert len(results) == len(EXPECTED_CHECKS)

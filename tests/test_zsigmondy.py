@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zsig.oracle as oracle_module
+import zsig.zsigmondy as zsigmondy_module
 from zsig.lemmas import (
     check_cross_bound,
     check_monomial_sandwich,
@@ -264,6 +265,13 @@ def test_rin_matches_direct_product():
             assert (n in rin_failures) == (nums[n - 1] <= prod), n
         outcomes |= {(n, n in rin_failures) for n in (30, 32)}
     assert outcomes == {(30, True), (30, False), (32, True), (32, False)}
+
+
+def test_index_prime_table_matches_sympy():
+    """Every window length's table lists the primes of each of its indices."""
+    expected = [tuple(sympy.primefactors(n)) for n in range(1, 301)]
+    for n_max in range(1, 301):
+        assert zsigmondy_module._index_primes(n_max) == tuple(expected[:n_max]), n_max
 
 
 def test_krieger_divisibility_frozen():
