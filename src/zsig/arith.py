@@ -281,8 +281,6 @@ def ln_abs_ratio(num: int, den: int) -> float:
     if num == 0:
         return float("-inf")
     a = abs(num)
-    if a == den:
-        return 0.0
     if abs(a.bit_length() - den.bit_length()) <= 2:
         return math.log1p((a - den) / den)  # int division rounds once, with no gcd
     return math.log(a) - math.log(den)  # math.log takes an int of any size
@@ -300,33 +298,27 @@ def mul(a: int, b: int) -> int:
     pieces of the shorter length.  A product of _SSA_BITS bits or more
     whose longer operand is at most 3 times the shorter goes to a
     Schönhage-Strassen transform over Z/(2^N + 1) instead (`_ssa`).  A
-    positive power of two multiplies by a shift before any tier is picked,
-    and mul(a, a) squares, transforming a once.  Against a * b (CPython
+    power of two of either sign is a shift, and squares share the one
+    ladder: mul(a, a) hands a kernel a square.  Against a * b (CPython
     3.11.7, AMD EPYC; the README has the tables) Toom-3 takes 0.65-0.87 of
     the time from 60k to 10^6 bits.  The transform takes 0.70-0.85 of
     Toom-3's time from 7.6 * 10^5 to 2 * 10^6 product bits, and 0.42-0.56
     from 3 * 10^6 to 5.1 * 10^6.
     """
-    if a is b:
-        n = a.bit_length()
-        if n < _TOOM_BITS:
-            return a * a
-        if a.bit_count() == 1:
-            return 1 << 2 * (n - 1)
-        a = abs(a)
-        return _ssa(a, a, n, n) if 2 * n >= _SSA_BITS else _toom3(a, a, n)
+    square = a is b
+    negative = (a < 0) != (b < 0)
+    a = abs(a)
+    b = a if square else abs(b)
     na, nb = a.bit_length(), b.bit_length()
     if na < nb:
         a, b, na, nb = b, a, nb, na
     if nb < _TOOM_BITS:
-        return a * b
-    if a > 0 and a.bit_count() == 1:
-        return b << (na - 1)
-    if b > 0 and b.bit_count() == 1:
-        return a << (nb - 1)
-    negative = (a < 0) != (b < 0)
-    a, b = abs(a), abs(b)
-    if na + nb >= _SSA_BITS and na <= 3 * nb:
+        r = a * b
+    elif a.bit_count() == 1:
+        r = b << (na - 1)
+    elif b.bit_count() == 1:
+        r = a << (nb - 1)
+    elif na + nb >= _SSA_BITS and na <= 3 * nb:
         r = _ssa(a, b, na, nb)
     elif 2 * na > 3 * nb:
         r = _mul_pieces(a, b, na, nb)

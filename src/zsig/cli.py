@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 from fractions import Fraction
 
 from .orbit import DEFAULT_BIT_CAP, OrbitRecord, decide_membership, escape_radius, iterate
@@ -121,7 +122,9 @@ def _cmd_scan(args) -> int:
         cfg = dataclasses.replace(ScanConfig.from_file(args.config), **given)
     else:
         cfg = ScanConfig(**given)
+    started = time.perf_counter()
     summary = run_scan(cfg)
+    seconds = time.perf_counter() - started
     text = write_output(summary)
     if cfg.output is None:
         sys.stdout.write(text)
@@ -129,7 +132,7 @@ def _cmd_scan(args) -> int:
     print(
         f"scanned {len(summary.rows)} parameters ({counts}); "
         f"max zsigmondy window size {summary.empirical_max_zset_size}; "
-        f"{summary.runtime_seconds:.2f}s",
+        f"{seconds:.2f}s",
         file=sys.stderr,
     )
     return 0

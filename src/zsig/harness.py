@@ -9,19 +9,17 @@ wall-clock time never enters the files.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
-from it.  The fields of ScanConfig are the settings: a config file's keys
-are those fields plus coeffs, and the CLI overrides read the same fields.
+from it; cells are comma-free by construction, so a CSV row needs no csv
+module to quote it, only commas.  ScanConfig's fields are the settings: a
+config file's keys are those fields plus coeffs, and the CLI overrides them.
 
 Workers are capped at the grid size and at the CPUs this process may run
 on; the process pool is imported only when more than one worker runs.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
-import time
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -157,11 +155,11 @@ def _scan_one(payload: tuple) -> ScanRow:
 
 @dataclass(frozen=True)
 class ScanSummary:
+    """A scan's rows and tallies: a pure function of its config, with no timing."""
     config: ScanConfig
     rows: tuple[ScanRow, ...]
     verdict_counts: dict
     empirical_max_zset_size: int
-    runtime_seconds: float
 
 
 def _worker_count(requested: int, grid_size: int) -> int:
@@ -180,7 +178,6 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     parent's helper pipes before its first parameter.
     """
     requested = config.parallelism
-    started = time.perf_counter()
     payloads = [(config.poly, c, config.horizon, config.bit_cap) for c in grid(config)]
     workers = _worker_count(requested, len(payloads))
     if workers < requested:
@@ -203,17 +200,12 @@ def run_scan(config: ScanConfig) -> ScanSummary:
         rows=rows,
         verdict_counts=counts,
         empirical_max_zset_size=max_z,
-        runtime_seconds=time.perf_counter() - started,
     )
 
 
 def csv_text(summary: ScanSummary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in summary.rows:
-        writer.writerow(row.csv_cells())
-    return buf.getvalue()
+    lines = [CSV_HEADER, *(row.csv_cells() for row in summary.rows)]
+    return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 def json_text(summary: ScanSummary) -> str:

@@ -162,7 +162,7 @@ def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP)
 
 def escape_radius(g: X2DivisiblePoly, c: Fraction) -> Fraction:
     """max(4 * length(g), |c|): beyond this the orbit grows forever."""
-    return max(g._escape_floor, abs(Fraction(c)))
+    return max(g._escape_floor, abs(c if isinstance(c, Fraction) else Fraction(c)))
 
 
 def escape_check(orbit: OrbitRecord) -> Optional[int]:

@@ -33,9 +33,7 @@ class PolynomialSyntaxError(ValueError):
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (int, str)):
         return Fraction(v)
     raise TypeError(f"cannot interpret {v!r} as a rational")
 
@@ -96,8 +94,6 @@ class RatPolynomial:
         return acc
 
     def derivative(self) -> "RatPolynomial":
-        if self.degree == 0:
-            return RatPolynomial((Fraction(0),))
         return RatPolynomial.from_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def taylor_shift(self, u) -> "RatPolynomial":

@@ -260,6 +260,10 @@ def test_ln_abs_ratio_close_values():
             ref = float(mpmath.log(mpmath.mpf(num) / den)) if num < 10**200 else \
                 float(mpmath.log(mpmath.mpmathify(num)) - mpmath.log(mpmath.mpmathify(den)))
         assert ln_abs_ratio(num, den) == pytest.approx(ref, rel=1e-11, abs=1e-13)
+    # |num| == den is log1p(0.0): exactly +0.0, at any size
+    for num, den in ((7, 7), (-7, 7), (_CLOSE, _CLOSE), (-_CLOSE, _CLOSE)):
+        value = ln_abs_ratio(num, den)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_ln_abs_ratio_runs_no_gcd_on_close_values(monkeypatch):
@@ -438,6 +442,7 @@ def test_mul_by_a_power_of_two_is_a_shift(monkeypatch):
         other = rng.getrandbits(bits) | 1 << (bits - 1)
         for x in (other, -other):
             assert mul(power, x) == power * x == mul(x, power)
+            assert mul(-power, x) == -power * x == mul(x, -power)
         assert mul(power, power) == power * power
         negative = -power
         assert mul(negative, negative) == power * power

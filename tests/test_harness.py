@@ -121,8 +121,9 @@ def test_json_mirrors_csv_schema():
     assert one["zset"] == [1] and one["zset_size"] == 1
     fin = next(r for r in obj["rows"] if (r["c_num"], r["c_den"]) == (-1, 1))
     assert fin["zset"] is None and fin["capped_at"] is None
-    # runtime must not leak into the serialization
+    # runtime must not leak into the serialization, nor into the summary itself
     assert "runtime" not in json_text(summary)
+    assert run_scan(_cfg()) == summary
 
 
 def test_csv_and_json_rows_render_every_column_alike():
@@ -153,6 +154,11 @@ def test_csv_and_json_rows_render_every_column_alike():
             else:
                 assert record[name] == value
                 assert cell == ("" if value is None else str(value))
+    # the cells are comma-free, so a csv.writer has nothing to quote
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([CSV_HEADER, *(row.csv_cells() for row in rows)])
+    assert csv_text(summary) == buf.getvalue()
     lines = csv_text(summary).splitlines()
     assert "-1,2,denominator,n=1;p=2,7,1;2,2,1;2,7" in lines
     assert "1,1,escape,n=2,7,1,1,1," in lines

@@ -63,6 +63,9 @@ def test_evaluation_and_derivative():
     assert p(F(1, 2)) == F(1, 8) - F(3, 2)
     dp = p.derivative()
     assert dp.coeffs == (F(-3), F(0), F(3))
+    constant = RatPolynomial.parse("5").derivative()
+    assert constant.coeffs == (F(0),) and constant.is_zero()
+    assert RatPolynomial.parse("0").derivative() == RatPolynomial.from_coeffs([])
 
 
 def test_taylor_shift_matches_sympy():
