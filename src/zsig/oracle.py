@@ -4,15 +4,19 @@ brute_force_verdict detects a repeat on plain Fractions, against
 decide_membership; iterate_rational applies any rational map to plain
 Fractions, against iterate.  Generic value sequences have no rigid
 divisibility and are stripped against every earlier numerator:
-primitive_divisor_verdicts does that, against zsigmondy_set.  zsig verify
-and the tests read this module; no scan or single orbit imports it.
+primitive_divisor_verdicts does that, against zsigmondy_set.
+mobius_residues inverts the strong form of rigid divisibility with no
+strip at all, a third route to the residues of a critical orbit.  zsig
+verify and the tests read this module; no scan or single orbit imports it.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .arith import strip_common_primes
+from .arith import distinct_prime_factors, strip_common_primes
 from .poly import RatPolynomial, X2DivisiblePoly
 from .zsigmondy import PrimitiveDivisorVerdict
 
@@ -78,3 +82,30 @@ def primitive_divisor_verdicts(values: Iterable) -> tuple[PrimitiveDivisorVerdic
 def zsigmondy_of_values(values: Iterable) -> tuple[int, ...]:
     """Indices of the sequence with no primitive prime."""
     return tuple(v.n for v in primitive_divisor_verdicts(values) if not v.has_primitive)
+
+
+def mobius_residues(nums: Iterable, support: Sequence[int]) -> tuple[Fraction, ...]:
+    """P_n = product over squarefree e | n of N'_(n/e)^mu(e), for n = 1, 2, ...
+
+    N' is |N| with every prime of support (those of den(c)) divided out.
+    On a critical orbit v_p(N_n) is v_p(N_(m_p)) when m_p | n and 0
+    otherwise, for each prime p outside den(c), so Möbius inversion leaves
+    each P_n an integer: the residue at n without its den(c) primes.  The
+    quotients are returned as Fractions so that a caller sees any that is
+    not an integer.
+    """
+    den_primes = math.prod(support)
+    reduced = [strip_common_primes(a, den_primes) for a in _abs_numerators(nums)]
+    out = []
+    for n in range(1, len(reduced) + 1):
+        primes = distinct_prime_factors(n)
+        top = bottom = 1
+        for k in range(len(primes) + 1):
+            for chosen in combinations(primes, k):
+                factor = reduced[n // math.prod(chosen) - 1]
+                if k % 2:
+                    bottom *= factor
+                else:
+                    top *= factor
+        out.append(Fraction(top, bottom))
+    return tuple(out)

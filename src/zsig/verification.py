@@ -404,7 +404,8 @@ def rin_fails_on_zsigmondy_indices() -> str:
 @_check
 def rigid_strip_matches_all_pairs() -> str:
     # a small grid plus two parameters where a prime of den(c) divides N_5
-    # and N_8, which only the den(c) pass of the rigid strip catches
+    # and N_8, which only the den(c) pass of the rigid strip catches; the
+    # size-decided Zsigmondy set must be where the all-pairs strip leaves 1
     cases = [(X2DivisiblePoly.parse("2x^3+x^2"), Fraction(3, 2)),
              (X2DivisiblePoly.parse("6x^3+3x^2"), Fraction(-5, 2))]
     for text in ("x^3+x^2", "2x^3+x^2"):
@@ -416,9 +417,11 @@ def rigid_strip_matches_all_pairs() -> str:
         if any(e.num == 0 for e in orbit.entries):
             continue
         checked += 1
-        rigid = zsigmondy_set(orbit).verdicts
+        report = zsigmondy_set(orbit)
         all_pairs = primitive_divisor_verdicts(e.num for e in orbit.entries)
-        for v, w in zip(rigid, all_pairs):
+        if report.zset != tuple(w.n for w in all_pairs if not w.has_primitive):
+            return f"size-decided Zsigmondy set differs at g={g}, c={c}"
+        for v, w in zip(report.verdicts, all_pairs):
             if v.residue != w.residue:
                 return f"residues differ at g={g}, c={c}, n={v.n}"
     if checked < 30:

@@ -16,22 +16,33 @@ the witness prime.
 On an orbit the strip needs no earlier numerator but N_(n/q) for the
 primes q | n.  For a prime p not dividing den(c) the critical orbit is
 rigidly divisible: p | N_n exactly when m_p | n, m_p the first index p
-divides (Rice 2007, Krieger 2013).  So any earlier prime of N_n divides
-some N_(n/q).  The few primes of den(c) fall outside that argument; a
-running product keeps those that divided an earlier numerator, so each
-numerator is read once and stripped once.  The primes q of each index are
-read off one table per window length, built from the primes up to that
-length and kept, so an orbit's indices are never factored.
+divides, and v_p(N_(kn)) = v_p(N_n), because x^2 | g gives N_(n+m) == N_m
+(mod N_n^2) at p (Rice 2007, Krieger 2013).  So each such earlier prime p
+of N_n has p^v_p(N_n) dividing some N_(n/q).  The few primes of den(c)
+fall outside that argument; a running product, seen, keeps those that
+divided an earlier numerator.  The primes q of each index are read off
+one table per window length, built from the primes up to that length and
+kept, so an orbit's indices are never factored.
+
+That makes membership a size test.  With prod the product of the
+N_(n/q) and rest |N_n| without the primes of seen, the residue is at
+least rest / prod, so rest > prod means a primitive prime and no strip
+runs.  Only where rest <= prod is N_n stripped, once, against prod *
+seen, and n is in the Zsigmondy set when nothing is left: 23 strips on
+the survey grid, where stripping every index took 2448.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
-inequality at each index of the orbit it is given.  Its strip pass keeps
-the residues, the Zsigmondy set, the inequality failures and the two
-numbers Krieger's check reads at each index of the set; the verdicts and
-Krieger statuses are built from those on first read, so a scan, which
-reads neither, builds neither.  Index n reads only entries 1..n, so the
-report of a shorter orbit, iterate(g, c, k), is the first k rows of a
-longer one's; the window is the orbit passed in.
+inequality at each index of the orbit it is given.  It decides the
+Zsigmondy set and the inequality failures in one walk and keeps the
+numerators and the den(c) primes.  The residues (one exact strip per
+index), the verdicts and the Krieger statuses are built from those on
+first read, so a scan, which reads none of them, builds none.  Krieger's
+check runs at every index whose exact residue is 1, so on a fabricated
+window that is not rigidly divisible it reports FAILS where the size
+test's premise breaks.  Index n reads only entries 1..n, so the report
+of a shorter orbit, iterate(g, c, k), is the first k rows of a longer
+one's; the window is the orbit passed in.
 
 The bound solvers compare logs through zsig.enclosure, imported when they
 run, so scans and single orbits never load it.  The naive all-pairs strip
@@ -44,7 +55,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arith import (
     distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 7
@@ -135,6 +146,32 @@ def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int
     return prod
 
 
+def _walk(nums: Sequence[int], support: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(n, N_n, prod, seen) at each index n of the window, in order.
+
+    nums holds |N_1|, |N_2|, ...; prod is the product of the N_(n/q) over
+    the primes q | n, and seen the product of the primes of support (those
+    of den(c)) that divide an earlier numerator.  The caller sees index n
+    before seen takes in N_n, so it can refuse a zero N_n first.
+    """
+    index_primes = _index_primes(len(nums))
+    seen = 1
+    for n, num in enumerate(nums, start=1):
+        yield n, num, _quotient_product(nums, n, index_primes[n - 1]), seen
+        for p in support:
+            if seen % p and num % p == 0:
+                seen *= p
+
+
+def _unseen_part(num: int, seen: int, support: Sequence[int]) -> int:
+    """num with every prime of support that divides seen divided out."""
+    for p in support:
+        if seen % p == 0:
+            while num % p == 0:
+                num //= p
+    return num
+
+
 def _krieger_status(num: int, prod: int) -> KriegerStatus:
     """At a primitive-free index |N_n| must divide prod."""
     return KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS
@@ -144,16 +181,25 @@ def _krieger_status(num: int, prod: int) -> KriegerStatus:
 class ZsigmondyReport:
     """Every per-index answer of zsigmondy_set on one orbit.
 
-    residues[n - 1] is the residue at index n.  krieger_pairs holds, for
-    each index of zset in order, |N_n| and the product of the N_(n/q) over
-    the primes q | n.  verdicts and krieger_checks (vacuous wherever a
-    primitive prime exists) are built from these on first read and kept.
+    zset and rin_failures are decided when the report is made; nums
+    (|N_1|, |N_2|, ...) and den_prime_support (the primes of den(c)) are
+    kept for the rest.  residues[n - 1], the exact residue at index n, is
+    stripped on first read, and verdicts and krieger_checks (vacuous
+    wherever the residue exceeds 1) are built from the residues, also on
+    first read; all three are kept.  Krieger's check runs at every index
+    whose residue is 1, so on a window that is not rigidly divisible it
+    shows where the size test behind zset does not apply.
     """
 
-    residues: tuple[int, ...] = field(repr=False)
+    nums: tuple[int, ...] = field(repr=False)
+    den_prime_support: tuple[int, ...] = field(repr=False)
     zset: tuple[int, ...]
     rin_failures: tuple[int, ...]
-    krieger_pairs: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def residues(self) -> tuple[int, ...]:
+        return tuple(strip_common_primes(num, prod * seen)
+                     for _, num, prod, seen in _walk(self.nums, self.den_prime_support))
 
     @cached_property
     def verdicts(self) -> tuple[PrimitiveDivisorVerdict, ...]:
@@ -161,9 +207,9 @@ class ZsigmondyReport:
 
     @cached_property
     def krieger_checks(self) -> tuple[tuple[int, KriegerStatus], ...]:
-        pairs = dict(zip(self.zset, self.krieger_pairs))
-        return tuple((n, _krieger_status(*pairs[n]) if n in pairs else KriegerStatus.VACUOUS)
-                     for n in range(1, len(self.residues) + 1))
+        # seen is not read here, so the walk skips the den(c) primes
+        return tuple((n, _krieger_status(num, prod) if r == 1 else KriegerStatus.VACUOUS)
+                     for (n, num, prod, _), r in zip(_walk(self.nums, ()), self.residues))
 
 
 def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
@@ -173,36 +219,31 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     interesting Zsigmondy window; periodic orbits through nonzero values
     are fine and typically put every index in the set).  rin_failures
     lists indices where the strict numerator-product inequality fails;
-    krieger_checks, built on first read like verdicts, records the
-    divisibility status at every index.
+    verdicts and krieger_checks are built on first read.
 
-    Each N_n is stripped once, against the product of the N_(n/q), q a
-    prime of n, times seen: the primes of den(c) that divide an earlier
-    numerator, the only earlier primes that product can miss.
+    Membership is decided by size: n is outside the set when rest, |N_n|
+    without the den(c) primes that divide an earlier numerator, exceeds
+    prod, the product of the N_(n/q) over the primes q | n.  Every other
+    earlier prime p of N_n has p^v_p(N_n) | prod, so the residue is at
+    least rest / prod.  Otherwise one strip against prod times those
+    den(c) primes decides.
     """
-    n_max = len(orbit.entries)
-    if n_max < 1:
+    nums = tuple(abs(e.num) for e in orbit.entries)
+    if not nums:
         raise ValueError("empty window")
-    nums = [abs(e.num) for e in orbit.entries]
-    index_primes = _index_primes(n_max)
-    residues, zset, rin_failures, krieger_pairs = [], [], [], []
-    seen = 1
-    for n, num in enumerate(nums, start=1):
+    support = orbit.den_prime_support
+    zset, rin_failures = [], []
+    for n, num, prod, seen in _walk(nums, support):
         if num == 0:
             raise ValueError(f"value at index {n} is zero; orbit is preperiodic")
-        prod = _quotient_product(nums, n, index_primes[n - 1])
-        residue = strip_common_primes(num, prod if seen == 1 else prod * seen)
-        residues.append(residue)
-        if residue == 1:
-            zset.append(n)
-            krieger_pairs.append((num, prod))
-        for p in orbit.den_prime_support:
-            if num % p == 0 and seen % p:
-                seen *= p
-        if num <= prod:
+        small = num <= prod
+        if small:
             rin_failures.append(n)
-    return ZsigmondyReport(residues=tuple(residues), zset=tuple(zset),
-                           rin_failures=tuple(rin_failures), krieger_pairs=tuple(krieger_pairs))
+        if ((small or seen > 1 and _unseen_part(num, seen, support) <= prod)
+                and strip_common_primes(num, prod * seen) == 1):
+            zset.append(n)
+    return ZsigmondyReport(nums=nums, den_prime_support=support, zset=tuple(zset),
+                           rin_failures=tuple(rin_failures))
 
 
 def evertse_bound(r: int, delta) -> float:

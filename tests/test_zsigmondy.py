@@ -7,11 +7,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import zsig.oracle as oracle_module
 import zsig.zsigmondy as zsigmondy_module
+from zsig.harness import ScanConfig, run_scan
 from zsig.lemmas import (
     check_cross_bound,
     check_monomial_sandwich,
@@ -20,7 +21,12 @@ from zsig.lemmas import (
     excess_primes,
     power_sum_dominated,
 )
-from zsig.oracle import _strip_index, primitive_divisor_verdicts, zsigmondy_of_values
+from zsig.oracle import (
+    _strip_index,
+    mobius_residues,
+    primitive_divisor_verdicts,
+    zsigmondy_of_values,
+)
 from zsig.orbit import OrbitEntry, iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
@@ -179,6 +185,83 @@ def test_rigid_strip_needs_the_den_pass():
         residues = [v.residue for v in zsigmondy_set(orbit).verdicts]
         assert residues == _all_pairs_residues(orbit)
         assert residues[7] % 2 != 0
+
+
+# the two parameters of test_rigid_strip_needs_the_den_pass, at horizon 9
+_DEN_PASS_CASES = ((X2DivisiblePoly.parse("2*x^3+x^2"), F(3, 2)),
+                   (X2DivisiblePoly.parse("6*x^3+3*x^2"), F(-5, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 9))
+@example(g_c=_DEN_PASS_CASES[0], horizon=9)
+@example(g_c=_DEN_PASS_CASES[1], horizon=9)
+def test_size_decided_zset_matches_all_pairs(g_c, horizon):
+    """zset, decided by comparing |N_n| without its seen den(c) primes with the
+    product of the N_(n/q), holds exactly the indices the all-pairs strip leaves at 1."""
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
+    assume(all(e.num != 0 for e in orbit.entries))
+    all_pairs = primitive_divisor_verdicts(e.num for e in orbit.entries)
+    assert zsigmondy_set(orbit).zset == tuple(v.n for v in all_pairs if v.residue == 1)
+
+
+def _without_primes(m, primes):
+    for p in primes:
+        while m % p == 0:
+            m //= p
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 9))
+@example(g_c=_DEN_PASS_CASES[0], horizon=9)
+@example(g_c=_DEN_PASS_CASES[1], horizon=9)
+def test_mobius_residues_match_rigid_residues(g_c, horizon):
+    """Möbius inversion of the den(c)-free numerators gives an integer at every index,
+    the residue without its den(c) primes: the strong form of rigid divisibility at
+    every prime outside den(c), not only those below 100."""
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
+    assume(all(e.num != 0 for e in orbit.entries))
+    support = orbit.den_prime_support
+    quotients = mobius_residues([e.num for e in orbit.entries], support)
+    assert [q.denominator for q in quotients] == [1] * len(orbit.entries)
+    residues = [v.residue for v in zsigmondy_set(orbit).verdicts]
+    assert quotients == tuple(_without_primes(r, support) for r in residues)
+
+
+def test_survey_scan_strips_only_zsigmondy_indices(monkeypatch):
+    """The size test leaves a strip only where the residue turns out to be 1:
+    11 and 12 strips on the survey grids, where stripping every index took 2448."""
+    results = []
+    strip = zsigmondy_module.strip_common_primes
+
+    def counted(r, s):
+        results.append(strip(r, s))
+        return results[-1]
+
+    monkeypatch.setattr(zsigmondy_module, "strip_common_primes", counted)
+    for text, want in (("x^3+x^2", 11), ("2*x^3+x^2", 12)):
+        results.clear()
+        summary = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=8))
+        assert results == [1] * want, text
+        assert sum(len(row.zset or ()) for row in summary.rows) == want, text
+
+
+def test_size_test_is_audited_on_a_fabricated_window():
+    """[2, 4, 3] is not rigidly divisible: 4 > N_1 = 2 keeps index 2 out of zset
+    though its residue is 1, and Krieger's check, run on the residues, says FAILS."""
+    fake = replace(iterate(CUBIC, 2, horizon=1), entries=tuple(
+        OrbitEntry(n, num, 1, {}) for n, num in enumerate([2, 4, 3], start=1)))
+    report = zsigmondy_set(fake)
+    assert report.zset == ()
+    assert report.verdicts[1].residue == 1
+    assert report.krieger_checks[1] == (2, KriegerStatus.FAILS)
+    # 2 a prime of den(c) that divides N_2 and N_3 but not N_1, as 2 does N_5 and N_8
+    # of 2*x^3+x^2 at c = 3/2: N_3 = 12 > N_1 = 3, but 12 without the 2 seen at N_2
+    # is 3 <= 3, and only the strip against N_1 * 2 leaves 1
+    fake = replace(fake, den_prime_support=(2,), entries=tuple(
+        OrbitEntry(n, num, 1, {}) for n, num in enumerate([3, 2, 12], start=1)))
+    assert zsigmondy_set(fake).zset == (3,) == zsigmondy_of_values([3, 2, 12])
 
 
 def test_orbit_routines_never_strip_all_pairs(monkeypatch):
