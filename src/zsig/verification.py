@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import (
@@ -44,7 +44,7 @@ from .oracle import (
     primitive_divisor_verdicts,
     zsigmondy_of_values,
 )
-from .orbit import Verdict, decide_membership, iterate
+from .orbit import OrbitEntry, Verdict, decide_membership, iterate
 from .poly import (
     RatPolynomial,
     X2DivisiblePoly,
@@ -426,6 +426,13 @@ def rigid_strip_matches_all_pairs() -> str:
                 return f"residues differ at g={g}, c={c}, n={v.n}"
     if checked < 30:
         return f"only {checked} orbits compared"
+    # pairwise coprime: N_6 = 2 <= N_3 * N_2 = 35, yet 2 is primitive, so only the
+    # strip keeps 6 out of the size-decided set
+    values = [3, 5, 7, 11, 13, 2]
+    fake = replace(iterate(X2DivisiblePoly.parse("x^3+x^2"), 2, 1), entries=tuple(
+        OrbitEntry(n, num, 1, {}) for n, num in enumerate(values, start=1)))
+    if zsigmondy_set(fake).zset != zsigmondy_of_values(values):
+        return f"size-decided Zsigmondy set differs on the window {values}"
     return ""
 
 

@@ -20,9 +20,10 @@ divides, and v_p(N_(kn)) = v_p(N_n), because x^2 | g gives N_(n+m) == N_m
 (mod N_n^2) at p (Rice 2007, Krieger 2013).  So each such earlier prime p
 of N_n has p^v_p(N_n) dividing some N_(n/q).  The few primes of den(c)
 fall outside that argument; a running product, seen, keeps those that
-divided an earlier numerator.  The primes q of each index are read off
-one table per window length, built from the primes up to that length and
-kept, so an orbit's indices are never factored.
+divided an earlier numerator (one deep at index 1 never does, and is
+not tracked).  The primes q of each index are read off one table per
+window length, built from the primes up to that length and kept, so an
+orbit's indices are never factored.
 
 That makes membership a size test.  With prod the product of the
 N_(n/q) and rest |N_n| without the primes of seen, the residue is at
@@ -33,16 +34,16 @@ the survey grid, where stripping every index took 2448.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
-inequality at each index of the orbit it is given.  It decides the
-Zsigmondy set and the inequality failures in one walk and keeps the
-numerators and the den(c) primes.  The residues (one exact strip per
-index), the verdicts and the Krieger statuses are built from those on
-first read, so a scan, which reads none of them, builds none.  Krieger's
-check runs at every index whose exact residue is 1, so on a fabricated
-window that is not rigidly divisible it reports FAILS where the size
-test's premise breaks.  Index n reads only entries 1..n, so the report
-of a shorter orbit, iterate(g, c, k), is the first k rows of a longer
-one's; the window is the orbit passed in.
+inequality at each index of the orbit it is given.  Its one walk decides
+the Zsigmondy set and the inequality failures and keeps, at each index,
+|N_n|, prod and seen.  The verdicts (one exact strip per index) and the
+Krieger statuses are built from those stored columns on first read, so
+a scan, which reads neither, builds neither, and no view walks the orbit
+again.  Krieger's check runs at every index whose exact residue is 1, so
+on a fabricated window that is not rigidly divisible it reports FAILS
+where the size test's premise breaks.  Index n reads only entries 1..n,
+so the report of a shorter orbit, iterate(g, c, k), is the first k rows
+of a longer one's; the window is the orbit passed in.
 
 The bound solvers compare logs through zsig.enclosure, imported when they
 run, so scans and single orbits never load it.  The naive all-pairs strip
@@ -55,10 +56,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import (
-    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 7
+    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 6
     is_probable_prime,
     ln_abs_ratio,
     primes_up_to,
@@ -138,31 +139,6 @@ def _index_primes(n_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def _quotient_product(nums: Sequence[int], n: int, primes: Sequence[int]) -> int:
-    """Product of N_(n/p) over the primes p of n (the empty product is 1)."""
-    prod = 1
-    for p in primes:
-        prod *= nums[n // p - 1]
-    return prod
-
-
-def _walk(nums: Sequence[int], support: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(n, N_n, prod, seen) at each index n of the window, in order.
-
-    nums holds |N_1|, |N_2|, ...; prod is the product of the N_(n/q) over
-    the primes q | n, and seen the product of the primes of support (those
-    of den(c)) that divide an earlier numerator.  The caller sees index n
-    before seen takes in N_n, so it can refuse a zero N_n first.
-    """
-    index_primes = _index_primes(len(nums))
-    seen = 1
-    for n, num in enumerate(nums, start=1):
-        yield n, num, _quotient_product(nums, n, index_primes[n - 1]), seen
-        for p in support:
-            if seen % p and num % p == 0:
-                seen *= p
-
-
 def _unseen_part(num: int, seen: int, support: Sequence[int]) -> int:
     """num with every prime of support that divides seen divided out."""
     for p in support:
@@ -172,44 +148,40 @@ def _unseen_part(num: int, seen: int, support: Sequence[int]) -> int:
     return num
 
 
-def _krieger_status(num: int, prod: int) -> KriegerStatus:
-    """At a primitive-free index |N_n| must divide prod."""
-    return KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS
-
-
 @dataclass(frozen=True)
 class ZsigmondyReport:
     """Every per-index answer of zsigmondy_set on one orbit.
 
-    zset and rin_failures are decided when the report is made; nums
-    (|N_1|, |N_2|, ...) and den_prime_support (the primes of den(c)) are
-    kept for the rest.  residues[n - 1], the exact residue at index n, is
-    stripped on first read, and verdicts and krieger_checks (vacuous
-    wherever the residue exceeds 1) are built from the residues, also on
-    first read; all three are kept.  Krieger's check runs at every index
-    whose residue is 1, so on a window that is not rigidly divisible it
-    shows where the size test behind zset does not apply.
+    zset and rin_failures are decided by the walk that makes the report,
+    which keeps, at index n, nums[n - 1] = |N_n|, prods[n - 1], the
+    product of the N_(n/q) over the primes q | n, and seens[n - 1], the
+    product of the den(c) primes that divide an earlier numerator.
+    verdicts strips each index once, N_n against prod * seen, on first
+    read; krieger_checks (vacuous wherever the residue exceeds 1) is
+    built from the verdicts and prods, also on first read; both are
+    kept.  Krieger's check runs at every index whose residue is 1, so on
+    a window that is not rigidly divisible it shows where the size test
+    behind zset does not apply.
     """
 
     nums: tuple[int, ...] = field(repr=False)
-    den_prime_support: tuple[int, ...] = field(repr=False)
+    prods: tuple[int, ...] = field(repr=False)
+    seens: tuple[int, ...] = field(repr=False)
     zset: tuple[int, ...]
     rin_failures: tuple[int, ...]
 
     @cached_property
-    def residues(self) -> tuple[int, ...]:
-        return tuple(strip_common_primes(num, prod * seen)
-                     for _, num, prod, seen in _walk(self.nums, self.den_prime_support))
-
-    @cached_property
     def verdicts(self) -> tuple[PrimitiveDivisorVerdict, ...]:
-        return tuple(PrimitiveDivisorVerdict(n, r) for n, r in enumerate(self.residues, start=1))
+        return tuple(PrimitiveDivisorVerdict(n, strip_common_primes(num, prod * seen))
+                     for n, (num, prod, seen)
+                     in enumerate(zip(self.nums, self.prods, self.seens), start=1))
 
     @cached_property
     def krieger_checks(self) -> tuple[tuple[int, KriegerStatus], ...]:
-        # seen is not read here, so the walk skips the den(c) primes
-        return tuple((n, _krieger_status(num, prod) if r == 1 else KriegerStatus.VACUOUS)
-                     for (n, num, prod, _), r in zip(_walk(self.nums, ()), self.residues))
+        # at a primitive-free index |N_n| must divide prod
+        return tuple((v.n, KriegerStatus.VACUOUS if v.has_primitive
+                      else KriegerStatus.HOLDS if prod % num == 0 else KriegerStatus.FAILS)
+                     for v, num, prod in zip(self.verdicts, self.nums, self.prods))
 
 
 def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
@@ -218,8 +190,9 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     Refuses orbits that hit zero (preperiodic parameters have no
     interesting Zsigmondy window; periodic orbits through nonzero values
     are fine and typically put every index in the set).  rin_failures
-    lists indices where the strict numerator-product inequality fails;
-    verdicts and krieger_checks are built on first read.
+    lists indices where the strict numerator-product inequality fails.
+    One walk decides both and keeps |N_n|, prod and seen at each index;
+    verdicts and krieger_checks are built from those on first read.
 
     Membership is decided by size: n is outside the set when rest, |N_n|
     without the den(c) primes that divide an earlier numerator, exceeds
@@ -228,22 +201,36 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     least rest / prod.  Otherwise one strip against prod times those
     den(c) primes decides.
     """
-    nums = tuple(abs(e.num) for e in orbit.entries)
-    if not nums:
+    entries = orbit.entries
+    if not entries:
         raise ValueError("empty window")
-    support = orbit.den_prime_support
-    zset, rin_failures = [], []
-    for n, num, prod, seen in _walk(nums, support):
+    # a den(c) prime deep at index 1 stays deep (val_p(M_(n+1)) = d val_p(M_n) - val_p(u_d)
+    # exceeds val_p(M_n)), so it divides every denominator and no reduced numerator
+    support = [p for p in orbit.den_prime_support if p not in entries[0].deep_valuations]
+    index_primes = _index_primes(len(entries))
+    nums, prods, seens, zset, rin_failures = [], [], [], [], []
+    seen = 1
+    for n, entry in enumerate(entries, start=1):
+        num = abs(entry.num)
         if num == 0:
             raise ValueError(f"value at index {n} is zero; orbit is preperiodic")
+        prod = 1
+        for q in index_primes[n - 1]:
+            prod *= nums[n // q - 1]
+        nums.append(num)
+        prods.append(prod)
+        seens.append(seen)
         small = num <= prod
         if small:
             rin_failures.append(n)
         if ((small or seen > 1 and _unseen_part(num, seen, support) <= prod)
                 and strip_common_primes(num, prod * seen) == 1):
             zset.append(n)
-    return ZsigmondyReport(nums=nums, den_prime_support=support, zset=tuple(zset),
-                           rin_failures=tuple(rin_failures))
+        for p in support:
+            if seen % p and num % p == 0:
+                seen *= p
+    return ZsigmondyReport(nums=tuple(nums), prods=tuple(prods), seens=tuple(seens),
+                           zset=tuple(zset), rin_failures=tuple(rin_failures))
 
 
 def evertse_bound(r: int, delta) -> float:

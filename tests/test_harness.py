@@ -290,7 +290,7 @@ def test_scans_name_no_witnesses(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(zsig.zsigmondy, "PrimitiveDivisorVerdict", refuse)
-        patch.setattr(zsig.zsigmondy, "_krieger_status", refuse)
+        patch.setattr(zsig.zsigmondy.ZsigmondyReport, "krieger_checks", property(refuse))
         assert csv_text(run_scan(_cfg())) == base_csv
         report = zsig.zsigmondy.zsigmondy_set(orbit)
     assert report.verdicts == base.verdicts

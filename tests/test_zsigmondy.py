@@ -205,6 +205,38 @@ def test_size_decided_zset_matches_all_pairs(g_c, horizon):
     assert zsigmondy_set(orbit).zset == tuple(v.n for v in all_pairs if v.residue == 1)
 
 
+def test_a_report_walks_its_orbit_once(monkeypatch):
+    """Building a report and reading its verdicts and Krieger statuses looks up the
+    index primes once: the views read the columns the deciding walk kept."""
+    lookups = []
+    index_primes = zsigmondy_module._index_primes
+
+    def counted(n_max):
+        lookups.append(n_max)
+        return index_primes(n_max)
+
+    monkeypatch.setattr(zsigmondy_module, "_index_primes", counted)
+    for g, c in ((CUBIC, F(-5, 3)), *_DEN_PASS_CASES):
+        lookups.clear()
+        report = zsigmondy_set(iterate(g, c, horizon=8))
+        assert len(report.verdicts) == len(report.krieger_checks) == 8
+        assert lookups == [8], (str(g), c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 9))
+@example(g_c=(CUBIC, F(-5, 3)), horizon=9)
+def test_primes_deep_at_index_one_divide_no_numerator(g_c, horizon):
+    """A den(c) prime deep at index 1 stays deep and divides no numerator of the
+    orbit, which is why zsigmondy_set does not track it."""
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
+    deep = orbit.entries[0].deep_valuations
+    assert set(deep) <= set(orbit.den_prime_support)
+    for e in orbit.entries:
+        for p in deep:
+            assert p in e.deep_valuations and e.den % p == 0 and e.num % p != 0, (e.n, p)
+
+
 def _without_primes(m, primes):
     for p in primes:
         while m % p == 0:
