@@ -4,15 +4,15 @@ Run: python3 demos/orbit_walk.py
 """
 from fractions import Fraction
 
-from zsig import X2DivisiblePoly, decide_membership, escape_radius, iterate
+from zsig import X2DivisiblePoly, escape_radius, iterate
 
 g = X2DivisiblePoly.parse("x^3+x^2")
 print(f"model polynomial: {g}")
 
 for c in (Fraction(-1), Fraction(1), Fraction(1, 2)):
-    decision = decide_membership(g, c)
+    orbit = iterate(g, c, horizon=5)  # one walk: the first five values and the verdict
+    decision = orbit.decision
     print(f"\nc = {c}: {decision.verdict.value} ({decision.witness_text()})")
-    orbit = iterate(g, c, horizon=5)
     for e in orbit.entries:
         print(f"  value({e.n}) = {e.value}")
 

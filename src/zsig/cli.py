@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .orbit import DEFAULT_BIT_CAP, OrbitRecord, decide_membership, escape_radius, iterate
+from .orbit import DEFAULT_BIT_CAP, OrbitRecord, escape_radius, iterate
 from .poly import (
     RatPolynomial, _poly_from_text, critical_points_rational, normalize_to_x2_divisible,
 )
@@ -58,16 +58,15 @@ def _format_value(num: int, den: int) -> str:
 
 
 def _orbit_preamble(args) -> OrbitRecord:
-    """Decide and iterate the orbit, then print its three header lines.
+    """Walk the orbit once for its verdict and window, then print three header lines.
 
     Every input is checked before the first line is printed.
     """
     g = _poly_from_text(args.poly, args.coeffs)
-    decision = decide_membership(g, args.c)
     orbit = iterate(g, args.c, args.horizon, args.bit_cap)
     print(f"polynomial: {g}")
     print(f"parameter:  c = {args.c}")
-    print(f"verdict:    {decision.verdict.value} ({decision.witness_text()})")
+    print(f"verdict:    {orbit.decision.verdict.value} ({orbit.decision.witness_text()})")
     return orbit
 
 

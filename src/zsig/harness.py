@@ -27,6 +27,7 @@ from operator import attrgetter
 from typing import Optional, get_type_hints
 
 from .arith import _no_helper, _usable_cpus
+# decide_membership is unused here; perfbench --trace 1 patches it until ROADMAP item 9
 from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
 from .poly import X2DivisiblePoly, _poly_from_text
 from .zsigmondy import zsigmondy_set
@@ -140,14 +141,14 @@ def _scan_one(payload: tuple) -> ScanRow:
     """Classify one parameter; module level so process pools can pickle it.
 
     The payload is (g, c, horizon, bit_cap) with c the grid's Fraction, which
-    decide_membership and iterate take as it is, without rebuilding it.
+    iterate takes as it is; its one walk gives both the verdict and the window.
     """
     g, c, horizon, bit_cap = payload
-    decision = decide_membership(g, c)
+    orbit = iterate(g, c, horizon, bit_cap)
+    decision = orbit.decision
     if decision.verdict is Verdict.FINITE_ORBIT:
         return ScanRow(c.numerator, c.denominator, decision.verdict.value,
                        decision.witness_text(), horizon, None, None, None)
-    orbit = iterate(g, c, horizon, bit_cap)
     report = zsigmondy_set(orbit)
     return ScanRow(c.numerator, c.denominator, decision.verdict.value, decision.witness_text(),
                    horizon, report.zset, report.rin_failures, orbit.capped_at)

@@ -1,4 +1,4 @@
-"""Critical orbits of g + c and the membership decision procedure.
+"""Critical orbits of g + c and the membership decision, read off one walk.
 
 Entries are 1-indexed: value(1) = g_c(0) = c, value(n+1) = g(value(n)) + c.
 Everything is exact integer arithmetic on reduced numerator/denominator
@@ -67,6 +67,7 @@ class OrbitRecord:
     entries: tuple[OrbitEntry, ...]
     capped_at: Optional[int]
     den_prime_support: tuple[int, ...]
+    decision: MembershipDecision
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -85,7 +86,7 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     """(p, val_p(den), val_p(lead)) for each prime p of den = den(c), ascending in p.
 
     Kept per (lead, den) pair: a scan meets a few denominators over its whole
-    grid, and decide_membership and iterate both read each parameter's support.
+    grid, and each parameter's walk reads its support.
     """
     if den == 1:
         return ()
@@ -127,37 +128,6 @@ def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int,
         if shrink > 1:
             num //= shrink
             den //= shrink
-
-
-def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP) -> OrbitRecord:
-    """Compute orbit entries 1..horizon, stopping early at the bit cap.
-
-    If an entry's numerator or denominator exceeds bit_cap bits it is still
-    recorded (so callers can see the crossing value) and capped_at marks it.
-    """
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if bit_cap < 1:
-        raise ValueError("bit_cap must be at least 1")
-    support = _den_support(g.lead, c.denominator)
-
-    entries: list[OrbitEntry] = []
-    capped_at = None
-    for n, (num, den, deep) in zip(range(1, horizon + 1), _orbit_pairs(g, c, support)):
-        entries.append(OrbitEntry(n, num, den, deep))
-        if max(num.bit_length(), den.bit_length()) > bit_cap:
-            capped_at = n
-            break
-    return OrbitRecord(
-        poly=g,
-        c=c,
-        bit_cap=bit_cap,
-        entries=tuple(entries),
-        capped_at=capped_at,
-        den_prime_support=tuple(p for p, _, _ in support),
-    )
 
 
 def escape_radius(g: X2DivisiblePoly, c: Fraction) -> Fraction:
@@ -229,35 +199,65 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
     return sum(2 * (r * m // s) + 1 for m in denominators) + 2
 
 
-def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
-    """Classify the critical orbit of g + c: finite, or infinite with reason.
+def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitRecord:
+    """Step the critical orbit until it has both its membership verdict and its window.
 
-    Per step, in order: repeated value (finite orbit), escape-radius
-    crossing, deep denominator.  The procedure always terminates: an orbit
-    that never triggers either infinite verdict lives in a finite state
+    Per step until the verdict, in order: the state-space guard, a repeated
+    value (finite orbit), an escape-radius crossing, a deep denominator.  An
+    orbit that never triggers either infinite verdict lives in a finite state
     space, read off the den(c) support, and must repeat within its bound.
+    The window keeps entries 1..horizon, up to the first one past bit_cap.
     """
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
     radius = escape_radius(g, c)
     r_num, r_den = radius.numerator, radius.denominator
     support = _den_support(g.lead, c.denominator)
+    entries: list[OrbitEntry] = []
+    capped_at = decision = None
     # _state_space_bound is at least 3, so it is built only when a walk passes n = 3
     limit = 3
     seen: dict[tuple[int, int], int] = {}
     for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, support), start=1):
-        if n > limit:
-            if n == 4:
-                limit = _state_space_bound(radius, support)
+        if decision is None:
             if n > limit:
-                raise ArithmeticError(
-                    f"no verdict after {limit} steps; state-space bound violated")
-        if (num, den) in seen:
-            first = seen[num, den]
-            return MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)
-        if abs(num) * r_den >= r_num * den:
-            return MembershipDecision(Verdict.INFINITE_ESCAPE, n, escape_index=n - 1)
-        if deep:
-            return MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,
-                                      trigger_index=n, trigger_prime=min(deep))
-        seen[num, den] = n
+                if n == 4:
+                    limit = _state_space_bound(radius, support)
+                if n > limit:
+                    raise ArithmeticError(
+                        f"no verdict after {limit} steps; state-space bound violated")
+            if (num, den) in seen:
+                first = seen[num, den]
+                decision = MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)
+            elif abs(num) * r_den >= r_num * den:
+                decision = MembershipDecision(Verdict.INFINITE_ESCAPE, n, escape_index=n - 1)
+            elif deep:
+                decision = MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,
+                                              trigger_index=n, trigger_prime=min(deep))
+            else:
+                seen[num, den] = n
+        if n <= horizon and capped_at is None:
+            entries.append(OrbitEntry(n, num, den, deep))
+            if max(num.bit_length(), den.bit_length()) > bit_cap:
+                capped_at = n
+        if decision is not None and (n >= horizon or capped_at is not None):
+            return OrbitRecord(g, c, bit_cap, tuple(entries), capped_at,
+                               tuple(p for p, _, _ in support), decision)
+
+
+def iterate(g: X2DivisiblePoly, c, horizon: int, bit_cap: int = DEFAULT_BIT_CAP) -> OrbitRecord:
+    """Compute orbit entries 1..horizon, stopping early at the bit cap, and the verdict.
+
+    If an entry's numerator or denominator exceeds bit_cap bits it is still
+    recorded (so callers can see the crossing value) and capped_at marks it.
+    decision is the membership verdict of the same walk, which may step past the window.
+    """
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if bit_cap < 1:
+        raise ValueError("bit_cap must be at least 1")
+    return _walk(g, c, horizon, bit_cap)
+
+
+def decide_membership(g: X2DivisiblePoly, c) -> MembershipDecision:
+    """Classify the critical orbit of g + c: iterate's verdict, walked with no window."""
+    return _walk(g, c if isinstance(c, Fraction) else Fraction(c), 0, DEFAULT_BIT_CAP).decision

@@ -296,10 +296,11 @@ def _sample_orbits(seed, draws, degrees, draw_c, checker, verdict=None, min_hits
     for _ in range(draws):
         g = _random_poly(rng, rng.choice(degrees))
         c = draw_c(rng)
-        if c == 0 or (verdict is not None and decide_membership(g, c).verdict is not verdict):
+        orbit = None if c == 0 else iterate(g, c, 5, bit_cap=10**6)
+        if orbit is None or (verdict is not None and orbit.decision.verdict is not verdict):
             continue
         hits += 1
-        bad = checker(iterate(g, c, 5, bit_cap=10**6))
+        bad = checker(orbit)
         if bad:
             return f"g={g}, c={c}: {bad[0]}"
     if hits < min_hits:
@@ -369,10 +370,9 @@ def _scan_zsigmondy_cases():
     for text, A, B in (("x^3+x^2", 8, 3), ("2x^3+x^2", 6, 4)):
         g = X2DivisiblePoly.parse(text)
         for c in grid(ScanConfig(g, A, B)):
-            if decide_membership(g, c).verdict is Verdict.FINITE_ORBIT:
-                continue
             orbit = iterate(g, c, 6)
-            cases.append((orbit, zsigmondy_set(orbit)))
+            if orbit.decision.verdict is not Verdict.FINITE_ORBIT:
+                cases.append((orbit, zsigmondy_set(orbit)))
     return tuple(cases)
 
 

@@ -59,7 +59,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .arith import (
-    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 6
+    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 9
     is_probable_prime,
     ln_abs_ratio,
     primes_up_to,

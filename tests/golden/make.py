@@ -21,9 +21,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 _ORBITS = (
-    ("x^3+x^2", ("1/2", "-5/3", "1/6", "3", "-3/4")),
+    ("x^3+x^2", ("1/2", "-5/3", "1/6", "3", "-3/4", "-1")),
     ("2*x^3+x^2", ("1/12", "1/2", "3/2")),
     ("6*x^3+3*x^2", ("-5/2",)),
+    ("x^2", ("-2", "-1")),  # finite orbits: the fixed point 2, and -1, 0, -1, ...
 )
 _SURVEY = ("x^3+x^2", "2*x^3+x^2")
 _BOUNDS = ("x^3+x^2", "2*x^3+x^2", "x^4+x^2", "x^2", "3*x^3+2*x^2", "-x^3+x^2", "x^60",

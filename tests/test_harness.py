@@ -345,6 +345,21 @@ def test_scan_factors_no_orbit_index(monkeypatch):
     assert len(den_calls) == len(set(den_calls)) <= 5
 
 
+def test_scan_walks_each_parameter_once(monkeypatch):
+    """One orbit walk per grid point gives both its verdict and its window."""
+    walks = []
+    pairs = zsig.orbit._orbit_pairs
+
+    def counted(g, c, support):
+        walks.append(c)
+        return pairs(g, c, support)
+
+    monkeypatch.setattr(zsig.orbit, "_orbit_pairs", counted)
+    rows = run_scan(ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)).rows
+    assert len(walks) == len(rows) == 155
+    assert walks == [F(r.c_num, r.c_den) for r in rows]
+
+
 def test_scan_builds_coefficient_length_once(monkeypatch):
     """One polynomial instance serves the grid, so its length is built once."""
     builds = []

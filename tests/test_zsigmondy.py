@@ -27,7 +27,7 @@ from zsig.oracle import (
     primitive_divisor_verdicts,
     zsigmondy_of_values,
 )
-from zsig.orbit import OrbitEntry, iterate
+from zsig.orbit import OrbitEntry, Verdict, decide_membership, iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
     KriegerStatus,
@@ -172,6 +172,32 @@ def test_window_prefix_invariance(g_c, horizon, data):
     assert short.krieger_checks == full.krieger_checks[:k]
     assert short.rin_failures == tuple(n for n in full.rin_failures if n <= k)
     assert short.zset == tuple(n for n in full.zset if n <= k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 9), bit_cap=st.sampled_from([8, 64, 10**4]))
+@example(g_c=(SQUARE, F(-2)), horizon=9, bit_cap=8)  # fixed point 2
+@example(g_c=(SQUARE, F(-1)), horizon=9, bit_cap=8)  # -1, 0, -1, ...
+@example(g_c=(CUBIC, F(-1)), horizon=2, bit_cap=64)
+# entry 2 passes the 8-bit cap and the escape verdict comes at n = 3
+@example(g_c=(X2DivisiblePoly.parse("180*x^3+x^2"), F(13, 60)), horizon=9, bit_cap=8)
+def test_one_walk_gives_window_and_verdict(g_c, horizon, bit_cap):
+    """iterate's window is the plain-Fraction orbit up to its first entry past the cap,
+    and its decision is decide_membership's and, when finite, the brute-force one."""
+    g, c = g_c
+    orbit = iterate(g, c, horizon=horizon, bit_cap=bit_cap)
+    plain = oracle_module.iterate_rational(g, c, 0, len(orbit.entries))[1:]
+    assert [e.value for e in orbit.entries] == plain
+    past = [n for n, v in enumerate(plain, start=1)
+            if max(v.numerator.bit_length(), v.denominator.bit_length()) > bit_cap]
+    assert past in ([], [len(plain)])
+    assert orbit.capped_at == (past[0] if past else None)
+    assert past or len(plain) == horizon
+    decision = orbit.decision
+    assert decision == decide_membership(g, c)
+    if decision.verdict is Verdict.FINITE_ORBIT:
+        assert oracle_module.brute_force_verdict(g, c) == ("finite", decision.tail,
+                                                           decision.cycle)
 
 
 def test_rigid_strip_needs_the_den_pass():
