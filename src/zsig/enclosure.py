@@ -1,7 +1,14 @@
-"""Outward-rounded enclosures, the one way zsig compares logarithms.
+"""Outward-rounded enclosures, the one way zsig compares logarithms and skips values.
 
 Enclosure(lo, hi, exp) is the real interval [lo * 2^exp, hi * 2^exp], lo <= hi.
 Sums and products are exact; ln rounds its result outward (lo down, hi up).
+
+The value-free scan walks orbit values on the same (lo, hi, exp) triples as
+plain ints: orbit_step encloses g(v) + c for a whole interval of v, rounding
+each end outward to a fixed number of bits after every operation, and
+log2_bounds turns an interval into integer bounds on scale * log2|v|.  A
+decision read off them holds for the exact value; one they cannot settle
+goes back to exact arithmetic, so no float ever decides anything.
 """
 from __future__ import annotations
 
@@ -120,3 +127,93 @@ def power_le(x, j: int, y, k: int) -> bool:
         return s > 0
     (a, b), (c, e) = _pair(x), _pair(y)
     return abs(a) ** j * e**k <= abs(c) ** k * b**j
+
+
+def _ulps(a: int, b: int, exp: int) -> tuple[int, int]:
+    """floor and ceil of a / (b * 2^exp), b > 0; an a/b below 2^exp, exp >= 0, is one ulp."""
+    if exp >= 0 and a.bit_length() <= exp:
+        return (-1, 0) if a < 0 else (0, 1) if a else (0, 0)
+    a, b = (a, b << exp) if exp >= 0 else (a << -exp, b)
+    return a // b, -(-a // b)
+
+
+def enclose_ratio(num: int, den: int, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, exp) with num/den in [lo, hi] * 2^exp, ends of about prec bits; den > 0."""
+    exp = num.bit_length() - den.bit_length() - prec
+    return (*_ulps(num, den, exp), exp)
+
+
+def orbit_step(lo: int, hi: int, exp: int, horner: tuple[int, tuple[int, ...]],
+               c_num: int, c_den: int, prec: int) -> tuple[int, int, int]:
+    """(lo', hi', exp') enclosing g(v) + c for every v in [lo, hi] * 2^exp.
+
+    horner is g's (u_d, (u_(d-1), ..., u_2)), so g(v) = v^2 * h(v) with h
+    run by Horner from u_d down, and c = c_num / c_den.  v^2 is squared with
+    its sign, so an interval around 0 squares to [0, max^2].  Each product,
+    with the coefficient or c added to it, is rounded outward to prec bits:
+    lo down, hi up.  A v of one sign picks the ends of h * v by sign; only
+    one around 0 takes the min and max of all four.
+    """
+    if lo >= 0:
+        sq_lo, sq_hi = lo * lo, hi * hi
+    elif hi <= 0:
+        sq_lo, sq_hi = hi * hi, lo * lo
+    else:
+        sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
+    sq_exp = 2 * exp
+    if (s := sq_hi.bit_length() - prec) > 0:
+        sq_lo, sq_hi, sq_exp = sq_lo >> s, -(-sq_hi >> s), sq_exp + s
+    h_lo, lower = horner
+    h_hi = h_lo
+    h_exp = 0
+    for u in lower:
+        if lo >= 0:
+            h_lo, h_hi = h_lo * (lo if h_lo >= 0 else hi), h_hi * (hi if h_hi >= 0 else lo)
+        elif hi <= 0:
+            h_lo, h_hi = h_hi * (lo if h_hi >= 0 else hi), h_lo * (hi if h_lo >= 0 else lo)
+        else:
+            ends = (h_lo * lo, h_lo * hi, h_hi * lo, h_hi * hi)
+            h_lo, h_hi = min(ends), max(ends)
+        h_exp += exp
+        if h_exp <= 0:
+            h_lo, h_hi = h_lo + (u << -h_exp), h_hi + (u << -h_exp)
+        else:  # floor and ceil of u / 2^h_exp: one ulp when u is below the last place
+            h_lo, h_hi = h_lo + (u >> h_exp), h_hi - (-u >> h_exp)
+        if (s := max(h_lo.bit_length(), h_hi.bit_length()) - prec) > 0:
+            h_lo, h_hi, h_exp = h_lo >> s, -(-h_hi >> s), h_exp + s
+    # sq_lo >= 0, so the sign of each end of h picks its partner in v^2
+    out_exp = h_exp + sq_exp
+    c_lo, c_hi = _ulps(c_num, c_den, out_exp)
+    out_lo = h_lo * (sq_hi if h_lo < 0 else sq_lo) + c_lo
+    out_hi = h_hi * (sq_lo if h_hi < 0 else sq_hi) + c_hi
+    if (s := max(out_lo.bit_length(), out_hi.bit_length()) - prec) > 0:
+        return out_lo >> s, -(-out_hi >> s), out_exp + s
+    return out_lo, out_hi, out_exp
+
+
+@lru_cache(maxsize=4096)
+def _power_bits(y: int, k: int) -> int:
+    """bitlen(y^k), so k * log2 y lies in [_power_bits(y, k) - 1, _power_bits(y, k))."""
+    return (y**k).bit_length()
+
+
+def log2_bounds(lo: int, hi: int, exp: int, scale: int):
+    """Integer pairs L <= scale * log2|v| <= U for every v in [lo, hi] * 2^exp; 0 < lo or hi < 0.
+
+    The first pair comes from bit lengths alone and is within scale units;
+    the second, drawn only if the caller asks, cuts the smallest and largest
+    |v| to their top bitlen(scale) + 2 bits (rounding the largest up) and is
+    within 3 units.
+    """
+    a, b = (lo, hi) if lo > 0 else (-hi, -lo)
+    yield scale * (exp + a.bit_length() - 1), scale * (exp + b.bit_length())
+    keep = scale.bit_length() + 2
+    s = max(a.bit_length() - keep, 0)
+    t = max(b.bit_length() - keep, 0)
+    yield (scale * (exp + s) + _power_bits(a >> s, scale) - 1,
+           scale * (exp + t) + _power_bits((b >> t) + (t > 0), scale))
+
+
+def log2_prime(p: int, scale: int) -> tuple[int, int]:
+    """Integers lo <= scale * log2 p <= hi for a prime p; exact for p = 2."""
+    return (scale, scale) if p == 2 else (_power_bits(p, scale) - 1, _power_bits(p, scale))

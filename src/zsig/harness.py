@@ -7,6 +7,15 @@ parameters with infinite orbit.  Output is byte-identical across reruns
 and worker counts: rows keep grid order regardless of parallelism and
 wall-clock time never enters the files.
 
+A row reads only the verdict, zset, rin_failures and capped_at, so an
+all-deep parameter (every den(c) prime deep at index 1, den(c) = 1
+included) builds exact values only until its verdict is in and an entry
+passes enclosure.PRECISIONS[0] bits.  Each later index is decided from
+an interval of the value and the ledger's exact denominator valuations;
+one the intervals cannot settle, even at the last precision, sends the
+same walk on exactly.  Other parameters take iterate and zsigmondy_set.
+Both routes give the same bytes.
+
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
 from it; cells are comma-free by construction, so a CSV row needs no csv
@@ -26,11 +35,21 @@ from math import gcd
 from operator import attrgetter
 from typing import Optional, get_type_hints
 
+from . import enclosure
 from .arith import _no_helper, _usable_cpus
 # decide_membership is unused here; perfbench --trace 1 patches it until ROADMAP item 9
-from .orbit import DEFAULT_BIT_CAP, Verdict, decide_membership, iterate
+from .orbit import (
+    DEFAULT_BIT_CAP,
+    MembershipDecision,
+    Verdict,
+    _all_deep,
+    _decided_pairs,
+    _den_support,
+    decide_membership,
+    iterate,
+)
 from .poly import X2DivisiblePoly, _poly_from_text
-from .zsigmondy import zsigmondy_set
+from .zsigmondy import _index_primes, _size_test, zsigmondy_set
 
 CSV_HEADER = [
     "c_num", "c_den", "verdict", "witness", "horizon",
@@ -137,21 +156,132 @@ class ScanRow:
                 for name, v in zip(CSV_HEADER, _row_values(self))}
 
 
+def _row(c: Fraction, horizon: int, decision: MembershipDecision, zset=None, rin_failures=None,
+         capped_at=None) -> ScanRow:
+    return ScanRow(c.numerator, c.denominator, decision.verdict.value, decision.witness_text(),
+                   horizon, zset, rin_failures, capped_at)
+
+
+def _exact_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> ScanRow:
+    """The row from one exact walk: iterate's verdict and window, then zsigmondy_set."""
+    orbit = iterate(g, c, horizon, bit_cap)
+    if orbit.decision.verdict is Verdict.FINITE_ORBIT:
+        return _row(c, horizon, orbit.decision)
+    report = zsigmondy_set(orbit)
+    return _row(c, horizon, orbit.decision, report.zset, report.rin_failures, orbit.capped_at)
+
+
+def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
+                   nums: list[int], support: tuple) -> tuple[bool, Optional[int]]:
+    """(decided, capped_at) of the indices past start = (n, num, den, deep), from enclosures.
+
+    At each precision the walk restarts from the exact entry n and steps an
+    interval of the value.  Scale * log2 of |N| = |value| * M and of M are
+    bounded in integers, with scale the precision: val_p(M) comes off the
+    ledger, val_p(M') = d * val_p(M) - val_p(u_d), so the bounds on scale *
+    log2 M follow the same rule.  An index is decided when |N| exceeds prod,
+    the N_(n/q) over the primes q | n (nums give the exact ones, later ones
+    their upper bounds), which keeps it out of the Zsigmondy set and the
+    inequality failures, and when |N| and M both lie on one side of the cap.
+    An interval around 0 or a bound on the wrong side tries the next
+    precision; past the last one, the answer is (False, None).
+    """
+    n0, num, den, deep = start
+    d, horner, c_num, c_den = g.degree, g._horner, c.numerator, c.denominator
+    index_primes = _index_primes(horizon)
+    for prec in enclosure.PRECISIONS:
+        cap = prec * bit_cap
+        upper = [prec * x.bit_length() for x in nums]  # bounds on prec * log2 N
+        den_lo = den_hi = drop_lo = drop_hi = 0
+        for p, _, lead_val in support:
+            p_lo, p_hi = enclosure.log2_prime(p, prec)
+            den_lo, den_hi = den_lo + deep[p] * p_lo, den_hi + deep[p] * p_hi
+            drop_lo, drop_hi = drop_lo + lead_val * p_lo, drop_hi + lead_val * p_hi
+        lo, hi, exp = enclosure.enclose_ratio(num, den, prec)
+        for n in range(n0 + 1, horizon + 1):
+            lo, hi, exp = enclosure.orbit_step(lo, hi, exp, horner, c_num, c_den, prec)
+            if lo <= 0 <= hi:
+                break
+            den_lo, den_hi = d * den_lo - drop_lo, d * den_hi - drop_hi
+            prod_hi = 0
+            for q in index_primes[n - 1]:
+                prod_hi += upper[n // q - 1]
+            for v_lo, v_hi in enclosure.log2_bounds(lo, hi, exp, prec):
+                n_lo, n_hi = v_lo + den_lo, v_hi + den_hi
+                capped = n_lo >= cap or den_lo >= cap
+                if n_lo > prod_hi and (capped or max(n_hi, den_hi) < cap):
+                    break
+            else:  # not even the finer bounds settle n: try the next precision
+                break
+            upper.append(n_hi)
+            if capped:
+                return True, n
+        else:
+            return True, None
+    return False, None
+
+
+def _value_free_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int,
+                    support: tuple) -> ScanRow:
+    """The row of an all-deep parameter, with exact values only as far as they are needed.
+
+    One walk runs exactly until it has the verdict and its entry has
+    outgrown enclosure.PRECISIONS[0] bits, deciding each index with
+    zsigmondy_set's size test; a finite verdict ends the row at once.  The
+    remaining indices are decided from enclosures; one they cannot settle
+    sends the same walk on exactly through the rest of the window.
+    """
+    index_primes = _index_primes(horizon)
+    nums: list[int] = []
+    zset, rin_failures = [], []
+    capped_at = None
+    handoff = enclosure.PRECISIONS[0]
+    k = 0  # indices decided so far
+    for n, num, den, deep, decision in _decided_pairs(g, c, support):
+        bits = max(num.bit_length(), den.bit_length())
+        if n <= horizon and capped_at is None:
+            nums.append(abs(num))
+            if bits > bit_cap:
+                capped_at = n
+        if decision is None:
+            continue
+        if decision.verdict is Verdict.FINITE_ORBIT:
+            return _row(c, horizon, decision)
+        # only an infinite orbit's indices are decided: none is zero, no strip is wasted
+        while k < len(nums):
+            k += 1
+            prod = 1
+            for q in index_primes[k - 1]:
+                prod *= nums[k // q - 1]
+            small, member = _size_test(nums[k - 1], prod)
+            if small:
+                rin_failures.append(k)
+            if member:
+                zset.append(k)
+        if n >= horizon or capped_at is not None:
+            break
+        if handoff is not None and bits > handoff:
+            decided, capped_at = _enclosed_tail(g, c, horizon, bit_cap, (n, num, den, deep),
+                                                nums, support)
+            if decided:
+                break
+            handoff = None  # the same walk goes on exactly to the end of the window
+    return _row(c, horizon, decision, tuple(zset), tuple(rin_failures), capped_at)
+
+
 def _scan_one(payload: tuple) -> ScanRow:
     """Classify one parameter; module level so process pools can pickle it.
 
-    The payload is (g, c, horizon, bit_cap) with c the grid's Fraction, which
-    iterate takes as it is; its one walk gives both the verdict and the window.
+    The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
+    parameter whose den(c) primes are all deep at index 1 gets the
+    value-free row; any other gets the exact one.  Either way one walk gives
+    both the verdict and the window.
     """
     g, c, horizon, bit_cap = payload
-    orbit = iterate(g, c, horizon, bit_cap)
-    decision = orbit.decision
-    if decision.verdict is Verdict.FINITE_ORBIT:
-        return ScanRow(c.numerator, c.denominator, decision.verdict.value,
-                       decision.witness_text(), horizon, None, None, None)
-    report = zsigmondy_set(orbit)
-    return ScanRow(c.numerator, c.denominator, decision.verdict.value, decision.witness_text(),
-                   horizon, report.zset, report.rin_failures, orbit.capped_at)
+    support = _den_support(g.lead, c.denominator)
+    if _all_deep(support):
+        return _value_free_row(g, c, horizon, bit_cap, support)
+    return _exact_row(g, c, horizon, bit_cap)
 
 
 @dataclass(frozen=True)

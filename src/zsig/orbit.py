@@ -93,6 +93,11 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((p, b, val_p(lead, p)) for p, b in factor_small(den))
 
 
+def _all_deep(support: tuple[tuple[int, int, int], ...]) -> bool:
+    """Every den(c) prime is deep at index 1 (den(c) = 1 included), so it stays deep."""
+    return all(b > lead_val for _, b, lead_val in support)
+
+
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
     """Reduced (num, den, deep) of entries 1, 2, 3, ...; each step runs on demand.
 
@@ -199,20 +204,19 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
     return sum(2 * (r * m // s) + 1 for m in denominators) + 2
 
 
-def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitRecord:
-    """Step the critical orbit until it has both its membership verdict and its window.
+def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
+    """(n, num, den, deep, decision) of entries 1, 2, 3, ...: the walk and its verdict checks.
 
-    Per step until the verdict, in order: the state-space guard, a repeated
-    value (finite orbit), an escape-radius crossing, a deep denominator.  An
-    orbit that never triggers either infinite verdict lives in a finite state
-    space, read off the den(c) support, and must repeat within its bound.
-    The window keeps entries 1..horizon, up to the first one past bit_cap.
+    decision is None until the membership verdict and that verdict from then
+    on.  Per step until the verdict, in order: the state-space guard, a
+    repeated value (finite orbit), an escape-radius crossing, a deep
+    denominator.  An orbit that never triggers either infinite verdict lives
+    in a finite state space, read off the den(c) support, and must repeat
+    within its bound.  Every reader of a verdict walks through here.
     """
     radius = escape_radius(g, c)
     r_num, r_den = radius.numerator, radius.denominator
-    support = _den_support(g.lead, c.denominator)
-    entries: list[OrbitEntry] = []
-    capped_at = decision = None
+    decision = None
     # _state_space_bound is at least 3, so it is built only when a walk passes n = 3
     limit = 3
     seen: dict[tuple[int, int], int] = {}
@@ -234,6 +238,18 @@ def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitR
                                               trigger_index=n, trigger_prime=min(deep))
             else:
                 seen[num, den] = n
+        yield n, num, den, deep, decision
+
+
+def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitRecord:
+    """Step the critical orbit until it has both its membership verdict and its window.
+
+    The window keeps entries 1..horizon, up to the first one past bit_cap.
+    """
+    support = _den_support(g.lead, c.denominator)
+    entries: list[OrbitEntry] = []
+    capped_at = None
+    for n, num, den, deep, decision in _decided_pairs(g, c, support):
         if n <= horizon and capped_at is None:
             entries.append(OrbitEntry(n, num, den, deep))
             if max(num.bit_length(), den.bit_length()) > bit_cap:

@@ -27,7 +27,7 @@ from .arith import (
     strip_common_primes,
     val_p,
 )
-from .harness import ScanConfig, csv_text, grid, run_scan
+from .harness import ScanConfig, _exact_row, _scan_one, csv_text, grid, run_scan
 from .lemmas import (
     check_denominator_lower_bound,
     check_escape_growth,
@@ -44,7 +44,15 @@ from .oracle import (
     primitive_divisor_verdicts,
     zsigmondy_of_values,
 )
-from .orbit import OrbitEntry, Verdict, decide_membership, iterate
+from .orbit import (
+    DEFAULT_BIT_CAP,
+    OrbitEntry,
+    Verdict,
+    _all_deep,
+    _den_support,
+    decide_membership,
+    iterate,
+)
 from .poly import (
     RatPolynomial,
     X2DivisiblePoly,
@@ -511,6 +519,24 @@ def scan_grid_and_determinism() -> str:
     two = csv_text(run_scan(ScanConfig(g, 3, 2, horizon=6, parallelism=2)))
     if one != two:
         return "csv bytes differ between one and two workers"
+    return ""
+
+
+@_check
+def value_free_scan_matches_exact() -> str:
+    # a scan row read off enclosures, where every den(c) prime is deep at index 1,
+    # must be the row of one exact walk and zsigmondy_set; a 64-bit cap stops rows
+    # in the exact prefix, a 1000-bit one in the enclosed tail, the default none
+    value_free = 0
+    for text in ("x^3+x^2", "2x^3+x^2"):
+        g = X2DivisiblePoly.parse(text)
+        for c in grid(ScanConfig(g, 6, 4)):
+            value_free += _all_deep(_den_support(g.lead, c.denominator))
+            for cap in (64, 1000, DEFAULT_BIT_CAP):
+                if _scan_one((g, c, 9, cap)) != _exact_row(g, c, 9, cap):
+                    return f"rows differ at g={g}, c={c}, bit_cap={cap}"
+    if value_free < 50:
+        return f"only {value_free} value-free parameters"
     return ""
 
 

@@ -148,6 +148,19 @@ def _unseen_part(num: int, seen: int, support: Sequence[int]) -> int:
     return num
 
 
+def _size_test(num: int, prod: int, seen: int = 1, support: Sequence[int] = ()
+               ) -> tuple[bool, bool]:
+    """(num <= prod, the index is in the Zsigmondy set) for |N_n| = num and its prod and seen.
+
+    rest, num without the primes of support that divide seen, exceeding prod
+    certifies a primitive prime; only otherwise does one strip against
+    prod * seen decide.  An all-deep walk tracks no den(c) prime: seen = 1.
+    """
+    small = num <= prod
+    return small, ((small or seen > 1 and _unseen_part(num, seen, support) <= prod)
+                   and strip_common_primes(num, prod * seen) == 1)
+
+
 @dataclass(frozen=True)
 class ZsigmondyReport:
     """Every per-index answer of zsigmondy_set on one orbit.
@@ -220,11 +233,10 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
         nums.append(num)
         prods.append(prod)
         seens.append(seen)
-        small = num <= prod
+        small, member = _size_test(num, prod, seen, support)
         if small:
             rin_failures.append(n)
-        if ((small or seen > 1 and _unseen_part(num, seen, support) <= prod)
-                and strip_common_primes(num, prod * seen) == 1):
+        if member:
             zset.append(n)
         for p in support:
             if seen % p and num % p == 0:

@@ -37,6 +37,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6",
        "--horizon", str(horizon), "--format", fmt)
       for poly in _SURVEY for horizon in (8, 10) for fmt in ("csv", "json")),
+    # every row capped at n = 11 or 12: the cap decided past the exact prefix
+    ("scan", "--poly=x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "12",
+     "--bit-cap", "200000", "--format", "csv"),
     *(("bounds", f"--poly={poly}") for poly in _BOUNDS),
     ("bounds", "--poly=x^3+x^2", "--L", "1/3", "--N", "5"),
     ("normalize", "--poly", "x^3-3*x", "--u", "1"),

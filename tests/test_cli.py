@@ -128,7 +128,8 @@ DEEP_STDOUT_SHA256 = {
 
 
 def test_deep_orbit_bytes_are_pinned(capsys, monkeypatch):
-    """Deep orbits print the same bytes, and their steps run through arith.mul."""
+    """Deep orbits print the same bytes, and their steps run through arith.mul;
+    the scan decides its deep entries from enclosures and reaches no arith.mul."""
     kernel_calls, ssa_calls = [], []
     real_mul, real_ssa = zsig.poly.mul, zsig.arith._ssa
 
@@ -148,7 +149,7 @@ def test_deep_orbit_bytes_are_pinned(capsys, monkeypatch):
         rc, out, _ = run(capsys, *argv)
         assert rc == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-        assert kernel_calls, argv
+        assert bool(kernel_calls) == (argv[0] != "scan"), argv
         assert ssa_calls or argv not in SSA_STDOUT_SHA256, argv
 
 

@@ -1,4 +1,5 @@
-"""Certified log enclosures against mpmath at four times the precision."""
+"""Certified log enclosures against mpmath at four times the precision, and the
+interval orbit step and log2 bounds against exact rationals."""
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,18 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsig.enclosure import PRECISIONS, _atanh, ln, power_le, sign
+from zsig.enclosure import (
+    PRECISIONS,
+    _atanh,
+    enclose_ratio,
+    ln,
+    log2_bounds,
+    log2_prime,
+    orbit_step,
+    power_le,
+    sign,
+)
+from zsig.poly import X2DivisiblePoly
 
 
 def _reference(a: int, b: int):
@@ -83,3 +95,72 @@ def test_sign_and_power_le_on_exact_ties():
     assert power_le((6, 4), 2, (18, 8), 1) and power_le((18, 8), 1, (6, 4), 2)
     assert not power_le(2**60 + 1, 1, 2, 60) and power_le(2, 60, 2**60 + 1, 1)
     assert power_le(F(-1, 3), 5, 1, 7) and not power_le(3, 1, F(1, 3), 0)
+
+
+def _ends(lo: int, hi: int, exp: int) -> tuple[F, F]:
+    return F(lo) * F(2) ** exp, F(hi) * F(2) ** exp
+
+
+_STEP_PRECISIONS = st.sampled_from([4, 8, *PRECISIONS[:3]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(st.integers(-9, 9), min_size=0, max_size=3),
+       lead=st.integers(-6, 6).filter(bool), c_num=st.integers(-10**6, 10**6),
+       c_den=st.integers(1, 10**4), v_num=st.integers(-2**300, 2**300).filter(bool),
+       v_bits=st.integers(0, 300), prec=_STEP_PRECISIONS, steps=st.integers(1, 3))
+def test_orbit_step_encloses_the_exact_step(coeffs, lead, c_num, c_den, v_num, v_bits, prec,
+                                            steps):
+    """orbit_step from the enclosure of an exact v holds g(v) + c, step after step."""
+    g = X2DivisiblePoly.from_coeffs([0, 0, *coeffs, lead])
+    c, v = F(c_num, c_den), F(v_num, 1 << v_bits)
+    lo, hi, exp = enclose_ratio(v.numerator, v.denominator, prec)
+    low, high = _ends(lo, hi, exp)
+    assert low <= v <= high and max(lo.bit_length(), hi.bit_length()) <= prec + 2
+    for _ in range(steps):
+        v = g(v) + c
+        lo, hi, exp = orbit_step(lo, hi, exp, g._horner, c.numerator, c.denominator, prec)
+        low, high = _ends(lo, hi, exp)
+        assert low <= v <= high, (g, c, prec)
+        assert max(lo.bit_length(), hi.bit_length()) <= prec + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(-2**80, 2**80), width=st.integers(0, 2**70), exp=st.integers(-200, 200),
+       prec=_STEP_PRECISIONS, picks=st.lists(st.integers(0, 2**70), min_size=1, max_size=3))
+def test_orbit_step_encloses_every_point_of_an_interval(lo, width, exp, prec, picks):
+    """An interval around 0 or of one sign: each point inside steps into the result."""
+    g = X2DivisiblePoly.from_coeffs([0, 0, 3, -2, 1])
+    c = F(-7, 3)
+    hi = lo + width
+    out = _ends(*orbit_step(lo, hi, exp, g._horner, c.numerator, c.denominator, prec))
+    for k in [0, width, *(p % (width + 1) for p in picks)]:
+        v = F(lo + k) * F(2) ** exp
+        assert out[0] <= g(v) + c <= out[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(1, 2**90), width=st.integers(0, 2**90), exp=st.integers(-300, 300),
+       negative=st.booleans(), scale=st.sampled_from([4, 64, 128, 1024]))
+def test_log2_bounds_hold_exactly(lo, width, exp, negative, scale):
+    """Each pair log2_bounds yields brackets scale * log2|v| at both ends of the interval:
+    2^L <= |v|^scale and |v|^scale <= 2^U, checked on exact powers."""
+    hi = lo + width
+    ends = (-hi, -lo) if negative else (lo, hi)
+    pairs = list(log2_bounds(*ends, exp, scale))
+    assert len(pairs) == 2
+    for low, high in pairs:
+        assert F(2) ** low <= (F(lo) * F(2) ** exp) ** scale
+        assert (F(hi) * F(2) ** exp) ** scale <= F(2) ** high
+    (crude_lo, crude_hi), (fine_lo, fine_hi) = pairs
+    assert crude_lo <= fine_lo and fine_hi <= crude_hi + 2
+    if width == 0:
+        assert fine_hi - fine_lo <= 3
+
+
+def test_log2_prime_brackets_the_prime():
+    for p in (2, 3, 5, 7, 11, 13, 10007):
+        for scale in (4, 64, 256):
+            low, high = log2_prime(p, scale)
+            assert 2**low <= p**scale <= 2**high and high - low <= 1
+    assert log2_prime(2, 64) == (64, 64)

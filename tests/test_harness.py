@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from functools import cached_property
 import pytest
 
 import zsig.arith
+import zsig.enclosure
 import zsig.harness
 import zsig.orbit
 import zsig.zsigmondy
@@ -358,6 +360,72 @@ def test_scan_walks_each_parameter_once(monkeypatch):
     rows = run_scan(ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)).rows
     assert len(walks) == len(rows) == 155
     assert walks == [F(r.c_num, r.c_den) for r in rows]
+
+
+def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch):
+    """At horizon 12 every x^3+x^2 grid point is decided from enclosures once its
+    entry passes 64 bits, so no exact step gets a wider operand."""
+    bits = []
+    step = X2DivisiblePoly.eval_int_pair
+
+    def counted(g, num, den):
+        bits.append(max(num.bit_length(), den.bit_length()))
+        return step(g, num, den)
+
+    monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", counted)
+    rows = run_scan(ScanConfig(CUBIC, 20, 6, horizon=12)).rows
+    assert len(rows) == 155
+    assert bits and max(bits) <= zsig.enclosure.PRECISIONS[0] == 64
+
+
+def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
+    """With one 2-bit precision the enclosures give up, the walk goes on exactly from
+    where it handed off, and every row is still the exact one."""
+    tails = []
+    tail = zsig.harness._enclosed_tail
+
+    def recorded(*args):
+        tails.append(tail(*args))
+        return tails[-1]
+
+    payloads = [(g, c, horizon, cap) for g in (CUBIC, X2DivisiblePoly.parse("2*x^3+x^2"))
+                for c in grid(ScanConfig(g, 6, 4)) for horizon, cap in ((7, 200), (9, 10**6))]
+    exact = [zsig.harness._exact_row(*p) for p in payloads]
+    monkeypatch.setattr(zsig.enclosure, "PRECISIONS", (2,))
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    assert [zsig.harness._scan_one(p) for p in payloads] == exact
+    assert (False, None) in tails and len(tails) > 50
+
+
+# -1/2 and -1/4 have |value| < 1 past index 5, so their denominators pass a cap first;
+# 2*x^3+x^2 takes val_2(u_d) = 1 off the ledger of den(c) = 4 at each step
+_EDGE_CASES = ((CUBIC, F(1, 6)), (CUBIC, F(-1, 2)), (CUBIC, F(7)),
+               (X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 4)),
+               (X2DivisiblePoly.parse("2*x^3+x^2"), F(5, 4)))
+
+
+def test_caps_at_an_entrys_own_bit_length():
+    """A cap at, or one under, the numerator's or the denominator's bit length of a
+    deep entry ends the window where the exact walk ends it."""
+    for g, c in _EDGE_CASES:
+        for e in iterate(g, c, horizon=9).entries[4:]:
+            for bits in {abs(e.num).bit_length(), e.den.bit_length()} - {1}:  # den(7) = 1
+                for cap in (bits - 1, bits):
+                    payload = (g, c, 9, cap)
+                    assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+
+
+def test_enclosed_tail_gives_up_where_the_size_test_fails():
+    """With N_1 replaced by |N_5|, prod equals |N_5| at the prime index 5, which
+    certifies no primitive prime: every precision gives up on it."""
+    support = zsig.orbit._den_support(1, 6)
+    walk = list(itertools.islice(zsig.orbit._decided_pairs(CUBIC, F(1, 6), support), 5))
+    start = walk[3][:4]
+    nums = [abs(num) for _, num, _, _, _ in walk[:4]]
+    tail = zsig.harness._enclosed_tail
+    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (True, None)
+    nums[0] = abs(walk[4][1])
+    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (False, None)
 
 
 def test_scan_builds_coefficient_length_once(monkeypatch):

@@ -48,7 +48,7 @@ growth threshold (escape): 30
 growth threshold (monomial): 30
 growth threshold (bounded): 30
 largest index bound: 30"""
-    assert verify.endswith("24/24 checks passed\nrc 0") and "FAIL" not in verify
+    assert verify.endswith("25/25 checks passed\nrc 0") and "FAIL" not in verify
 
 
 def test_import_footprint():
@@ -58,18 +58,20 @@ def test_import_footprint():
     assert _fresh_python(f"import sys, zsig; {listing}") == "['zsig']"
     assert _fresh_python(f"import sys, zsig.cli; {listing}") == (
         "['zsig', 'zsig.arith', 'zsig.cli', 'zsig.orbit', 'zsig.poly', 'zsig.zsigmondy']")
-    # a scan and a single-orbit report, imported and run, load no checker code
+    # a single-orbit report and a scan, imported and run, load no checker code; the
+    # report stays exact, and only the scan reads enclosures
     code = """
 import contextlib, io, sys
-import zsig.harness
 from zsig.cli import main
-from zsig.poly import X2DivisiblePoly
-zsig.harness.run_scan(zsig.harness.ScanConfig(X2DivisiblePoly.parse('x^3+x^2'), 3, 2, horizon=6))
 with contextlib.redirect_stdout(io.StringIO()):
     main(['zsigmondy', '--poly', 'x^3+x^2', '--c', '1/2'])
 print([m for m in ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure') if m in sys.modules])
+import zsig.harness
+from zsig.poly import X2DivisiblePoly
+zsig.harness.run_scan(zsig.harness.ScanConfig(X2DivisiblePoly.parse('x^3+x^2'), 3, 2, horizon=6))
+print([m for m in ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure') if m in sys.modules])
 """
-    assert _fresh_python(code) == "[]"
+    assert _fresh_python(code) == "[]\n['zsig.enclosure']"
 
 
 # the modules a scan or a single orbit runs; the oracles and lemma checkers stay off them

@@ -33,6 +33,7 @@ EXPECTED_CHECKS = {
     "stabilization_index_exact",
     "growth_threshold_boundary",
     "scan_grid_and_determinism",
+    "value_free_scan_matches_exact",
 }
 
 
@@ -58,6 +59,15 @@ def test_full_suite_is_green(verify_run):
     failures = [f"{r.name}: {r.detail}" for r in results if not r.ok]
     assert failures == []
     assert len(results) == len(EXPECTED_CHECKS)
+
+
+def test_value_free_check_catches_a_tail_that_misses_the_cap(monkeypatch):
+    """A tail that never reports the cap gives rows the exact walk does not."""
+    import zsig.harness
+
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", lambda *args: (True, None))
+    detail = verification.value_free_scan_matches_exact()
+    assert detail.startswith("rows differ at g=x^3 + x^2, c=") and "bit_cap=1000" in detail
 
 
 # (check, the orbit checker it samples with, whether it keeps one verdict)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import zsig.oracle as oracle_module
 import zsig.zsigmondy as zsigmondy_module
-from zsig.harness import ScanConfig, run_scan
+from zsig.harness import ScanConfig, _scan_one, run_scan
 from zsig.lemmas import (
     check_cross_bound,
     check_monomial_sandwich,
@@ -303,6 +303,33 @@ def test_survey_scan_strips_only_zsigmondy_indices(monkeypatch):
         summary = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=8))
         assert results == [1] * want, text
         assert sum(len(row.zset or ()) for row in summary.rows) == want, text
+
+
+def _exact_scan_cells(g, c, horizon, bit_cap):
+    """verdict, witness, zset, rin_failures and capped_at from iterate and zsigmondy_set."""
+    orbit = iterate(g, c, horizon=horizon, bit_cap=bit_cap)
+    decision = orbit.decision
+    head = (decision.verdict.value, decision.witness_text())
+    if decision.verdict is Verdict.FINITE_ORBIT:
+        return (*head, None, None, None)
+    report = zsigmondy_set(orbit)
+    return (*head, report.zset, report.rin_failures, orbit.capped_at)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 10),
+       bit_cap=st.sampled_from([8, 64, 10**4]))
+@example(g_c=(CUBIC, F(1, 6)), horizon=10, bit_cap=10**4)  # capped at n = 9, past the prefix
+@example(g_c=(CUBIC, F(7)), horizon=10, bit_cap=10**4)  # integer c: den(c) = 1
+@example(g_c=(CUBIC, F(-1)), horizon=10, bit_cap=64)  # finite: the row ends at the verdict
+@example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(1, 2)), horizon=10, bit_cap=10**4)  # shallow
+def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
+    """A scan row, read off enclosures when every den(c) prime is deep at index 1,
+    has the cells of the row that one exact walk and zsigmondy_set give."""
+    g, c = g_c
+    row = _scan_one((g, c, horizon, bit_cap))
+    cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
+    assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
 
 
 def test_size_test_is_audited_on_a_fabricated_window():
