@@ -214,6 +214,20 @@ def log2_bounds(lo: int, hi: int, exp: int, scale: int):
            scale * (exp + t) + _power_bits((b >> t) + (t > 0), scale))
 
 
+@lru_cache(maxsize=256)
 def log2_prime(p: int, scale: int) -> tuple[int, int]:
-    """Integers lo <= scale * log2 p <= hi for a prime p; exact for p = 2."""
-    return (scale, scale) if p == 2 else (_power_bits(p, scale) - 1, _power_bits(p, scale))
+    """Integers lo <= scale * log2 p <= hi = lo + 1 for a prime p; exact for p = 2.
+
+    Read off ln p / ln 2 at rising precision: log2 p is irrational for an
+    odd p, so some precision puts both ends between the same two integers.
+    """
+    if p == 2:
+        return scale, scale
+    w = scale.bit_length() + p.bit_length().bit_length() + 4
+    while True:
+        num, two = ln(p, w), ln(2, w)
+        exp = two.exp - num.exp
+        lo, hi = _ulps(scale * num.lo, two.hi, exp)[0], _ulps(scale * num.hi, two.lo, exp)[1]
+        if hi - lo <= 1:
+            return lo, hi
+        w *= 2

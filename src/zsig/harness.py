@@ -7,14 +7,16 @@ parameters with infinite orbit.  Output is byte-identical across reruns
 and worker counts: rows keep grid order regardless of parallelism and
 wall-clock time never enters the files.
 
-A row reads only the verdict, zset, rin_failures and capped_at, so an
-all-deep parameter (every den(c) prime deep at index 1, den(c) = 1
-included) builds exact values only until its verdict is in and an entry
-passes enclosure.PRECISIONS[0] bits.  Each later index is decided from
-an interval of the value and the ledger's exact denominator valuations;
-one the intervals cannot settle, even at the last precision, sends the
-same walk on exactly.  Other parameters take iterate and zsigmondy_set.
-Both routes give the same bytes.
+A row reads only the verdict, zset, rin_failures and capped_at, and
+_scan_one builds every row from one walk that keeps only |N_n|.  A finite
+verdict ends the row.  An all-deep parameter (every den(c) prime deep at
+index 1, den(c) = 1 included) builds exact values only until its verdict
+is in and an entry passes enclosure.PRECISIONS[0] bits; each later index
+is decided from an interval of the value and the ledger's exact
+denominator valuations, and one the intervals cannot settle, even at the
+last precision, sends the same walk on exactly.  The exact indices are
+decided by the per-index rule zsigmondy_set runs; _exact_row, the row of
+iterate and zsigmondy_set, is the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -42,14 +44,13 @@ from .orbit import (
     DEFAULT_BIT_CAP,
     MembershipDecision,
     Verdict,
-    _all_deep,
     _decided_pairs,
     _den_support,
     decide_membership,
     iterate,
 )
 from .poly import X2DivisiblePoly, _poly_from_text
-from .zsigmondy import _index_primes, _size_test, zsigmondy_set
+from .zsigmondy import _index_columns, _index_primes, _tracked_primes, zsigmondy_set
 
 CSV_HEADER = [
     "c_num", "c_den", "verdict", "witness", "horizon",
@@ -163,7 +164,7 @@ def _row(c: Fraction, horizon: int, decision: MembershipDecision, zset=None, rin
 
 
 def _exact_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> ScanRow:
-    """The row from one exact walk: iterate's verdict and window, then zsigmondy_set."""
+    """The row iterate and zsigmondy_set give: the reference _scan_one is checked against."""
     orbit = iterate(g, c, horizon, bit_cap)
     if orbit.decision.verdict is Verdict.FINITE_ORBIT:
         return _row(c, horizon, orbit.decision)
@@ -179,22 +180,26 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     interval of the value.  Scale * log2 of |N| = |value| * M and of M are
     bounded in integers, with scale the precision: val_p(M) comes off the
     ledger, val_p(M') = d * val_p(M) - val_p(u_d), so the bounds on scale *
-    log2 M follow the same rule.  An index is decided when |N| exceeds prod,
-    the N_(n/q) over the primes q | n (nums give the exact ones, later ones
-    their upper bounds), which keeps it out of the Zsigmondy set and the
-    inequality failures, and when |N| and M both lie on one side of the cap.
-    An interval around 0 or a bound on the wrong side tries the next
-    precision; past the last one, the answer is (False, None).
+    log2 M follow the same rule.  They run in 2^-k units, 2^k past every
+    val_p(M) the window reaches, on brackets of 2^k * scale * log2 p one
+    unit wide, so they lie within a unit per den(c) prime of each other.
+    An index is decided when |N| exceeds prod, the N_(n/q) over the primes
+    q | n (nums give the exact ones, later ones their upper bounds), which
+    keeps it out of the Zsigmondy set and the inequality failures, and when
+    |N| and M both lie on one side of the cap.  An interval around 0 or a
+    bound on the wrong side tries the next precision; past the last one,
+    the answer is (False, None).
     """
     n0, num, den, deep = start
     d, horner, c_num, c_den = g.degree, g._horner, c.numerator, c.denominator
     index_primes = _index_primes(horizon)
+    k = (max(deep.values(), default=0) * d ** (horizon - n0)).bit_length()
     for prec in enclosure.PRECISIONS:
         cap = prec * bit_cap
         upper = [prec * x.bit_length() for x in nums]  # bounds on prec * log2 N
-        den_lo = den_hi = drop_lo = drop_hi = 0
+        den_lo = den_hi = drop_lo = drop_hi = 0  # on 2^k * prec * log2 M, and its drop per step
         for p, _, lead_val in support:
-            p_lo, p_hi = enclosure.log2_prime(p, prec)
+            p_lo, p_hi = enclosure.log2_prime(p, prec << k)
             den_lo, den_hi = den_lo + deep[p] * p_lo, den_hi + deep[p] * p_hi
             drop_lo, drop_hi = drop_lo + lead_val * p_lo, drop_hi + lead_val * p_hi
         lo, hi, exp = enclosure.enclose_ratio(num, den, prec)
@@ -203,13 +208,14 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
             if lo <= 0 <= hi:
                 break
             den_lo, den_hi = d * den_lo - drop_lo, d * den_hi - drop_hi
+            m_lo, m_hi = den_lo >> k, -(-den_hi >> k)
             prod_hi = 0
             for q in index_primes[n - 1]:
                 prod_hi += upper[n // q - 1]
             for v_lo, v_hi in enclosure.log2_bounds(lo, hi, exp, prec):
-                n_lo, n_hi = v_lo + den_lo, v_hi + den_hi
-                capped = n_lo >= cap or den_lo >= cap
-                if n_lo > prod_hi and (capped or max(n_hi, den_hi) < cap):
+                n_lo, n_hi = v_lo + m_lo, v_hi + m_hi
+                capped = n_lo >= cap or m_lo >= cap
+                if n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap):
                     break
             else:  # not even the finer bounds settle n: try the next precision
                 break
@@ -221,23 +227,22 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     return False, None
 
 
-def _value_free_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int,
-                    support: tuple) -> ScanRow:
-    """The row of an all-deep parameter, with exact values only as far as they are needed.
+def _scan_one(payload: tuple) -> ScanRow:
+    """The row of one parameter from one walk; module level so process pools can pickle it.
 
-    One walk runs exactly until it has the verdict and its entry has
-    outgrown enclosure.PRECISIONS[0] bits, deciding each index with
-    zsigmondy_set's size test; a finite verdict ends the row at once.  The
-    remaining indices are decided from enclosures; one they cannot settle
-    sends the same walk on exactly through the rest of the window.
+    The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
+    finite verdict ends the row.  With no den(c) prime to track, the walk
+    hands the indices past 64 bits to _enclosed_tail.  The exact indices are
+    decided at the end, once the verdict is infinite, by _index_columns.
     """
-    index_primes = _index_primes(horizon)
+    g, c, horizon, bit_cap = payload
+    support = _den_support(g.lead, c.denominator)
     nums: list[int] = []
-    zset, rin_failures = [], []
     capped_at = None
-    handoff = enclosure.PRECISIONS[0]
-    k = 0  # indices decided so far
     for n, num, den, deep, decision in _decided_pairs(g, c, support):
+        if n == 1:
+            tracked = _tracked_primes((p for p, _, _ in support), deep)
+            handoff = None if tracked else enclosure.PRECISIONS[0]
         bits = max(num.bit_length(), den.bit_length())
         if n <= horizon and capped_at is None:
             nums.append(abs(num))
@@ -247,17 +252,6 @@ def _value_free_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int,
             continue
         if decision.verdict is Verdict.FINITE_ORBIT:
             return _row(c, horizon, decision)
-        # only an infinite orbit's indices are decided: none is zero, no strip is wasted
-        while k < len(nums):
-            k += 1
-            prod = 1
-            for q in index_primes[k - 1]:
-                prod *= nums[k // q - 1]
-            small, member = _size_test(nums[k - 1], prod)
-            if small:
-                rin_failures.append(k)
-            if member:
-                zset.append(k)
         if n >= horizon or capped_at is not None:
             break
         if handoff is not None and bits > handoff:
@@ -266,22 +260,8 @@ def _value_free_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int,
             if decided:
                 break
             handoff = None  # the same walk goes on exactly to the end of the window
+    _, _, zset, rin_failures = _index_columns(nums, tracked)
     return _row(c, horizon, decision, tuple(zset), tuple(rin_failures), capped_at)
-
-
-def _scan_one(payload: tuple) -> ScanRow:
-    """Classify one parameter; module level so process pools can pickle it.
-
-    The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
-    parameter whose den(c) primes are all deep at index 1 gets the
-    value-free row; any other gets the exact one.  Either way one walk gives
-    both the verdict and the window.
-    """
-    g, c, horizon, bit_cap = payload
-    support = _den_support(g.lead, c.denominator)
-    if _all_deep(support):
-        return _value_free_row(g, c, horizon, bit_cap, support)
-    return _exact_row(g, c, horizon, bit_cap)
 
 
 @dataclass(frozen=True)

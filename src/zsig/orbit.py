@@ -93,11 +93,6 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((p, b, val_p(lead, p)) for p, b in factor_small(den))
 
 
-def _all_deep(support: tuple[tuple[int, int, int], ...]) -> bool:
-    """Every den(c) prime is deep at index 1 (den(c) = 1 included), so it stays deep."""
-    return all(b > lead_val for _, b, lead_val in support)
-
-
 def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
     """Reduced (num, den, deep) of entries 1, 2, 3, ...; each step runs on demand.
 

@@ -48,8 +48,6 @@ from .orbit import (
     DEFAULT_BIT_CAP,
     OrbitEntry,
     Verdict,
-    _all_deep,
-    _den_support,
     decide_membership,
     iterate,
 )
@@ -59,7 +57,13 @@ from .poly import (
     critical_points_rational,
     normalize_to_x2_divisible,
 )
-from .zsigmondy import KriegerStatus, growth_threshold, index_bound_n0, zsigmondy_set
+from .zsigmondy import (
+    KriegerStatus,
+    _tracked_primes,
+    growth_threshold,
+    index_bound_n0,
+    zsigmondy_set,
+)
 
 
 @dataclass(frozen=True)
@@ -524,14 +528,15 @@ def scan_grid_and_determinism() -> str:
 
 @_check
 def value_free_scan_matches_exact() -> str:
-    # a scan row read off enclosures, where every den(c) prime is deep at index 1,
-    # must be the row of one exact walk and zsigmondy_set; a 64-bit cap stops rows
-    # in the exact prefix, a 1000-bit one in the enclosed tail, the default none
+    # every scan row, off enclosures where no den(c) prime is tracked, must be the row
+    # of iterate and zsigmondy_set; a 64-bit cap stops rows in the exact prefix, a
+    # 1000-bit one in the enclosed tail, the default none
     value_free = 0
     for text in ("x^3+x^2", "2x^3+x^2"):
         g = X2DivisiblePoly.parse(text)
         for c in grid(ScanConfig(g, 6, 4)):
-            value_free += _all_deep(_den_support(g.lead, c.denominator))
+            o = iterate(g, c, 1)
+            value_free += not _tracked_primes(o.den_prime_support, o.entries[0].deep_valuations)
             for cap in (64, 1000, DEFAULT_BIT_CAP):
                 if _scan_one((g, c, 9, cap)) != _exact_row(g, c, 9, cap):
                     return f"rows differ at g={g}, c={c}, bit_cap={cap}"

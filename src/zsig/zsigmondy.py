@@ -34,16 +34,17 @@ the survey grid, where stripping every index took 2448.
 
 zsigmondy_set answers every per-index question in one report: the
 verdict, Krieger's divisibility status and the strict numerator-product
-inequality at each index of the orbit it is given.  Its one walk decides
-the Zsigmondy set and the inequality failures and keeps, at each index,
-|N_n|, prod and seen.  The verdicts (one exact strip per index) and the
-Krieger statuses are built from those stored columns on first read, so
-a scan, which reads neither, builds neither, and no view walks the orbit
-again.  Krieger's check runs at every index whose exact residue is 1, so
-on a fabricated window that is not rigidly divisible it reports FAILS
-where the size test's premise breaks.  Index n reads only entries 1..n,
-so the report of a shorter orbit, iterate(g, c, k), is the first k rows
-of a longer one's; the window is the orbit passed in.
+inequality at each index of the orbit it is given.  Its one walk,
+_index_columns, which every scan row runs too, decides the Zsigmondy set
+and the inequality failures and keeps, at each index, |N_n|, prod and
+seen.  The verdicts (one exact strip per index) and the Krieger statuses
+are built from those stored columns on first read, so a scan, which
+reads neither, builds neither, and no view walks the orbit again.
+Krieger's check runs at every index whose exact residue is 1, so on a
+fabricated window that is not rigidly divisible it reports FAILS where
+the size test's premise breaks.  Index n reads only entries 1..n, so the
+report of a shorter orbit, iterate(g, c, k), is the first k rows of a
+longer one's; the window is the orbit passed in.
 
 The bound solvers compare logs through zsig.enclosure, imported when they
 run, so scans and single orbits never load it.  The naive all-pairs strip
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import (
     distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 9
@@ -139,26 +140,49 @@ def _index_primes(n_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def _unseen_part(num: int, seen: int, support: Sequence[int]) -> int:
-    """num with every prime of support that divides seen divided out."""
-    for p in support:
-        if seen % p == 0:
-            while num % p == 0:
-                num //= p
-    return num
+def _tracked_primes(den_primes: Iterable[int], deep: Mapping[int, int]) -> tuple[int, ...]:
+    """The den(c) primes a window tracks in seen, given entry 1's deep valuations.
 
-
-def _size_test(num: int, prod: int, seen: int = 1, support: Sequence[int] = ()
-               ) -> tuple[bool, bool]:
-    """(num <= prod, the index is in the Zsigmondy set) for |N_n| = num and its prod and seen.
-
-    rest, num without the primes of support that divide seen, exceeding prod
-    certifies a primitive prime; only otherwise does one strip against
-    prod * seen decide.  An all-deep walk tracks no den(c) prime: seen = 1.
+    A den(c) prime deep at index 1 stays deep (val_p(M_(n+1)) = d val_p(M_n) -
+    val_p(u_d) exceeds val_p(M_n)), so it divides every denominator and no
+    reduced numerator: it is not tracked.
     """
-    small = num <= prod
-    return small, ((small or seen > 1 and _unseen_part(num, seen, support) <= prod)
-                   and strip_common_primes(num, prod * seen) == 1)
+    return tuple(p for p in den_primes if p not in deep)
+
+
+def _index_columns(nums: Sequence[int], tracked: Sequence[int]):
+    """(prods, seens, zset, rin_failures) of the window |N_1|, ..., |N_k| = nums.
+
+    At index n, prod is the product of the N_(n/q) over the primes q | n and
+    seen the product of the tracked primes that divide an earlier numerator;
+    n fails the inequality when |N_n| <= prod.  Membership is decided by
+    size: rest, |N_n| without the tracked primes that divide seen, exceeding
+    prod certifies a primitive prime, because every other earlier prime p of
+    N_n has p^v_p(N_n) | prod, so the residue is at least rest / prod.  Only
+    otherwise does one strip against prod * seen decide.  Index n reads only
+    nums[:n]; no num may be 0.
+    """
+    index_primes = _index_primes(len(nums))
+    prods, seens, zset, rin_failures = [], [], [], []
+    seen = 1
+    for n, num in enumerate(nums, start=1):
+        prod = 1
+        for q in index_primes[n - 1]:
+            prod *= nums[n // q - 1]
+        prods.append(prod)
+        seens.append(seen)
+        if num <= prod:
+            rin_failures.append(n)
+        rest = num
+        for p in tracked:
+            while seen % p == 0 and rest % p == 0:
+                rest //= p
+        if rest <= prod and strip_common_primes(num, prod * seen) == 1:
+            zset.append(n)
+        for p in tracked:
+            if seen % p and num % p == 0:
+                seen *= p
+    return prods, seens, zset, rin_failures
 
 
 @dataclass(frozen=True)
@@ -204,43 +228,18 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     interesting Zsigmondy window; periodic orbits through nonzero values
     are fine and typically put every index in the set).  rin_failures
     lists indices where the strict numerator-product inequality fails.
-    One walk decides both and keeps |N_n|, prod and seen at each index;
-    verdicts and krieger_checks are built from those on first read.
-
-    Membership is decided by size: n is outside the set when rest, |N_n|
-    without the den(c) primes that divide an earlier numerator, exceeds
-    prod, the product of the N_(n/q) over the primes q | n.  Every other
-    earlier prime p of N_n has p^v_p(N_n) | prod, so the residue is at
-    least rest / prod.  Otherwise one strip against prod times those
-    den(c) primes decides.
+    Both come from _index_columns, the per-index rule every scan row runs
+    too, which keeps |N_n|, prod and seen at each index; verdicts and
+    krieger_checks are built from those on first read.
     """
     entries = orbit.entries
     if not entries:
         raise ValueError("empty window")
-    # a den(c) prime deep at index 1 stays deep (val_p(M_(n+1)) = d val_p(M_n) - val_p(u_d)
-    # exceeds val_p(M_n)), so it divides every denominator and no reduced numerator
-    support = [p for p in orbit.den_prime_support if p not in entries[0].deep_valuations]
-    index_primes = _index_primes(len(entries))
-    nums, prods, seens, zset, rin_failures = [], [], [], [], []
-    seen = 1
-    for n, entry in enumerate(entries, start=1):
-        num = abs(entry.num)
-        if num == 0:
-            raise ValueError(f"value at index {n} is zero; orbit is preperiodic")
-        prod = 1
-        for q in index_primes[n - 1]:
-            prod *= nums[n // q - 1]
-        nums.append(num)
-        prods.append(prod)
-        seens.append(seen)
-        small, member = _size_test(num, prod, seen, support)
-        if small:
-            rin_failures.append(n)
-        if member:
-            zset.append(n)
-        for p in support:
-            if seen % p and num % p == 0:
-                seen *= p
+    nums = [abs(e.num) for e in entries]
+    if 0 in nums:
+        raise ValueError(f"value at index {nums.index(0) + 1} is zero; orbit is preperiodic")
+    tracked = _tracked_primes(orbit.den_prime_support, entries[0].deep_valuations)
+    prods, seens, zset, rin_failures = _index_columns(nums, tracked)
     return ZsigmondyReport(nums=tuple(nums), prods=tuple(prods), seens=tuple(seens),
                            zset=tuple(zset), rin_failures=tuple(rin_failures))
 

@@ -159,8 +159,15 @@ def test_log2_bounds_hold_exactly(lo, width, exp, negative, scale):
 
 
 def test_log2_prime_brackets_the_prime():
+    """scale * log2 p lies in [lo, lo + 1], checked on exact powers of p; the tail
+    passes scales 2^k * prec, so those are checked too."""
     for p in (2, 3, 5, 7, 11, 13, 10007):
-        for scale in (4, 64, 256):
+        for scale in (4, 64, 256, 64 << 6, 256 << 6):
             low, high = log2_prime(p, scale)
             assert 2**low <= p**scale <= 2**high and high - low <= 1
-    assert log2_prime(2, 64) == (64, 64)
+    assert log2_prime(2, 64) == (64, 64) and log2_prime(2, 64 << 5) == (2048, 2048)
+    # past what a power can check: the bracket still holds against a 200-bit log
+    with mpmath.workprec(200):
+        for k in (20, 40):
+            low, high = log2_prime(3, 16384 << k)
+            assert low < (16384 << k) * mpmath.log(3, 2) < high == low + 1

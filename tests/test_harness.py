@@ -380,7 +380,8 @@ def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch):
 
 def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
     """With one 2-bit precision the enclosures give up, the walk goes on exactly from
-    where it handed off, and every row is still the exact one."""
+    where it handed off, and every row the one builder makes, all-deep or shallow,
+    is still the exact one."""
     tails = []
     tail = zsig.harness._enclosed_tail
 
@@ -426,6 +427,44 @@ def test_enclosed_tail_gives_up_where_the_size_test_fails():
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (True, None)
     nums[0] = abs(walk[4][1])
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (False, None)
+
+
+def test_a_cap_inside_the_old_log2_prime_slack_is_settled_from_enclosures(monkeypatch):
+    """x^3+x^2 at c = 1/6: M_n = 6^(3^(n-1)), and a cap equal to the bit length of
+    M_9 or M_10 sits about 0.06 or 0.18 bits above log2 M, where one-unit brackets
+    of 16384 log2 3 left the upper bound 0.39 or 1.17 bits high even at the last
+    precision.  The tail settles it with no exact resumption, and the row is the
+    exact one."""
+    tails = []
+    tail = zsig.harness._enclosed_tail
+
+    def recorded(*args):
+        tails.append(tail(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    for n in (9, 10):
+        cap = (6 ** 3 ** (n - 1)).bit_length()
+        payload = (CUBIC, F(1, 6), n + 1, cap)
+        tails.clear()
+        assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+        assert tails == [(True, n + 1)]
+
+
+def test_a_shallow_finite_row_stops_at_its_verdict(monkeypatch):
+    """2*x^3+x^2 at c = -1/2 repeats at entry 2 (its den(c) prime 2 is not deep at
+    index 1): one step gives the verdict, and the row needs no more."""
+    calls = []
+    step = X2DivisiblePoly.eval_int_pair
+
+    def counted(g, num, den):
+        calls.append(num)
+        return step(g, num, den)
+
+    monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", counted)
+    row = zsig.harness._scan_one((X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 2), 30, 10**6))
+    assert (row.verdict, row.witness, row.zset) == ("finite", "tail=1;cycle=1", None)
+    assert len(calls) <= 1
 
 
 def test_scan_builds_coefficient_length_once(monkeypatch):

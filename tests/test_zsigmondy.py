@@ -324,12 +324,30 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
 @example(g_c=(CUBIC, F(-1)), horizon=10, bit_cap=64)  # finite: the row ends at the verdict
 @example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(1, 2)), horizon=10, bit_cap=10**4)  # shallow
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
-    """A scan row, read off enclosures when every den(c) prime is deep at index 1,
-    has the cells of the row that one exact walk and zsigmondy_set give."""
+    """The one scan row builder, which reads the window off enclosures when every
+    den(c) prime is deep at index 1 and off its own exact walk otherwise, gives the
+    cells that iterate and zsigmondy_set give."""
     g, c = g_c
     row = _scan_one((g, c, horizon, bit_cap))
     cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
     assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(2, 9))
+def test_prime_power_residue_is_the_quotient(g_c, horizon):
+    """At a prime-power index n = q^k of an all-deep infinite orbit, N_(n/q) divides
+    N_n and the residue is their quotient: by rigid divisibility the earlier primes
+    of N_n are those of N_(n/q), at the same valuations."""
+    orbit = iterate(*g_c, horizon=horizon, bit_cap=50_000)
+    assume(orbit.decision.verdict is not Verdict.FINITE_ORBIT)
+    assume(set(orbit.den_prime_support) <= set(orbit.entries[0].deep_valuations))
+    report = zsigmondy_set(orbit)
+    for n in range(2, len(orbit) + 1):
+        if len(primes := _primes_of(n)) == 1:
+            quotient, rest = divmod(report.nums[n - 1], report.nums[n // primes.pop() - 1])
+            assert rest == 0
+            assert report.verdicts[n - 1].residue == quotient
 
 
 def test_size_test_is_audited_on_a_fabricated_window():
