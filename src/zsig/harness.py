@@ -12,11 +12,14 @@ _scan_one builds every row from one walk that keeps only |N_n|.  A finite
 verdict ends the row.  An all-deep parameter (every den(c) prime deep at
 index 1, den(c) = 1 included) builds exact values only until its verdict
 is in and an entry passes enclosure.PRECISIONS[0] bits; each later index
-is decided from an interval of the value and the ledger's exact
-denominator valuations, and one the intervals cannot settle, even at the
-last precision, sends the same walk on exactly.  The exact indices are
-decided by the per-index rule zsigmondy_set runs; _exact_row, the row of
-iterate and zsigmondy_set, is the reference.
+is decided from integer bounds on log2 of the value and the ledger's
+exact denominator valuations.  Where that entry has passed the escape
+radius, whole-bit bounds from the escape growth come first; otherwise, or
+where they leave an index open, intervals of the value stepped from the
+entry at rising precision; an index neither settles sends the same walk
+on exactly.  The exact indices are decided by the per-index rule
+zsigmondy_set runs; _exact_row, the row of iterate and zsigmondy_set, is
+the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -33,6 +36,7 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import attrgetter
 from typing import Optional, get_type_hints
@@ -172,58 +176,128 @@ def _exact_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> S
     return _row(c, horizon, orbit.decision, report.zset, report.rin_failures, orbit.capped_at)
 
 
+def _escape_bits(g: X2DivisiblePoly, c: Fraction, num: int, den: int):
+    """Whole-bit bounds lo < log2|value| < hi at the entry num/den and each later one.
+
+    Nothing is yielded unless |num/den| >= R = max(4 * length(g), |c|), the
+    escape radius, compared in integers.  Then lo = bitlen|num| -
+    bitlen(den) - 1 and hi = lo + 2, and each step of g + c takes them to
+    d * lo - 1 and d * hi + bitlen(2 * sum |u_i|); _enclosed_tail proves
+    the step.
+    """
+    size, floor = abs(num), g._escape_floor
+    if (size * floor.denominator < floor.numerator * den
+            or size * c.denominator < abs(c.numerator) * den):
+        return
+    d, grow = g.degree, (2 * sum(map(abs, g.coeffs))).bit_length()
+    lo = num.bit_length() - den.bit_length() - 1
+    hi = lo + 2
+    while True:
+        yield lo, hi
+        lo, hi = d * lo - 1, d * hi + grow
+
+
+@lru_cache(maxsize=256)
+def _den_marks(d: int, support: tuple, deep: tuple[int, ...], n0: int, horizon: int,
+               scale: int) -> tuple[tuple[int, int], ...]:
+    """Integers (m_lo, m_hi) around scale * log2 M_n for n = n0 + 1, ..., horizon.
+
+    deep lists val_p(M_(n0)) over the support primes, all deep, so
+    val_p(M') = d * val_p(M) - val_p(u_d) at each step and the bounds
+    follow the same rule.  They run in 2^-k units, 2^k past every val_p(M)
+    the window reaches, on brackets of 2^k * scale * log2 p one unit wide
+    (enclosure.log2_prime), so m_lo and m_hi lie within a unit per den(c)
+    prime of each other.  Kept per key: a scan meets a few denominators,
+    handoff indices and precisions over its whole grid.
+    """
+    k = (max(deep, default=0) * d ** (horizon - n0)).bit_length()
+    den_lo = den_hi = drop_lo = drop_hi = 0  # on 2^k * scale * log2 M, and its drop per step
+    for (p, _, lead_val), m in zip(support, deep):
+        p_lo, p_hi = enclosure.log2_prime(p, scale << k)
+        den_lo, den_hi = den_lo + m * p_lo, den_hi + m * p_hi
+        drop_lo, drop_hi = drop_lo + lead_val * p_lo, drop_hi + lead_val * p_hi
+    marks = []
+    for _ in range(n0, horizon):
+        den_lo, den_hi = d * den_lo - drop_lo, d * den_hi - drop_hi
+        marks.append((den_lo >> k, -(-den_hi >> k)))
+    return tuple(marks)
+
+
+def _interval_logs(g: X2DivisiblePoly, c: Fraction, num: int, den: int, prec: int):
+    """Per later index, the integer bound pairs on prec * log2|value| of a prec-bit interval.
+
+    The interval is stepped from the exact entry num/den by
+    enclosure.orbit_step; one around 0 gives no pair.
+    """
+    horner, c_num, c_den = g._horner, c.numerator, c.denominator
+    lo, hi, exp = enclosure.enclose_ratio(num, den, prec)
+    while True:
+        lo, hi, exp = enclosure.orbit_step(lo, hi, exp, horner, c_num, c_den, prec)
+        yield () if lo <= 0 <= hi else enclosure.log2_bounds(lo, hi, exp, prec)
+
+
+def _settle(logs, marks, upper: list[int], cap: int, n0: int,
+            index_primes: tuple) -> tuple[bool, Optional[int]]:
+    """(decided, capped_at) of the indices n0 + 1, ... from bounds at one scale.
+
+    logs gives, per index, candidate pairs of integer bounds on scale *
+    log2|value|, tried in turn; marks the (m_lo, m_hi) of _den_marks; upper
+    the upper bounds on scale * log2|N| of the indices before.  An index is
+    decided when |N| exceeds prod, the N_(n/q) over the primes q | n, which
+    keeps it out of the Zsigmondy set and the inequality failures, and
+    when |N| and M both lie on one side of the cap.  The first index no
+    pair decides gives (False, None).
+    """
+    for n, pairs, (m_lo, m_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
+        prod_hi = 0
+        for q in index_primes[n - 1]:
+            prod_hi += upper[n // q - 1]
+        for v_lo, v_hi in pairs:
+            n_lo, n_hi = v_lo + m_lo, v_hi + m_hi
+            capped = n_lo >= cap or m_lo >= cap
+            if n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap):
+                break
+        else:
+            return False, None
+        upper.append(n_hi)
+        if capped:
+            return True, n
+    return True, None
+
+
 def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
                    nums: list[int], support: tuple) -> tuple[bool, Optional[int]]:
-    """(decided, capped_at) of the indices past start = (n, num, den, deep), from enclosures.
+    """(decided, capped_at) of the indices past start = (n, num, den, deep), without values.
 
-    At each precision the walk restarts from the exact entry n and steps an
-    interval of the value.  Scale * log2 of |N| = |value| * M and of M are
-    bounded in integers, with scale the precision: val_p(M) comes off the
-    ledger, val_p(M') = d * val_p(M) - val_p(u_d), so the bounds on scale *
-    log2 M follow the same rule.  They run in 2^-k units, 2^k past every
-    val_p(M) the window reaches, on brackets of 2^k * scale * log2 p one
-    unit wide, so they lie within a unit per den(c) prime of each other.
-    An index is decided when |N| exceeds prod, the N_(n/q) over the primes
-    q | n (nums give the exact ones, later ones their upper bounds), which
-    keeps it out of the Zsigmondy set and the inequality failures, and when
-    |N| and M both lie on one side of the cap.  An interval around 0 or a
-    bound on the wrong side tries the next precision; past the last one,
-    the answer is (False, None).
+    |N| = |value| * M, and each rung bounds scale * log2 of |value| and M in
+    integers and lets _settle decide every index by one rule.  The first
+    rung, at scale 1, applies where the entry has escaped: _escape_bits
+    grows whole-bit bounds on log2|value| by the escape growth.  With
+    L = length(g), if |v| >= R = max(4L, |c|) >= 4, then |g(v)| >= |u_d|
+    |v|^(d-1) (|v| - (L - 1)) >= 3/4 |v|^d, so |g(v) + c| >= 3/4 |v|^d - |v|
+    >= |v|^d / 2 >= 2|v| >= R, and the bound chains to the next step; the
+    other way, |g(v) + c| <= (sum |u_i|) |v|^d + |v| <= 2 (sum |u_i|) |v|^d.
+    This is the per-step form of lemmas.check_escape_growth and
+    check_upper_bounds.  Where that rung does not apply or leaves an index
+    open, the interval rungs run from the same entry at each precision in
+    enclosure.PRECISIONS in turn, with scale the precision.  nums give the
+    exact N_n, whose upper bounds are their bit lengths.  Past the last
+    precision the answer is (False, None), and the caller goes on exactly.
     """
     n0, num, den, deep = start
-    d, horner, c_num, c_den = g.degree, g._horner, c.numerator, c.denominator
     index_primes = _index_primes(horizon)
-    k = (max(deep.values(), default=0) * d ** (horizon - n0)).bit_length()
+    key = (g.degree, support, tuple(deep.values()), n0, horizon)  # deep holds every support prime
+    bits = _escape_bits(g, c, num, den)
+    if next(bits, None) is not None:  # zip(bits) offers one candidate pair per index
+        decided = _settle(zip(bits), _den_marks(*key, 1), [x.bit_length() for x in nums], bit_cap,
+                          n0, index_primes)
+        if decided[0]:
+            return decided
     for prec in enclosure.PRECISIONS:
-        cap = prec * bit_cap
-        upper = [prec * x.bit_length() for x in nums]  # bounds on prec * log2 N
-        den_lo = den_hi = drop_lo = drop_hi = 0  # on 2^k * prec * log2 M, and its drop per step
-        for p, _, lead_val in support:
-            p_lo, p_hi = enclosure.log2_prime(p, prec << k)
-            den_lo, den_hi = den_lo + deep[p] * p_lo, den_hi + deep[p] * p_hi
-            drop_lo, drop_hi = drop_lo + lead_val * p_lo, drop_hi + lead_val * p_hi
-        lo, hi, exp = enclosure.enclose_ratio(num, den, prec)
-        for n in range(n0 + 1, horizon + 1):
-            lo, hi, exp = enclosure.orbit_step(lo, hi, exp, horner, c_num, c_den, prec)
-            if lo <= 0 <= hi:
-                break
-            den_lo, den_hi = d * den_lo - drop_lo, d * den_hi - drop_hi
-            m_lo, m_hi = den_lo >> k, -(-den_hi >> k)
-            prod_hi = 0
-            for q in index_primes[n - 1]:
-                prod_hi += upper[n // q - 1]
-            for v_lo, v_hi in enclosure.log2_bounds(lo, hi, exp, prec):
-                n_lo, n_hi = v_lo + m_lo, v_hi + m_hi
-                capped = n_lo >= cap or m_lo >= cap
-                if n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap):
-                    break
-            else:  # not even the finer bounds settle n: try the next precision
-                break
-            upper.append(n_hi)
-            if capped:
-                return True, n
-        else:
-            return True, None
+        decided = _settle(_interval_logs(g, c, num, den, prec), _den_marks(*key, prec),
+                          [prec * x.bit_length() for x in nums], prec * bit_cap, n0, index_primes)
+        if decided[0]:
+            return decided
     return False, None
 
 

@@ -231,6 +231,12 @@ def zsigmondy_set(orbit: OrbitRecord) -> ZsigmondyReport:
     Both come from _index_columns, the per-index rule every scan row runs
     too, which keeps |N_n|, prod and seen at each index; verdicts and
     krieger_checks are built from those on first read.
+
+    At a prime power n = q^k of an all-deep orbit (every den(c) prime deep
+    at index 1, so none is tracked) the residue is |N_n| / N_(n/q) exactly.
+    A prime p of N_n with a rank of apparition m_p < n has m_p | n = q^k,
+    so m_p | n/q; v_p is constant on multiples of m_p, so p^v_p(N_n)
+    divides N_(n/q), and each prime of N_(n/q) divides N_n as often.
     """
     entries = orbit.entries
     if not entries:

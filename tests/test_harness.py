@@ -467,6 +467,51 @@ def test_a_shallow_finite_row_stops_at_its_verdict(monkeypatch):
     assert len(calls) <= 1
 
 
+def _counting(monkeypatch, name, log):
+    """Replace zsig.enclosure.<name> by a wrapper that logs its last argument."""
+    fn = getattr(zsig.enclosure, name)
+
+    def counted(*args):
+        log.append(args[-1])
+        return fn(*args)
+
+    monkeypatch.setattr(zsig.enclosure, name, counted)
+
+
+def test_survey_tails_step_intervals_only_where_the_growth_bound_cannot_settle(monkeypatch):
+    """On the survey grids at horizon 8, 135 of the 153 x^3+x^2 tails and 113 of the
+    120 2*x^3+x^2 tails start at an escaped entry, and the whole-bit growth bound
+    settles each of them: the interval ladder starts for the other 18 and 7 rows
+    only, and enclosure.orbit_step runs 60 and 21 times (582 and 460 when every tail
+    stepped intervals)."""
+    steps, starts = [], []
+    _counting(monkeypatch, "orbit_step", steps)
+    _counting(monkeypatch, "enclose_ratio", starts)
+    for text, want_steps, want_starts in (("x^3+x^2", 60, 18), ("2*x^3+x^2", 21, 7)):
+        steps.clear()
+        starts.clear()
+        rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=8)).rows
+        assert len(rows) == 155
+        assert len(steps) == want_steps, text
+        assert starts == [zsig.enclosure.PRECISIONS[0]] * want_starts, text
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_a_cap_inside_the_growth_bounds_falls_back_to_intervals(monkeypatch, n):
+    """x^3+x^2 at c = 7 escapes at entry 2 and hands off at entry 4.  A cap equal to
+    the bit length of N_6, N_7 or N_8 lies between the whole-bit bounds there, so
+    the growth rung cannot settle the index; the interval ladder runs from the
+    handoff entry, and the row is the exact one."""
+    starts = []
+    cap = abs(iterate(CUBIC, 7, horizon=n).entries[-1].num).bit_length()
+    payload = (CUBIC, F(7), 9, cap)
+    exact = zsig.harness._exact_row(*payload)
+    _counting(monkeypatch, "enclose_ratio", starts)
+    assert zsig.harness._scan_one(payload) == exact
+    assert exact.capped_at == n + 1
+    assert starts == [zsig.enclosure.PRECISIONS[0]]
+
+
 def test_scan_builds_coefficient_length_once(monkeypatch):
     """One polynomial instance serves the grid, so its length is built once."""
     builds = []

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import zsig.oracle as oracle_module
 import zsig.zsigmondy as zsigmondy_module
-from zsig.harness import ScanConfig, _scan_one, run_scan
+from zsig.harness import ScanConfig, _escape_bits, _scan_one, run_scan
 from zsig.lemmas import (
     check_cross_bound,
+    check_escape_growth,
     check_monomial_sandwich,
     cross_bound_ok,
     excess_bound_ok,
@@ -27,7 +28,7 @@ from zsig.oracle import (
     primitive_divisor_verdicts,
     zsigmondy_of_values,
 )
-from zsig.orbit import OrbitEntry, Verdict, decide_membership, iterate
+from zsig.orbit import OrbitEntry, Verdict, decide_membership, escape_radius, iterate
 from zsig.poly import X2DivisiblePoly, length
 from zsig.zsigmondy import (
     KriegerStatus,
@@ -331,6 +332,46 @@ def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     row = _scan_one((g, c, horizon, bit_cap))
     cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
     assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
+
+
+def _check_escape_bits(g, c, values):
+    """_escape_bits at values[0] yields exactly when |values[0]| >= escape_radius(g, c),
+    and then 2^lo < |values[i]| < 2^hi at each i, compared as exact rationals."""
+    bits = list(zip(_escape_bits(g, c, values[0].numerator, values[0].denominator), values))
+    assert bool(bits) == (abs(values[0]) >= escape_radius(g, c))
+    for (lo, hi), v in bits:
+        assert F(2) ** lo < abs(v) < F(2) ** hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(2, 9))
+@example(g_c=(CUBIC, F(7)), horizon=9)  # escapes at entry 2, the scan's fallback example
+def test_escape_bits_bound_every_later_entry(g_c, horizon):
+    """The whole-bit growth bounds the scan decides escaped tails from hold at every
+    exact entry of an infinite orbit and at each later index of its window, and the
+    escape-growth lemma holds on the same orbit."""
+    g, c = g_c
+    orbit = iterate(g, c, horizon=horizon, bit_cap=50_000)
+    assume(orbit.decision.verdict is not Verdict.FINITE_ORBIT)
+    values = [e.value for e in orbit.entries]
+    for i in range(len(values)):
+        _check_escape_bits(g, c, values[i:])
+    assert check_escape_growth(orbit) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_c=_poly_and_param(), start=st.fractions(-2**12, 2**12, max_denominator=2**8),
+       steps=st.integers(1, 3))
+@example(g_c=(SQUARE, F(-1000)), start=F(32), steps=1)  # 4 L <= |v| < |c|: g(v) + c = 24
+@example(g_c=(SQUARE, F(-8)), start=F(257, 31), steps=1)  # just past 2^lo: v^2 + c < 2^(2 lo)
+def test_escape_bits_hold_from_any_start(g_c, start, steps):
+    """The growth bound is a statement about g + c from any value past the escape
+    radius, not only from the critical orbit's: checked against exact steps."""
+    g, c = g_c
+    values = [start]
+    for _ in range(steps):
+        values.append(g(values[-1]) + c)
+    _check_escape_bits(g, c, values)
 
 
 @settings(max_examples=80, deadline=None)
