@@ -131,8 +131,20 @@ def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int,
 
 
 def escape_radius(g: X2DivisiblePoly, c: Fraction) -> Fraction:
-    """max(4 * length(g), |c|): beyond this the orbit grows forever."""
-    return max(g._escape_floor, abs(c if isinstance(c, Fraction) else Fraction(c)))
+    """max(4 * length(g), |c|): beyond this the orbit grows forever.
+
+    The two are compared in integers, so no Fraction is built unless |c| wins.
+    """
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    floor = g._escape_floor
+    if abs(c.numerator) * floor.denominator > floor.numerator * c.denominator:
+        return abs(c)
+    return floor
+
+
+def _past_radius(num: int, den: int, r_num: int, r_den: int) -> bool:
+    """|num/den| >= r_num/r_den, the escape radius, cross-multiplied in integers."""
+    return abs(num) * r_den >= r_num * den
 
 
 def escape_check(orbit: OrbitRecord) -> Optional[int]:
@@ -143,7 +155,7 @@ def escape_check(orbit: OrbitRecord) -> Optional[int]:
     """
     r = escape_radius(orbit.poly, orbit.c)
     for e in orbit.entries:
-        if abs(e.num) * r.denominator >= r.numerator * e.den:
+        if _past_radius(e.num, e.den, r.numerator, r.denominator):
             return e.n - 1
     return None
 
@@ -226,7 +238,7 @@ def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, in
             if (num, den) in seen:
                 first = seen[num, den]
                 decision = MembershipDecision(Verdict.FINITE_ORBIT, n, tail=first, cycle=n - first)
-            elif abs(num) * r_den >= r_num * den:
+            elif _past_radius(num, den, r_num, r_den):
                 decision = MembershipDecision(Verdict.INFINITE_ESCAPE, n, escape_index=n - 1)
             elif deep:
                 decision = MembershipDecision(Verdict.INFINITE_DENOMINATOR, n,

@@ -379,9 +379,9 @@ def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch):
 
 
 def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
-    """With one 2-bit precision the enclosures give up, the walk goes on exactly from
-    where it handed off, and every row the one builder makes, all-deep or shallow,
-    is still the exact one."""
+    """With the growth rung off and one 2-bit precision the enclosures give up on 104
+    of the 114 tails, the walk goes on exactly from where it handed off, and every
+    row the one builder makes, all-deep or shallow, is still the exact one."""
     tails = []
     tail = zsig.harness._enclosed_tail
 
@@ -393,9 +393,10 @@ def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
                 for c in grid(ScanConfig(g, 6, 4)) for horizon, cap in ((7, 200), (9, 10**6))]
     exact = [zsig.harness._exact_row(*p) for p in payloads]
     monkeypatch.setattr(zsig.enclosure, "PRECISIONS", (2,))
+    monkeypatch.setattr(zsig.harness, "_escape_bits", lambda *args: None)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
-    assert (False, None) in tails and len(tails) > 50
+    assert len(tails) == 114 and tails.count((False, None)) == 104
 
 
 # -1/2 and -1/4 have |value| < 1 past index 5, so their denominators pass a cap first;

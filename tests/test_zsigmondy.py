@@ -335,11 +335,11 @@ def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
 
 
 def _check_escape_bits(g, c, values):
-    """_escape_bits at values[0] yields exactly when |values[0]| >= escape_radius(g, c),
-    and then 2^lo < |values[i]| < 2^hi at each i, compared as exact rationals."""
-    bits = list(zip(_escape_bits(g, c, values[0].numerator, values[0].denominator), values))
-    assert bool(bits) == (abs(values[0]) >= escape_radius(g, c))
-    for (lo, hi), v in bits:
+    """_escape_bits at values[0] gives bounds exactly when |values[0]| >= escape_radius(g, c),
+    and then 2^lo < |values[i]| < 2^hi at each i > 0, compared as exact rationals."""
+    bits = _escape_bits(g, c, values[0].numerator, values[0].denominator)
+    assert (bits is not None) == (abs(values[0]) >= escape_radius(g, c))
+    for (((lo, hi),), v) in zip(bits or (), values[1:]):
         assert F(2) ** lo < abs(v) < F(2) ** hi
 
 
