@@ -197,21 +197,21 @@ def _power_bits(y: int, k: int) -> int:
     return (y**k).bit_length()
 
 
-def log2_bounds(lo: int, hi: int, exp: int, scale: int):
-    """Integer pairs L <= scale * log2|v| <= U for every v in [lo, hi] * 2^exp; 0 < lo or hi < 0.
+def log2_bounds(lo: int, hi: int, exp: int, scale: int) -> tuple[int, int]:
+    """Integers L <= scale * log2|v| <= U for every v in [lo, hi] * 2^exp; 0 < lo or hi < 0.
 
-    The first pair comes from bit lengths alone and is within scale units;
-    the second, drawn only if the caller asks, cuts the smallest and largest
-    |v| to their top bitlen(scale) + 2 bits (rounding the largest up) and is
-    within 3 units.
+    The smallest and largest |v| are cut to their top bitlen(scale) + 2
+    bits (the largest rounded up), so on a point the pair is within 3
+    units; U is also held to the bit-length bound scale * (exp +
+    bitlen|v|), which the rounding up can pass.
     """
     a, b = (lo, hi) if lo > 0 else (-hi, -lo)
-    yield scale * (exp + a.bit_length() - 1), scale * (exp + b.bit_length())
     keep = scale.bit_length() + 2
     s = max(a.bit_length() - keep, 0)
     t = max(b.bit_length() - keep, 0)
-    yield (scale * (exp + s) + _power_bits(a >> s, scale) - 1,
-           scale * (exp + t) + _power_bits((b >> t) + (t > 0), scale))
+    return (scale * (exp + s) + _power_bits(a >> s, scale) - 1,
+            min(scale * (exp + t) + _power_bits((b >> t) + (t > 0), scale),
+                scale * (exp + b.bit_length())))
 
 
 @lru_cache(maxsize=256)

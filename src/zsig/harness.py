@@ -12,14 +12,14 @@ _scan_one builds every row from one walk that keeps only |N_n|.  A finite
 verdict ends the row.  An all-deep parameter (every den(c) prime deep at
 index 1, den(c) = 1 included) builds exact values only until its verdict
 is in and an entry passes enclosure.PRECISIONS[0] bits; each later index
-is decided from integer bounds on log2 of the value and the ledger's
-exact denominator valuations.  Where that entry has passed the escape
-radius, whole-bit bounds from the escape growth come first; otherwise, or
-where they leave an index open, intervals of the value stepped from the
-entry at rising precision; an index neither settles sends the same walk
-on exactly.  The exact indices are decided by the per-index rule
-zsigmondy_set runs; _exact_row, the row of iterate and zsigmondy_set, is
-the reference.
+is decided from the ledger's exact denominator valuations and, on each
+rung, one pair of integer bounds on log2 of its value.  Where that entry
+has passed the escape radius, the rung of whole-bit bounds from the
+escape growth comes first; otherwise, or where it leaves an index open,
+the rungs of intervals stepped from the entry at rising precision; an
+index no rung settles sends the same walk on exactly.  The exact indices
+are decided by the per-index rule zsigmondy_set runs; _exact_row, the
+row of iterate and zsigmondy_set, is the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -43,7 +43,7 @@ from typing import Optional, get_type_hints
 
 from . import enclosure
 from .arith import _no_helper, _usable_cpus
-# decide_membership is unused here; perfbench --trace 1 patches it until ROADMAP item 9
+# decide_membership is unused here; perfbench --trace 1 patches it until ROADMAP item 2d
 from .orbit import (
     DEFAULT_BIT_CAP,
     MembershipDecision,
@@ -185,7 +185,7 @@ def _escape_bits(g: X2DivisiblePoly, c: Fraction, num: int, den: int):
     Then lo = bitlen|num| - bitlen(den) - 1 and hi = lo + 2 at the entry,
     and each step of g + c takes them to d * lo - 1 and d * hi +
     bitlen(2 * sum |u_i|); _enclosed_tail proves the step.  Each later
-    index gets the one candidate pair ((lo, hi),) that _settle tries.
+    index gets its one pair (lo, hi).
     """
     radius = escape_radius(g, c)
     if not _past_radius(num, den, radius.numerator, radius.denominator):
@@ -195,7 +195,7 @@ def _escape_bits(g: X2DivisiblePoly, c: Fraction, num: int, den: int):
     def grown(lo, hi):
         while True:
             lo, hi = d * lo - 1, d * hi + grow
-            yield ((lo, hi),)
+            yield lo, hi
 
     lo = num.bit_length() - den.bit_length() - 1
     return grown(lo, lo + 2)
@@ -229,40 +229,39 @@ def _den_marks(d: int, support: tuple, deep: tuple[int, ...], n0: int, horizon: 
 
 
 def _interval_logs(g: X2DivisiblePoly, c: Fraction, num: int, den: int, prec: int):
-    """Per later index, the integer bound pairs on prec * log2|value| of a prec-bit interval.
+    """Per later index, integer bounds on prec * log2|value| from a prec-bit interval.
 
     The interval is stepped from the exact entry num/den by
-    enclosure.orbit_step; one around 0 gives no pair.
+    enclosure.orbit_step; one around 0 gives None.
     """
     horner, c_num, c_den = g._horner, c.numerator, c.denominator
     lo, hi, exp = enclosure.enclose_ratio(num, den, prec)
     while True:
         lo, hi, exp = enclosure.orbit_step(lo, hi, exp, horner, c_num, c_den, prec)
-        yield () if lo <= 0 <= hi else enclosure.log2_bounds(lo, hi, exp, prec)
+        yield None if lo <= 0 <= hi else enclosure.log2_bounds(lo, hi, exp, prec)
 
 
 def _settle(logs, marks, upper: list[int], cap: int, n0: int,
             index_primes: tuple) -> tuple[bool, Optional[int]]:
     """(decided, capped_at) of the indices n0 + 1, ... from bounds at one scale.
 
-    logs gives, per index, candidate pairs of integer bounds on scale *
-    log2|value|, tried in turn; marks the (m_lo, m_hi) of _den_marks; upper
-    the upper bounds on scale * log2|N| of the indices before.  An index is
-    decided when |N| exceeds prod, the N_(n/q) over the primes q | n, which
-    keeps it out of the Zsigmondy set and the inequality failures, and
-    when |N| and M both lie on one side of the cap.  The first index no
-    pair decides gives (False, None).
+    logs gives, per index, one pair of integer bounds on scale * log2|value|,
+    or None where the rung has none; marks the (m_lo, m_hi) of _den_marks;
+    upper the upper bounds on scale * log2|N| of the indices before.  An
+    index is decided when |N| exceeds prod, the N_(n/q) over the primes
+    q | n, which keeps it out of the Zsigmondy set and the inequality
+    failures, and when |N| and M both lie on one side of the cap.  The
+    first index left undecided gives (False, None).
     """
-    for n, pairs, (m_lo, m_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
+    for n, bounds, (m_lo, m_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
+        if bounds is None:
+            return False, None
         prod_hi = 0
         for q in index_primes[n - 1]:
             prod_hi += upper[n // q - 1]
-        for v_lo, v_hi in pairs:
-            n_lo, n_hi = v_lo + m_lo, v_hi + m_hi
-            capped = n_lo >= cap or m_lo >= cap
-            if n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap):
-                break
-        else:
+        n_lo, n_hi = bounds[0] + m_lo, bounds[1] + m_hi
+        capped = n_lo >= cap or m_lo >= cap
+        if not (n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap)):
             return False, None
         upper.append(n_hi)
         if capped:
@@ -292,14 +291,11 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     n0, num, den, deep = start
     index_primes = _index_primes(horizon)
     key = (g.degree, support, tuple(deep.values()), n0, horizon)  # deep holds every support prime
-    if (bits := _escape_bits(g, c, num, den)) is not None:
-        decided = _settle(bits, _den_marks(*key, 1), [x.bit_length() for x in nums], bit_cap, n0,
-                          index_primes)
-        if decided[0]:
-            return decided
-    for prec in enclosure.PRECISIONS:
-        decided = _settle(_interval_logs(g, c, num, den, prec), _den_marks(*key, prec),
-                          [prec * x.bit_length() for x in nums], prec * bit_cap, n0, index_primes)
+    growth = _escape_bits(g, c, num, den)
+    for scale in enclosure.PRECISIONS if growth is None else (1, *enclosure.PRECISIONS):
+        logs = growth if scale == 1 else _interval_logs(g, c, num, den, scale)
+        decided = _settle(logs, _den_marks(*key, scale), [scale * x.bit_length() for x in nums],
+                          scale * bit_cap, n0, index_primes)
         if decided[0]:
             return decided
     return False, None

@@ -60,7 +60,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import (
-    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 9
+    distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 2d
     is_probable_prime,
     ln_abs_ratio,
     primes_up_to,

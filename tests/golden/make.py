@@ -40,6 +40,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # every row capped at n = 11 or 12: the cap decided past the exact prefix
     ("scan", "--poly=x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "12",
      "--bit-cap", "200000", "--format", "csv"),
+    # horizon 30 under the same cap: 153 of the 155 rows capped at n <= 13
+    ("scan", "--poly=x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "30",
+     "--bit-cap", "200000", "--format", "csv"),
     *(("bounds", f"--poly={poly}") for poly in _BOUNDS),
     ("bounds", "--poly=x^3+x^2", "--L", "1/3", "--N", "5"),
     ("normalize", "--poly", "x^3-3*x", "--u", "1"),

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsig.enclosure import (
@@ -142,20 +142,19 @@ def test_orbit_step_encloses_every_point_of_an_interval(lo, width, exp, prec, pi
 @settings(max_examples=200, deadline=None)
 @given(lo=st.integers(1, 2**90), width=st.integers(0, 2**90), exp=st.integers(-300, 300),
        negative=st.booleans(), scale=st.sampled_from([4, 64, 128, 1024]))
+@example(lo=1, width=2**90 - 2, exp=0, negative=False, scale=64)  # 2^90 - 1 cut and rounded up
 def test_log2_bounds_hold_exactly(lo, width, exp, negative, scale):
-    """Each pair log2_bounds yields brackets scale * log2|v| at both ends of the interval:
-    2^L <= |v|^scale and |v|^scale <= 2^U, checked on exact powers."""
+    """log2_bounds gives one pair that brackets scale * log2|v| at both ends of the
+    interval, 2^L <= |v|^scale and |v|^scale <= 2^U checked on exact powers, lies
+    inside the bracket bit lengths alone give, and is within 3 units on a point."""
     hi = lo + width
     ends = (-hi, -lo) if negative else (lo, hi)
-    pairs = list(log2_bounds(*ends, exp, scale))
-    assert len(pairs) == 2
-    for low, high in pairs:
-        assert F(2) ** low <= (F(lo) * F(2) ** exp) ** scale
-        assert (F(hi) * F(2) ** exp) ** scale <= F(2) ** high
-    (crude_lo, crude_hi), (fine_lo, fine_hi) = pairs
-    assert crude_lo <= fine_lo and fine_hi <= crude_hi + 2
+    low, high = log2_bounds(*ends, exp, scale)
+    assert F(2) ** low <= (F(lo) * F(2) ** exp) ** scale
+    assert (F(hi) * F(2) ** exp) ** scale <= F(2) ** high
+    assert scale * (exp + lo.bit_length() - 1) <= low and high <= scale * (exp + hi.bit_length())
     if width == 0:
-        assert fine_hi - fine_lo <= 3
+        assert high - low <= 3
 
 
 def test_log2_prime_brackets_the_prime():

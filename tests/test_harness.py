@@ -497,6 +497,40 @@ def test_survey_tails_step_intervals_only_where_the_growth_bound_cannot_settle(m
         assert starts == [zsig.enclosure.PRECISIONS[0]] * want_starts, text
 
 
+def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
+    """On the survey grid at horizon 30, the growth rung is tried on 135, 122 and 137
+    tails of x^3+x^2, -x^3+x^2 and x^4+x^2 and settles 124, 108 and 137 of them; the
+    64-bit interval rung starts on the other 29, 44 and 16 and settles each, so no
+    interval starts at 128 bits and no tail resumes exactly."""
+    tried, starts, tails = [], [], []
+    escape_bits, tail = zsig.harness._escape_bits, zsig.harness._enclosed_tail
+
+    def growth(*args):
+        bits = escape_bits(*args)
+        tried.append(bits is not None)
+        return bits
+
+    def recorded(*args):
+        tails.append(tail(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(zsig.harness, "_escape_bits", growth)
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    _counting(monkeypatch, "enclose_ratio", starts)
+    for text, want_tried, want_growth, want_64 in (("x^3+x^2", 135, 124, 29),
+                                                   ("-x^3+x^2", 122, 108, 44),
+                                                   ("x^4+x^2", 137, 137, 16)):
+        tried.clear()
+        starts.clear()
+        tails.clear()
+        rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=30)).rows
+        assert len(rows) == 155
+        assert all(decided for decided, _ in tails), text
+        assert tried.count(True) == want_tried, text
+        assert len(tails) - len(starts) == want_growth, text
+        assert starts == [zsig.enclosure.PRECISIONS[0]] * want_64, text
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_a_cap_inside_the_growth_bounds_falls_back_to_intervals(monkeypatch, n):
     """x^3+x^2 at c = 7 escapes at entry 2 and hands off at entry 4.  A cap equal to

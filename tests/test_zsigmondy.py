@@ -339,7 +339,7 @@ def _check_escape_bits(g, c, values):
     and then 2^lo < |values[i]| < 2^hi at each i > 0, compared as exact rationals."""
     bits = _escape_bits(g, c, values[0].numerator, values[0].denominator)
     assert (bits is not None) == (abs(values[0]) >= escape_radius(g, c))
-    for (((lo, hi),), v) in zip(bits or (), values[1:]):
+    for (lo, hi), v in zip(bits or (), values[1:]):
         assert F(2) ** lo < abs(v) < F(2) ** hi
 
 
