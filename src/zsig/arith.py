@@ -7,8 +7,9 @@ primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
 uses on big operands: CPython's own multiply below 24000 bits, a
 recursive Toom-3 above it, and a Schönhage-Strassen transform for
-products of 550000 bits or more.  `power_on_helper` hands a big den^d to
-one forked helper process, so that it runs beside the numerator's chain.
+products of 550000 bits or more, whose one butterfly routine also inverts
+it.  `power_on_helper` hands a big den^d to one forked helper process, so
+that it runs beside the numerator's chain.
 """
 from __future__ import annotations
 
@@ -400,9 +401,16 @@ def _ssa(a: int, b: int, na: int, nb: int) -> int:
         u = (u & mask) - (u >> n)
         x[i] = (u & mask) - (u >> n)
     del y
-    _ssa_inverse(x, n, mask)
-    # scale by 2^-k = -2^(N-k); each coefficient is its residue in [0, 2^N]
+    # the transform applied twice gives 2^k x at negated indices, so the
+    # products go back to natural order and through it once more, and
+    # coefficient i is read at the bit-reversed position of -i mod 2^k
+    rev = [0]
+    for _ in range(k):
+        rev = [r << 1 for r in rev] + [r << 1 | 1 for r in rev]
+    x = _ssa_forward([x[r] for r in rev], n, mask)
     count = -(-na // m) + -(-nb // m) - 1
+    x = [x[rev[-i % size]] for i in range(count)]
+    # scale by 2^-k = -2^(N-k); each coefficient is its residue in [0, 2^N]
     modulus = mask + 2
     width = 3 * m >> 3
     for i in range(count):
@@ -413,7 +421,7 @@ def _ssa(a: int, b: int, na: int, nb: int) -> int:
     # bits, so each residue class j mod 3 is one byte string, led by jM zero bits
     r = 0
     for j in (0, 1, 2):
-        r += int.from_bytes(b"".join([bytes(j * m >> 3), *x[j:count:3]]), "little")
+        r += int.from_bytes(b"".join([bytes(j * m >> 3), *x[j::3]]), "little")
     return r
 
 
@@ -443,33 +451,6 @@ def _ssa_forward(x: list[int], n: int, mask: int) -> list[int]:
                 x[i + h] = (t & mask) - (t >> n)
         span = h
     return x
-
-
-def _ssa_inverse(x: list[int], n: int, mask: int) -> None:
-    # decimation in time with omega^-1 on bit-reversed input, in place, unscaled.
-    # omega^-e = 2^(2N - e) = -2^(N - e), so each twiddle is a shift by N - e
-    # whose sign the butterfly absorbs.
-    size = len(x)
-    span = 2
-    while span <= size:
-        h = span >> 1
-        unit = 2 * n // span
-        for i in range(0, size, span):
-            u, v = x[i], x[i + h]
-            t = u + v
-            x[i] = (t & mask) - (t >> n)
-            t = u - v
-            x[i + h] = (t & mask) - (t >> n)
-        for j in range(1, h):
-            e = n - j * unit
-            for i in range(j, size, span):
-                u, t = x[i], x[i + h] << e
-                t = (t & mask) - (t >> n)
-                v = u - t
-                x[i] = (v & mask) - (v >> n)
-                v = u + t
-                x[i + h] = (v & mask) - (v >> n)
-        span <<= 1
 
 
 def _usable_cpus() -> int:

@@ -42,10 +42,19 @@ def _decimal_digits(n: int) -> int:
     """Decimal digits of |n|, counted without converting it to a string.
 
     From the bit length the count is k or k + 1, with k taken from a
-    20-digit truncation of log10(2); one comparison with 10^k decides.
+    20-digit truncation of log10(2); |n| >= 10^k decides.  Past 4096 bits
+    an enclosure of ln|n| - k ln 10 at 64 + bitlen(k) bits decides it
+    wherever it leaves out 0, and 10^k is built only where it does not.
     """
     n = abs(n)
     k = max(n.bit_length() - 1, 0) * 30102999566398119521 // 10**20 + 1
+    if n.bit_length() > 4096:
+        from . import enclosure
+
+        prec = 64 + k.bit_length()
+        gap = enclosure.ln(n, prec) - enclosure.ln(10, prec) * k
+        if gap.lo > 0 or gap.hi < 0:
+            return k + (gap.lo > 0)
     return k + (n >= 10**k)
 
 

@@ -9,17 +9,18 @@ wall-clock time never enters the files.
 
 A row reads only the verdict, zset, rin_failures and capped_at, and
 _scan_one builds every row from one walk that keeps only |N_n|.  A finite
-verdict ends the row.  An all-deep parameter (every den(c) prime deep at
-index 1, den(c) = 1 included) builds exact values only until its verdict
-is in and an entry passes enclosure.PRECISIONS[0] bits; each later index
-is decided from the ledger's exact denominator valuations and, on each
-rung, one pair of integer bounds on log2 of its value.  Where that entry
-has passed the escape radius, the rung of whole-bit bounds from the
-escape growth comes first; otherwise, or where it leaves an index open,
-the rungs of intervals stepped from the entry at rising precision; an
-index no rung settles sends the same walk on exactly.  The exact indices
-are decided by the per-index rule zsigmondy_set runs; _exact_row, the
-row of iterate and zsigmondy_set, is the reference.
+verdict ends the row.  A parameter builds exact values only until its
+verdict is in and an entry passes enclosure.PRECISIONS[0] bits at which
+every den(c) prime is deep (den(c) = 1 included): from index 1 on for
+most, and a deep prime stays deep.  Each later index is decided from the
+ledger's exact denominator valuations and, on each rung, one pair of
+integer bounds on log2 of its value.  Where that entry has passed the
+escape radius, the rung of whole-bit bounds from the escape growth comes
+first; otherwise, or where it leaves an index open, the rungs of
+intervals stepped from the entry at rising precision; an index no rung
+settles sends the same walk on exactly.  The exact indices are decided
+by the per-index rule zsigmondy_set runs; _exact_row, the row of iterate
+and zsigmondy_set, is the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -305,18 +306,21 @@ def _scan_one(payload: tuple) -> ScanRow:
     """The row of one parameter from one walk; module level so process pools can pickle it.
 
     The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
-    finite verdict ends the row.  With no den(c) prime to track, the walk
-    hands the indices past 64 bits to _enclosed_tail.  The exact indices are
-    decided at the end, once the verdict is infinite, by _index_columns.
+    finite verdict ends the row.  From the first entry past 64 bits at which
+    every den(c) prime is deep, the walk hands the later indices to
+    _enclosed_tail: a deep prime stays deep and divides no later numerator,
+    so the tail needs no seen.  The exact indices are decided at the end,
+    once the verdict is infinite, by _index_columns, with the den(c) primes
+    not deep at index 1 tracked.
     """
     g, c, horizon, bit_cap = payload
     support = _den_support(g.lead, c.denominator)
     nums: list[int] = []
     capped_at = None
+    handoff = enclosure.PRECISIONS[0]
     for n, num, den, deep, decision in _decided_pairs(g, c, support):
         if n == 1:
             tracked = _tracked_primes((p for p, _, _ in support), deep)
-            handoff = None if tracked else enclosure.PRECISIONS[0]
         bits = max(num.bit_length(), den.bit_length())
         if n <= horizon and capped_at is None:
             nums.append(abs(num))
@@ -328,7 +332,7 @@ def _scan_one(payload: tuple) -> ScanRow:
             return _row(c, horizon, decision)
         if n >= horizon or capped_at is not None:
             break
-        if handoff is not None and bits > handoff:
+        if handoff is not None and bits > handoff and len(deep) == len(support):
             decided, capped_at = _enclosed_tail(g, c, horizon, bit_cap, (n, num, den, deep),
                                                 nums, support)
             if decided:

@@ -386,6 +386,27 @@ def test_ssa_layout_fits_every_split(n):
         assert -(-na // m) + -(-(n - na) // m) - 1 <= size
 
 
+def test_ssa_forward_twice_is_the_scaled_negation():
+    """_ssa inverts with the forward transform: applied to its own output put back
+    in natural order, it gives 2^k x[-t mod 2^k] mod 2^N + 1 at the bit-reversed
+    position of t, for every k the layout takes up to 10^8 product bits and
+    residues anywhere in (-2^(N+1), 2^(N+1)), where the stored ones stay."""
+    rng = random.Random(2357)
+    first, last = arith._ssa_layout(_SSA_BITS)[0], arith._ssa_layout(10**8)[0]
+    assert (first, last) == (8, 12)
+    for k in range(first, last + 1):
+        n = max(_SSA_BITS, 4 << 2 * k)  # the fewest product bits with this k
+        layout_k, _, big = arith._ssa_layout(n)
+        assert layout_k == k
+        size, modulus, mask = 1 << k, (1 << big) + 1, (1 << big) - 1
+        x = [rng.randrange(1 - (2 << big), 2 << big) for _ in range(size)]
+        reverse = [int(f"{t:0{k}b}"[::-1], 2) for t in range(size)]
+        once = arith._ssa_forward(list(x), big, mask)
+        twice = arith._ssa_forward([once[r] for r in reverse], big, mask)
+        for t in range(size):
+            assert (twice[reverse[t]] - (x[-t % size] << k)) % modulus == 0, (k, t)
+
+
 def test_ssa_exact_fill_and_extreme_coefficients():
     """All-ones operands whose pieces fill the transform exactly.
 

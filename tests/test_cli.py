@@ -3,12 +3,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zsig
 import zsig.arith
@@ -55,6 +58,26 @@ def test_decimal_digits_match_str():
         for n in values:
             for signed in (n, -n):
                 assert cli._decimal_digits(signed) == len(str(n)), n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1234, 40000), offset=st.sampled_from((-1, 0, 1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_decimal_digits_around_powers_of_ten(k, offset, seed):
+    """Past 4096 bits the count is read off ln-enclosures, and off 10^k only where
+    they overlap, as next to 10^k; it is len(str(n)) either way.  10^k + offset
+    takes the fallback; 10^k plus or minus 10^(k - 12) and a random int of the
+    same length are decided by the enclosures."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        power = 10**k
+        near = power + offset * 10 ** (k - 12)
+        spread = random.Random(seed).getrandbits(power.bit_length())
+        for n in (power + offset, near, spread):
+            assert cli._decimal_digits(n) == cli._decimal_digits(-n) == len(str(n)), (k, n)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -123,6 +146,9 @@ DEEP_STDOUT_SHA256 = {
         "bab08c268ce4cc162ac8656da30584d383e40820e3598d35a27c4d269f5fb173",
     ("scan", "--poly", "x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "10"):
         "cbbb4af0958a6cdb0e6c4a68d1936ac52b7d628dc22948de0e7ba423c08385f1",
+    # 30 digit counts of up to 1.6 * 10^6 digits; the 14 past 4096 bits come from ln-enclosures
+    ("orbit", "--poly", "x^3+x^2", "--c=1/2", "--horizon", "16"):
+        "4378667351f34cc47578049344d906af9aea199dc6e01270a85ba40c90f9e66b",
     **SSA_STDOUT_SHA256,
 }
 

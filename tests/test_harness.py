@@ -531,6 +531,36 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
         assert starts == [zsig.enclosure.PRECISIONS[0]] * want_64, text
 
 
+def test_tails_start_late_where_the_last_den_prime_goes_deep(monkeypatch):
+    """On the survey grid at horizons 8, 10, 12, 14 and 30, 148 3*x^3+2*x^2 tails
+    start: 112 at rows deep at index 1, and 36 at rows whose den(c) primes all
+    turn deep later, each at its first such entry past 64 bits.  Every one
+    settles.  The 2 of den(c) never turns deep on 2*x^3+x^2, so none of its 120
+    tails starts late (horizons 8 and 10 here; 12, 14 and 30 take seconds)."""
+    tails, tracked = [], []
+    tail, tracked_primes = zsig.harness._enclosed_tail, zsig.harness._tracked_primes
+
+    def recorded_tracked(*args):
+        tracked.append(tracked_primes(*args))
+        return tracked[-1]
+
+    def recorded(*args):
+        tails.append((bool(tracked[-1]), tail(*args)))
+        return tails[-1][1]
+
+    monkeypatch.setattr(zsig.harness, "_tracked_primes", recorded_tracked)
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    for text, horizons, want, want_late in (("3*x^3+2*x^2", (8, 10, 12, 14, 30), 148, 36),
+                                            ("2*x^3+x^2", (8, 10), 120, 0)):
+        for horizon in horizons:
+            tails.clear()
+            rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=horizon)).rows
+            assert len(rows) == 155
+            assert len(tails) == want, (text, horizon)
+            assert [late for late, _ in tails].count(True) == want_late, (text, horizon)
+            assert all(decided for _, (decided, _) in tails), (text, horizon)
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_a_cap_inside_the_growth_bounds_falls_back_to_intervals(monkeypatch, n):
     """x^3+x^2 at c = 7 escapes at entry 2 and hands off at entry 4.  A cap equal to

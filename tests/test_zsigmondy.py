@@ -324,10 +324,15 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
 @example(g_c=(CUBIC, F(7)), horizon=10, bit_cap=10**4)  # integer c: den(c) = 1
 @example(g_c=(CUBIC, F(-1)), horizon=10, bit_cap=64)  # finite: the row ends at the verdict
 @example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(1, 2)), horizon=10, bit_cap=10**4)  # shallow
+# 3 | den(c) is shallow at index 1 and deep from entry 3, 2 or 2: the tail starts late,
+# at the first entry past 64 bits (6, 5 or 4)
+@example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(1, 3)), horizon=10, bit_cap=10**4)
+@example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-1, 3)), horizon=10, bit_cap=10**4)
+@example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(5, 3)), horizon=10, bit_cap=10**4)
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
-    """The one scan row builder, which reads the window off enclosures when every
-    den(c) prime is deep at index 1 and off its own exact walk otherwise, gives the
-    cells that iterate and zsigmondy_set give."""
+    """The one scan row builder, which reads the window off enclosures from the
+    first entry past 64 bits at which every den(c) prime is deep and off its own
+    exact walk before that, gives the cells that iterate and zsigmondy_set give."""
     g, c = g_c
     row = _scan_one((g, c, horizon, bit_cap))
     cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
