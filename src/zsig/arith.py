@@ -5,11 +5,11 @@ Everything here operates on plain Python ints and fractions.Fraction.
 deterministic rho split for cofactors below 2^128.  It returns only proven
 primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
-uses on big operands: CPython's own multiply below 24000 bits, a
-recursive Toom-3 above it, and a Schönhage-Strassen transform for
-products of 550000 bits or more, whose one butterfly routine also inverts
-it.  `power_on_helper` hands a big den^d to one forked helper process, so
-that it runs beside the numerator's chain.
+uses on big operands: a shift for a power of two, a Schönhage-Strassen
+transform for products of 550000 bits or more, whose one butterfly
+routine also inverts it, and CPython's own multiply for the rest.
+`power_on_helper` hands a big den^d to one forked helper process, so that
+it runs beside the numerator's chain.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
-_TOOM_BITS = 24_000  # mul leaves a pair whose shorter operand is under this to CPython
+_MUL_BITS = 24_000  # mul hands a pair whose shorter operand is under this to CPython at once
 _SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
 _HELPER_BITS = 50_000  # base bits from which power_on_helper hands base^d to the helper
 
@@ -288,23 +288,16 @@ def ln_abs_ratio(num: int, den: int) -> float:
 
 
 def mul(a: int, b: int) -> int:
-    """a * b, exact, in three tiers once both operands reach _TOOM_BITS bits.
+    """a * b, exact, by one of two kernels once both operands reach _MUL_BITS bits.
 
-    CPython multiplies by Karatsuba, which splits each operand in two and
-    recurses on three products of half the size; Toom-3 splits in three
-    and recurses on five products of a third.  It evaluates both operands
-    at 0, 1, -1, -2 and infinity, multiplies pointwise, and interpolates
-    with Bodrato's sequence, whose only divisions are exact: // 3 and >> 1.
-    An operand more than 1.5 times the length of the other is cut into
-    pieces of the shorter length.  A product of _SSA_BITS bits or more
-    whose longer operand is at most 3 times the shorter goes to a
-    Schönhage-Strassen transform over Z/(2^N + 1) instead (`_ssa`).  A
-    power of two of either sign is a shift, and squares share the one
-    ladder: mul(a, a) hands a kernel a square.  Against a * b (CPython
-    3.11.7, AMD EPYC; the README has the tables) Toom-3 takes 0.65-0.87 of
-    the time from 60k to 10^6 bits.  The transform takes 0.70-0.85 of
-    Toom-3's time from 7.6 * 10^5 to 2 * 10^6 product bits, and 0.42-0.56
-    from 3 * 10^6 to 5.1 * 10^6.
+    A product of _SSA_BITS bits or more whose longer operand is at most 3
+    times the shorter goes to a Schönhage-Strassen transform over
+    Z/(2^N + 1) (`_ssa`); every other pair is CPython's own multiply, which
+    is Karatsuba on big operands.  A power of two of either sign is a shift,
+    and squares share the one path: mul(a, a) hands the transform a square.
+    Against a * b (CPython 3.11.7, AMD EPYC; the README has the table) the
+    transform takes 0.28-0.66 of the time from 7.6 * 10^5 to 5.1 * 10^6
+    product bits.
     """
     square = a is b
     negative = (a < 0) != (b < 0)
@@ -313,7 +306,7 @@ def mul(a: int, b: int) -> int:
     na, nb = a.bit_length(), b.bit_length()
     if na < nb:
         a, b, na, nb = b, a, nb, na
-    if nb < _TOOM_BITS:
+    if nb < _MUL_BITS:
         r = a * b
     elif a.bit_count() == 1:
         r = b << (na - 1)
@@ -321,49 +314,9 @@ def mul(a: int, b: int) -> int:
         r = a << (nb - 1)
     elif na + nb >= _SSA_BITS and na <= 3 * nb:
         r = _ssa(a, b, na, nb)
-    elif 2 * na > 3 * nb:
-        r = _mul_pieces(a, b, na, nb)
     else:
-        r = _toom3(a, b, na)
+        r = a * b
     return -r if negative else r
-
-
-def _mul_pieces(a: int, b: int, na: int, nb: int) -> int:
-    # a * b for a, b >= 0 with a the longer: nb-bit pieces of a, top piece first
-    mask = (1 << nb) - 1
-    shift = (na - 1) // nb * nb
-    r = 0
-    while shift >= 0:
-        r = (r << nb) + mul((a >> shift) & mask, b)
-        shift -= nb
-    return r
-
-
-def _toom3_points(a: int, k: int) -> tuple[int, int, int, int, int]:
-    # a = a2 X^2 + a1 X + a0 with X = 2^k, evaluated at 0, 1, -1, -2, infinity
-    mask = (1 << k) - 1
-    a0, a1, a2 = a & mask, (a >> k) & mask, a >> (2 * k)
-    s = a0 + a2
-    at_m1 = s - a1
-    return a0, s + a1, at_m1, ((at_m1 + a2) << 1) - a0, a2
-
-
-def _toom3(a: int, b: int, n: int) -> int:
-    # a * b for a, b >= 0 of at most n bits; a is b squares
-    k = (n + 2) // 3
-    pa = _toom3_points(a, k)
-    if a is b:
-        r0, r1, rm1, rm2, rinf = (mul(x, x) for x in pa)
-    else:
-        r0, r1, rm1, rm2, rinf = map(mul, pa, _toom3_points(b, k))
-    # Bodrato's interpolation: the coefficients c0..c4 of the product in X
-    c3 = (rm2 - r1) // 3
-    c1 = (r1 - rm1) >> 1
-    c2 = rm1 - r0
-    c3 = ((c2 - c3) >> 1) + (rinf << 1)
-    c2 += c1 - rinf
-    c1 -= c3
-    return ((((((rinf << k) + c3) << k) + c2) << k) + c1 << k) + r0
 
 
 def _ssa_layout(n: int) -> tuple[int, int, int]:

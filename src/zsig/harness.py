@@ -291,7 +291,7 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     """
     n0, num, den, deep = start
     index_primes = _index_primes(horizon)
-    key = (g.degree, support, tuple(deep.values()), n0, horizon)  # deep holds every support prime
+    key = (g.degree, support, tuple(deep[p] for p, _, _ in support), n0, horizon)
     growth = _escape_bits(g, c, num, den)
     for scale in enclosure.PRECISIONS if growth is None else (1, *enclosure.PRECISIONS):
         logs = growth if scale == 1 else _interval_logs(g, c, num, den, scale)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _TOOM_BITS, divisors, factor_small, mul, omega, power_on_helper
+from .arith import _MUL_BITS, divisors, factor_small, mul, omega, power_on_helper
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
@@ -194,8 +194,10 @@ class X2DivisiblePoly(RatPolynomial):
         evaluated by homogeneous Horner from u_d down to u_2, raising the
         den power one step per coefficient; no rational normalization
         happens here.  The multiply is picked once per call: CPython's
-        while num and den are both under arith's Toom-3 cutoff, arith.mul
-        once either reaches it (deep orbit entries, 10^4-10^6 bits).
+        while num and den are both under arith._MUL_BITS, arith.mul once
+        either reaches it (deep orbit entries, 10^4-10^6 bits), so that a
+        big den = 2^j multiplies by a shift and the longest products take
+        the transform.
 
         den^degree is independent work, and every den goes to
         arith.power_on_helper, which decides from den's size and shape
@@ -203,7 +205,7 @@ class X2DivisiblePoly(RatPolynomial):
         this one runs Horner.  Where it declines, den^degree comes from the
         den power Horner built.
         """
-        small = num.bit_length() < _TOOM_BITS and den.bit_length() < _TOOM_BITS
+        small = num.bit_length() < _MUL_BITS and den.bit_length() < _MUL_BITS
         times = operator.mul if small else mul
         den_power = power_on_helper(den, self.degree)
         acc, lower = self._horner

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import (
+    _MUL_BITS,
     _SSA_BITS,
-    _TOOM_BITS,
     factor_small,
     mul,
     omega,
@@ -187,15 +187,15 @@ def prime_factor_roundtrip() -> str:
 
 @_check
 def multiply_kernel_matches_plain() -> str:
-    # the orbit step's multiply against CPython's, on both sides of the Toom-3
-    # cutoff: balanced and lopsided pairs (long:short in quarters), two levels
-    # of recursion at 3 * cutoff, mixed signs, powers of two and squares; then
-    # across the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones
+    # the orbit step's multiply against CPython's, on both sides of the cutoff
+    # under which it hands a pair to CPython at once: balanced and lopsided
+    # pairs (long:short in quarters), mixed signs, powers of two and squares;
+    # then across the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones
     # operands (the largest convolution coefficients) and a negative
     rng = random.Random(454)
-    t = _TOOM_BITS
+    t = _MUL_BITS
     pairs = []
-    for short, quarters in ((t - 1, 4), (t, 4), (t, 5), (t, 7), (t, 12), (3 * t + 1, 4), (3 * t + 1, 6)):
+    for short, quarters in ((t - 1, 4), (t, 4), (t, 7), (t, 12)):
         long = short * quarters // 4
         a = -(rng.getrandbits(long) | 1 << (long - 1))
         b = rng.getrandbits(short) | 1 << (short - 1)

@@ -43,6 +43,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # horizon 30 under the same cap: 153 of the 155 rows capped at n <= 13
     ("scan", "--poly=x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "30",
      "--bit-cap", "200000", "--format", "csv"),
+    # rows whose den(c) primes turn deep at different entries: tails that
+    # start late, where a handoff with a short deep dict would go wrong
+    ("scan", "--poly=2*x^3+x^2", "--num-bound", "12", "--den-bound", "30", "--horizon", "9",
+     "--bit-cap", "10000"),
     *(("bounds", f"--poly={poly}") for poly in _BOUNDS),
     ("bounds", "--poly=x^3+x^2", "--L", "1/3", "--N", "5"),
     ("normalize", "--poly", "x^3-3*x", "--u", "1"),

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import zsig.arith as arith
 import zsig.zsigmondy as zsigmondy
 from zsig.arith import (
+    _MUL_BITS,
     _SSA_BITS,
-    _TOOM_BITS,
     IncompleteFactorizationError,
     _split_completely,
     distinct_prime_factors,
@@ -317,7 +317,7 @@ SHAPES = st.sampled_from(("random", "power of two", "all ones"))
 
 @settings(max_examples=60, deadline=None)
 @given(
-    short=st.integers(_TOOM_BITS - 1, 4 * _TOOM_BITS),
+    short=st.integers(_MUL_BITS - 1, 4 * _MUL_BITS),
     quarters=st.integers(4, 16),  # long / short from 1:1 to 4:1
     shapes=st.tuples(SHAPES, SHAPES),
     signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
@@ -332,29 +332,6 @@ def test_mul_is_the_plain_product(short, quarters, shapes, signs, seed):
     assert mul(a, a) == a * a  # a is b: the squaring path
     assert mul(b, b) == b * b
     assert mul(a, 0) == 0 == mul(0, b)
-
-
-def test_mul_takes_toom3_from_the_cutoff(monkeypatch):
-    """Operands under _TOOM_BITS go to CPython's multiply; from the cutoff on, to Toom-3."""
-    calls = []
-    real = arith._toom3
-
-    def spy(a, b, n):
-        calls.append(n)
-        return real(a, b, n)
-
-    monkeypatch.setattr(arith, "_toom3", spy)
-    below = (1 << (_TOOM_BITS - 1)) - 3
-    at = (1 << _TOOM_BITS) - 5
-    assert mul(below, below) == below * below and mul(below, at) == below * at
-    assert calls == []
-    assert mul(at, at) == at * at and mul(-at, at + 2) == -at * (at + 2)
-    assert calls[0] == _TOOM_BITS and len(calls) == 2
-    # a lopsided pair is cut into pieces the length of the shorter operand
-    calls.clear()
-    longer = (1 << (4 * _TOOM_BITS)) - 7
-    assert mul(longer, at) == longer * at
-    assert calls == [_TOOM_BITS] * 4
 
 
 @settings(max_examples=12, deadline=None)
@@ -422,43 +399,70 @@ def test_ssa_exact_fill_and_extreme_coefficients():
     assert mul(a, a) == a * a
 
 
-def test_mul_takes_ssa_from_its_cutoff(monkeypatch):
-    """The transform runs from _SSA_BITS product bits on, up to 3:1 operands."""
+@pytest.fixture
+def ssa_calls(monkeypatch):
+    """The (na, nb) of every _ssa call the test makes, in order."""
     calls = []
     real = arith._ssa
 
     def spy(a, b, na, nb):
-        calls.append(na + nb)
+        calls.append((na, nb))
         return real(a, b, na, nb)
 
     monkeypatch.setattr(arith, "_ssa", spy)
+    return calls
+
+
+def test_mul_takes_ssa_from_its_cutoff(ssa_calls):
+    """The transform runs from _SSA_BITS product bits on, up to 3:1 operands."""
+    calls = ssa_calls
     half = _SSA_BITS // 2
     below, at = (1 << (half - 1)) - 3, (1 << half) - 5
     assert mul(below, at) == below * at and mul(below, below) == below * below
     assert calls == []
     assert mul(at, at) == at * at and mul(-at, at + 2) == -at * (at + 2)
-    assert calls == [_SSA_BITS, _SSA_BITS]
+    assert calls == [(half, half)] * 2
     calls.clear()
     third = _SSA_BITS // 4
     lopsided = (1 << (3 * third)) - 9
     b = (1 << third) - 1
-    assert mul(lopsided, b) == lopsided * b and calls == [4 * third]
+    assert mul(lopsided, b) == lopsided * b and calls == [(3 * third, third)]
     calls.clear()
-    assert mul(lopsided << 1, b) == (lopsided << 1) * b  # past 3:1: cut into pieces
+    assert mul(lopsided << 1, b) == (lopsided << 1) * b  # past 3:1: CPython's multiply
     assert calls == []
     power = 1 << _SSA_BITS
     assert mul(power, at) == power * at and mul(power, power) == power * power
     assert calls == []
 
 
+# (na, nb) of every transform call in iterate(x^3+x^2, c, horizon) with no
+# helper, so that den^d is multiplied inline too; which products reach the
+# transform does not depend on how mul multiplies the ones that do not
+SSA_CALLS = {
+    ("-5/3", 13): [(379635, 379635), (759270, 379635), (280772, 280772), (561543, 280772)],
+    ("1/2", 13): [(401056, 200528)],
+    ("3", 13): [(312819, 312819), (625637, 312819)],
+    ("-3", 13): [(515971, 257986)],
+    ("1/2", 16): [(401056, 200528), (601584, 601584), (1203167, 601584),
+                  (1804751, 1804751), (3609501, 1804751)],
+}
+
+
+@pytest.mark.parametrize("c, horizon", SSA_CALLS)
+def test_deep_orbits_reach_the_transform_where_pinned(c, horizon, ssa_calls, monkeypatch):
+    monkeypatch.setattr(arith, "_helper", None)
+    monkeypatch.setattr(arith, "_helper_off", True)
+    iterate(X2DivisiblePoly.parse("x^3+x^2"), Fraction(c), horizon)
+    assert ssa_calls == SSA_CALLS[c, horizon]
+
+
 def test_mul_by_a_power_of_two_is_a_shift(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a power of two reached a multiply kernel")
 
-    monkeypatch.setattr(arith, "_toom3", no_kernel)
     monkeypatch.setattr(arith, "_ssa", no_kernel)
     rng = random.Random(77)
-    for bits in (_TOOM_BITS, 3 * _TOOM_BITS, _SSA_BITS):
+    for bits in (_MUL_BITS, 3 * _MUL_BITS, _SSA_BITS):
         power = 1 << bits
         other = rng.getrandbits(bits) | 1 << (bits - 1)
         for x in (other, -other):

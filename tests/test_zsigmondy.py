@@ -329,6 +329,12 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(1, 3)), horizon=10, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-1, 3)), horizon=10, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(5, 3)), horizon=10, bit_cap=10**4)
+# 2 | den(c) is shallow at index 1 while 3 and 5 are deep: no tail may start until 2 is too
+@example(g_c=(X2DivisiblePoly.parse("4*x^3"), F(1, 90)), horizon=6, bit_cap=1000)
+@example(g_c=(X2DivisiblePoly.parse("4*x^3"), F(1, 90)), horizon=9, bit_cap=1000)
+# 2 | den(c) is shallow at index 1: a tail started before it is deep misses the cap at 9
+@example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 6)), horizon=9, bit_cap=10**4)
+@example(g_c=(X2DivisiblePoly.parse("6*x^3+x^2"), F(1, 10)), horizon=9, bit_cap=10**4)
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """The one scan row builder, which reads the window off enclosures from the
     first entry past 64 bits at which every den(c) prime is deep and off its own
