@@ -1,11 +1,15 @@
 """Write the golden corpus: one file per CLI command, its exit code and exact stdout.
 
 Each file starts with two header lines, `$ zsig <argv>` and `exit <code>`,
-and the command's stdout follows byte for byte.  tests/test_golden.py
-runs every command through zsig.cli.main and compares.  The files record
-the output of the commit they were made at; a change that alters one
-changes output and must say so line by line.  Run from the repository
-root, with the tree whose output is to be recorded on the path:
+and the command's stdout follows byte for byte.  These files are the one
+place where a command's output bytes are pinned.  tests/test_golden.py
+runs every command through zsig.cli.main and compares; CI runs every
+file's header line again through the installed `zsig` console script,
+each scan also at `--parallelism 2`, and compares stdout and exit code.
+The files record the output of the commit they were made at; a change
+that alters one changes output and must say so line by line.  Run from
+the repository root, with the tree whose output is to be recorded on the
+path:
 
     PYTHONPATH=src python tests/golden/make.py
 """
@@ -47,6 +51,21 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # start late, where a handoff with a short deep dict would go wrong
     ("scan", "--poly=2*x^3+x^2", "--num-bound", "12", "--den-bound", "30", "--horizon", "9",
      "--bit-cap", "10000"),
+    # horizon 30 at the default cap: rows capped at n = 11-15 and decided from
+    # enclosures.  -x^3+x^2 and x^4+x^2 settle escaped tails by the whole-bit growth
+    # bound; 3*x^3+2*x^2 hands rows off late, where its last den(c) prime turns deep
+    *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6", "--horizon", "30")
+      for poly in ("x^3+x^2", "-x^3+x^2", "x^4+x^2", "3*x^3+2*x^2")),
+    # deep orbits: entries of 10^5-10^6 bits; the horizon-13 and -16 steps make
+    # products past arith._SSA_BITS, and the den^d helper serves c = -5/3
+    *(("zsigmondy", "--poly=x^3+x^2", f"--c={c}", "--horizon", str(horizon))
+      for c, horizon in (("-5/3", 12), ("3", 12), ("-5/3", 13), ("1/2", 16))),
+    ("orbit", "--poly=2*x^3+x^2", "--c=1/12", "--horizon", "12"),
+    # 30 digit counts of up to 1.6 * 10^6 digits; the 14 past 4096 bits come from ln-enclosures
+    ("orbit", "--poly=x^3+x^2", "--c=1/2", "--horizon", "16"),
+    # bad input exits 2 with a message on stderr, never a traceback (exit 1)
+    ("orbit", "--poly=x", "--c=1"),
+    ("scan", "--poly=x^3+x^2", "--num-bound", "-1", "--den-bound", "2"),
     *(("bounds", f"--poly={poly}") for poly in _BOUNDS),
     ("bounds", "--poly=x^3+x^2", "--L", "1/3", "--N", "5"),
     ("normalize", "--poly", "x^3-3*x", "--u", "1"),

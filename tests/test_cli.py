@@ -1,6 +1,5 @@
 """CLI surface: subcommands, flags, exit codes, output wiring."""
 import dataclasses
-import hashlib
 import json
 import os
 import random
@@ -14,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zsig
-import zsig.arith
 import zsig.cli as cli
-import zsig.poly
 from zsig.cli import main
 from zsig.harness import ScanConfig, csv_text, run_scan
 from zsig.poly import X2DivisiblePoly
@@ -125,58 +122,6 @@ def test_zsigmondy_command(capsys):
     assert rc == 0
     assert "window:     1..5" in out.splitlines()
     assert out.splitlines()[-1] == "window truncated at n=5 by the 20-bit cap"
-
-
-# stdout digests, each recorded before the multiply kernels the command
-# reaches served the orbit step; every command's orbit entries pass
-# arith._MUL_BITS, and these make products of arith._SSA_BITS bits or more
-SSA_STDOUT_SHA256 = {
-    ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "13"):
-        "b0230f5b9a0e6710011d2e6595ba0450581bb3d97d0ee24145e551e04842aa5e",
-    # the 2000000-bit cap truncates this window at n = 15
-    ("zsigmondy", "--poly", "x^3+x^2", "--c", "1/2", "--horizon", "16"):
-        "84cc3818ea3985e2587b9d6f288284ffe55aeb8cdae705fe7cd891aa14209098",
-}
-DEEP_STDOUT_SHA256 = {
-    ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "12"):
-        "745539c1266ea58378e1372bc3c4e8b35cfebbd395c8d0c19aefd22c7a4fd312",
-    ("zsigmondy", "--poly", "x^3+x^2", "--c", "3", "--horizon", "12"):
-        "bdabcd2293d29c32ccfae1e66552f83518750be3e10e9d979f2e36891174b03f",
-    ("orbit", "--poly", "2*x^3+x^2", "--c", "1/12", "--horizon", "12"):
-        "bab08c268ce4cc162ac8656da30584d383e40820e3598d35a27c4d269f5fb173",
-    ("scan", "--poly", "x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "10"):
-        "cbbb4af0958a6cdb0e6c4a68d1936ac52b7d628dc22948de0e7ba423c08385f1",
-    # 30 digit counts of up to 1.6 * 10^6 digits; the 14 past 4096 bits come from ln-enclosures
-    ("orbit", "--poly", "x^3+x^2", "--c=1/2", "--horizon", "16"):
-        "4378667351f34cc47578049344d906af9aea199dc6e01270a85ba40c90f9e66b",
-    **SSA_STDOUT_SHA256,
-}
-
-
-def test_deep_orbit_bytes_are_pinned(capsys, monkeypatch):
-    """Deep orbits print the same bytes, and their steps run through arith.mul;
-    the scan decides its deep entries from enclosures and reaches no arith.mul."""
-    kernel_calls, ssa_calls = [], []
-    real_mul, real_ssa = zsig.poly.mul, zsig.arith._ssa
-
-    def counting_mul(a, b):
-        kernel_calls.append(1)
-        return real_mul(a, b)
-
-    def counting_ssa(a, b, na, nb):
-        ssa_calls.append(1)
-        return real_ssa(a, b, na, nb)
-
-    monkeypatch.setattr(zsig.poly, "mul", counting_mul)
-    monkeypatch.setattr(zsig.arith, "_ssa", counting_ssa)
-    for argv, digest in DEEP_STDOUT_SHA256.items():
-        kernel_calls.clear()
-        ssa_calls.clear()
-        rc, out, _ = run(capsys, *argv)
-        assert rc == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-        assert bool(kernel_calls) == (argv[0] != "scan"), argv
-        assert ssa_calls or argv not in SSA_STDOUT_SHA256, argv
 
 
 def test_zsigmondy_zero_orbit_notes_and_exits_clean(capsys):

@@ -1,5 +1,4 @@
 """The den^d helper process: same values as the inline chain, and bounded."""
-import hashlib
 import os
 import signal
 import subprocess
@@ -18,12 +17,12 @@ from zsig.harness import ScanConfig, csv_text, run_scan
 from zsig.orbit import iterate
 from zsig.poly import X2DivisiblePoly
 
-from test_cli import SSA_STDOUT_SHA256
-
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEEP = ("zsigmondy", "--poly", "x^3+x^2", "--c=-5/3", "--horizon", "13")
+DEEP = ("zsigmondy", "--poly=x^3+x^2", "--c=-5/3", "--horizon", "13")
+# its golden file: the lines `$ zsig ...` and `exit 0`, then the stdout
+DEEP_GOLDEN = Path(__file__).parent / "golden" / "zsigmondy_poly=x3+x2_c=-5over3_horizon_13.txt"
 
 
 @pytest.fixture
@@ -100,7 +99,7 @@ def test_killed_helper_falls_back_to_the_same_bytes(fresh, monkeypatch, capsys, 
     monkeypatch.setattr(arith, "_write_ints", write)
     assert main(list(DEEP)) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SSA_STDOUT_SHA256[DEEP]
+    assert out == DEEP_GOLDEN.read_text(encoding="utf-8").split("\n", 2)[2]
     assert killed and arith._helper is None and arith._helper_off
     assert len(fresh) == (moment == "after_request")
 

@@ -335,6 +335,9 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
 # 2 | den(c) is shallow at index 1: a tail started before it is deep misses the cap at 9
 @example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 6)), horizon=9, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("6*x^3+x^2"), F(1, 10)), horizon=9, bit_cap=10**4)
+# |N_8| lies below the cap while the 64-bit bounds on M_8 straddle it, and M_8 has
+# more bits than the cap: the index stays open until the 128-bit rung caps it at 8
+@example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-8, 15)), horizon=8, bit_cap=6812)
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """The one scan row builder, which reads the window off enclosures from the
     first entry past 64 bits at which every den(c) prime is deep and off its own
