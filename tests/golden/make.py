@@ -51,11 +51,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # start late, where a handoff with a short deep dict would go wrong
     ("scan", "--poly=2*x^3+x^2", "--num-bound", "12", "--den-bound", "30", "--horizon", "9",
      "--bit-cap", "10000"),
-    # horizon 30 at the default cap: rows capped at n = 11-15 and decided from
+    # horizon 30 at the default cap: rows capped at n = 11-16 and decided from
     # enclosures.  -x^3+x^2 and x^4+x^2 settle escaped tails by the whole-bit growth
-    # bound; 3*x^3+2*x^2 hands rows off late, where its last den(c) prime turns deep
+    # bound; 3*x^3+2*x^2 hands rows off late, where its last den(c) prime turns deep;
+    # 2*x^3+x^2 and 3*x^3+2*x^2 carry rows whose den(c) primes stay shallow
     *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6", "--horizon", "30")
-      for poly in ("x^3+x^2", "-x^3+x^2", "x^4+x^2", "3*x^3+2*x^2")),
+      for poly in ("x^3+x^2", "-x^3+x^2", "x^4+x^2", "3*x^3+2*x^2", "2*x^3+x^2")),
     # deep orbits: entries of 10^5-10^6 bits; the horizon-13 and -16 steps make
     # products past arith._SSA_BITS, and the den^d helper serves c = -5/3
     *(("zsigmondy", "--poly=x^3+x^2", f"--c={c}", "--horizon", str(horizon))
