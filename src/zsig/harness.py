@@ -10,17 +10,19 @@ wall-clock time never enters the files.
 A row reads only the verdict, zset, rin_failures and capped_at, and
 _scan_one builds every row from one walk that keeps only |N_n|.  A finite
 verdict ends the row.  A parameter builds exact values only until its
-verdict is in and an entry passes enclosure.PRECISIONS[0] bits at which
-every den(c) prime is deep (den(c) = 1 included): from index 1 on for
-most, and a deep prime stays deep.  Each later index is decided from the
-ledger's exact denominator valuations and, on each rung, one pair of
-integer bounds on log2 of its value.  Where that entry has passed the
-escape radius, the rung of whole-bit bounds from the escape growth comes
-first; otherwise, or where it leaves an index open, the rungs of
-intervals stepped from the entry at rising precision; an index no rung
-settles sends the same walk on exactly.  The exact indices are decided
-by the per-index rule zsigmondy_set runs; _exact_row, the row of iterate
-and zsigmondy_set, is the reference.
+verdict is in and an entry passes enclosure.PRECISIONS[0] bits.  Each
+later index is decided from the ledger's denominator valuations, the
+valuations of N_n at the den(c) primes already seen, and, on each rung,
+one pair of integer bounds on log2 of its value.  A deep den(c) prime
+steps its ledger by one recursion and divides no later numerator; a
+shallow one, which does not divide rigidly, is stepped on residues mod
+a power of it.  Where that entry has passed the escape radius, the rung
+of whole-bit bounds from the escape growth comes first; otherwise, or
+where it leaves an index open, the rungs of intervals stepped from the
+entry at rising precision; an index no rung settles, or a residue that
+runs out of digits, sends the same walk on exactly.  The exact indices
+are decided by the per-index rule zsigmondy_set runs; _exact_row, the
+row of iterate and zsigmondy_set, is the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -202,31 +204,140 @@ def _escape_bits(g: X2DivisiblePoly, c: Fraction, num: int, den: int):
     return grown(lo, lo + 2)
 
 
-@lru_cache(maxsize=256)
-def _den_marks(d: int, support: tuple, deep: tuple[int, ...], n0: int, horizon: int,
-               scale: int) -> tuple[tuple[int, int], ...]:
-    """Integers (m_lo, m_hi) around scale * log2 M_n for n = n0 + 1, ..., horizon.
+def _digit_budget(steps: int) -> int:
+    """p-adic digits K of each shallow prime's residue at a handoff with steps indices to go."""
+    return 4 * steps + 8
 
-    deep lists val_p(M_(n0)) over the support primes, all deep, so
-    val_p(M') = d * val_p(M) - val_p(u_d) at each step and the bounds
-    follow the same rule.  They run in 2^-k units, 2^k past every val_p(M)
-    the window reaches, on brackets of 2^k * scale * log2 p one unit wide
+
+def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: int, m: int,
+                steps: int) -> tuple[list[int], list[int]]:
+    """val_p(M_n) and val_p(N_n) at each of the steps indices past the entry num/den, if known.
+
+    prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  The
+    ledger steps as orbit._orbit_pairs steps it: a deep p takes k =
+    val_p(u_d) + b.  A shallow p reads k off residues mod p^K, K =
+    _digit_budget(steps) at the entry, of the pair (num, den) times a
+    p-adic unit.  The raw numerator B * P + A * M^d is homogeneous of degree
+    d in the pair, so its residue has the exact value's val_p; k =
+    min(val_p(raw), d * m + b), which the residue shows while it is not 0;
+    the pair goes on as (raw, M^d * B) / p^k mod p^(K - k), the other
+    primes' shrink left in the unit; and val_p(N') = val_p(raw) - k.  A raw
+    residue of 0 mod p^K ends the columns early: its digits ran out.
+    """
+    p, b, lead_val = prime
+    d = g.degree
+    dens: list[int] = []
+    vals: list[int] = []
+    if m <= lead_val:
+        lead, lower = g._horner
+        c_num, c_den = c.numerator, c.denominator
+        mod = p ** _digit_budget(steps)
+        r, s = num % mod, den % mod
+    for _ in range(steps):
+        if m > lead_val:
+            m = d * m - lead_val
+            dens.append(m)
+            vals.append(0)
+            continue
+        acc, s_k = lead, 1
+        for u in lower:
+            s_k = s_k * s % mod
+            acc = (acc * r + u * s_k) % mod
+        raw = (acc * r * r * c_den + c_num * s_k * s * s) % mod
+        if not raw:
+            break
+        v, x = 0, raw
+        while x % p == 0:
+            x //= p
+            v += 1
+        k = min(v, d * m + b)
+        shift = p**k
+        r, s, mod = raw // shift, pow(s, d, mod) * c_den % mod // shift, mod // shift
+        m = d * m + b - k
+        dens.append(m)
+        vals.append(v - k)
+    return dens, vals
+
+
+def _den_walk(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, nums: list[int],
+              horizon: int) -> tuple[tuple, tuple]:
+    """(ledgers, drops) of the indices past start = (n0, num, den, deep), as far as known.
+
+    ledgers lists val_p(M_n) over the support primes at each index, and
+    drops the pairs (p, val_p(N_n)), val_p(N_n) > 0, at the primes of seen:
+    the tracked den(c) primes that divide an earlier numerator, read off
+    nums = |N_1|, ..., |N_(n0)| and then off the later valuations.  Only a
+    prime shallow at n0 can divide a later numerator, and it is tracked.
+    Each prime's columns come from _den_column; the lists stop at the
+    shortest.
+    """
+    n0, num, den, deep = start
+    steps = horizon - n0
+    dens, vals = [], []
+    for prime in support:
+        p = prime[0]
+        m = deep.get(p, 0)
+        if not m:
+            while den % p ** (m + 1) == 0:
+                m += 1
+        column = _den_column(g, c, prime, num, den, m, steps)
+        dens.append(column[0])
+        if p not in deep:
+            vals.append((p, column[1]))
+    ledgers = tuple(zip(*dens))
+    drops = [()] * len(ledgers)
+    for p, column in vals:
+        if not any(column):
+            continue
+        seen = any(x % p == 0 for x in nums)
+        for j, v in enumerate(column[:len(ledgers)]):
+            if v:
+                if seen:
+                    drops[j] += ((p, v),)
+                seen = True
+    return ledgers, tuple(drops)
+
+
+@lru_cache(maxsize=256)
+def _den_marks(support: tuple, ledgers: tuple, drops: tuple,
+               scale: int) -> tuple[tuple[int, int, int], ...]:
+    """Integers (m_lo, m_hi, s_hi) per index of a _den_walk, at one scale.
+
+    m_lo <= scale * log2 M_n <= m_hi, from the ledger's val_p(M_n), and
+    s_hi >= scale * log2 of N_n's part at the primes of seen, from drops.
+    The bounds on M run in 2^-k units, 2^k past every val_p(M) in the
+    ledgers, on brackets of 2^k * scale * log2 p one unit wide
     (enclosure.log2_prime), so m_lo and m_hi lie within a unit per den(c)
     prime of each other.  Kept per key: a scan meets few denominators,
-    handoff indices and precisions (one pass over both survey grids at
-    horizon 8 makes 273 calls on 20 keys).
+    ledgers and precisions.
     """
-    k = (max(deep, default=0) * d ** (horizon - n0)).bit_length()
-    den_lo = den_hi = drop_lo = drop_hi = 0  # on 2^k * scale * log2 M, and its drop per step
-    for (p, _, lead_val), m in zip(support, deep):
-        p_lo, p_hi = enclosure.log2_prime(p, scale << k)
-        den_lo, den_hi = den_lo + m * p_lo, den_hi + m * p_hi
-        drop_lo, drop_hi = drop_lo + lead_val * p_lo, drop_hi + lead_val * p_hi
+    k = max(map(max, ledgers), default=0).bit_length() if support else 0
+    logs = [enclosure.log2_prime(p, scale << k) for p, _, _ in support]
     marks = []
-    for _ in range(n0, horizon):
-        den_lo, den_hi = d * den_lo - drop_lo, d * den_hi - drop_hi
-        marks.append((den_lo >> k, -(-den_hi >> k)))
+    for ledger, seen_part in zip(ledgers, drops):
+        den_lo = den_hi = 0
+        for m, (p_lo, p_hi) in zip(ledger, logs):
+            den_lo, den_hi = den_lo + m * p_lo, den_hi + m * p_hi
+        seen_hi = 0
+        for p, v in seen_part:
+            seen_hi += v * enclosure.log2_prime(p, scale)[1]
+        marks.append((den_lo >> k, -(-den_hi >> k), seen_hi))
     return tuple(marks)
+
+
+@lru_cache(maxsize=256)
+def _deep_marks(d: int, support: tuple, ledger: tuple[int, ...], steps: int,
+                scale: int) -> tuple[tuple[int, int, int], ...]:
+    """_den_marks of the steps indices past one at which every den(c) prime is deep.
+
+    A deep prime goes to val_p(M') = d * val_p(M) - val_p(u_d) and divides no
+    later numerator, so the marks follow from the ledger at the handoff.
+    """
+    ledgers = []
+    for _ in range(steps):
+        ledger = tuple(d * m - lead_val for m, (_, _, lead_val) in zip(ledger, support))
+        ledgers.append(ledger)
+    return _den_marks(support, tuple(ledgers), ((),) * steps, scale)
 
 
 def _interval_logs(g: X2DivisiblePoly, c: Fraction, num: int, den: int, prec: int):
@@ -247,14 +358,16 @@ def _settle(logs, marks, upper: list[int], cap: int, n0: int,
     """(decided, capped_at) of the indices n0 + 1, ... from bounds at one scale.
 
     logs gives, per index, one pair of integer bounds on scale * log2|value|,
-    or None where the rung has none; marks the (m_lo, m_hi) of _den_marks;
-    upper the upper bounds on scale * log2|N| of the indices before.  An
-    index is decided when |N| exceeds prod, the N_(n/q) over the primes
-    q | n, which keeps it out of the Zsigmondy set and the inequality
-    failures, and when |N| and M both lie on one side of the cap.  The
-    first index left undecided gives (False, None).
+    or None where the rung has none; marks the (m_lo, m_hi, s_hi) of
+    _den_marks; upper the upper bounds on scale * log2|N| of the indices
+    before.  An index is decided when rest, |N| without the primes of seen,
+    exceeds prod, the N_(n/q) over the primes q | n, which keeps it out of
+    the Zsigmondy set and, as |N| >= rest, the inequality failures, and when
+    |N| and M both lie on one side of the cap.  The first index left
+    undecided gives (False, None), and so do marks that stop short of the
+    window's last index, index_primes' length.
     """
-    for n, bounds, (m_lo, m_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
+    for n, bounds, (m_lo, m_hi, s_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
         if bounds is None:
             return False, None
         prod_hi = 0
@@ -262,12 +375,12 @@ def _settle(logs, marks, upper: list[int], cap: int, n0: int,
             prod_hi += upper[n // q - 1]
         n_lo, n_hi = bounds[0] + m_lo, bounds[1] + m_hi
         capped = n_lo >= cap or m_lo >= cap
-        if not (n_lo > prod_hi and (capped or max(n_hi, m_hi) < cap)):
+        if not (n_lo - s_hi > prod_hi and (capped or max(n_hi, m_hi) < cap)):
             return False, None
         upper.append(n_hi)
         if capped:
             return True, n
-    return True, None
+    return len(upper) == len(index_primes), None
 
 
 def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
@@ -286,17 +399,23 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     check_upper_bounds.  Where that rung does not apply or leaves an index
     open, the interval rungs run from the same entry at each precision in
     enclosure.PRECISIONS in turn, with scale the precision.  nums give the
-    exact N_n, whose upper bounds are their bit lengths.  Past the last
-    precision the answer is (False, None), and the caller goes on exactly.
+    exact N_n, whose upper bounds are their bit lengths.  The bounds on M
+    and on the seen primes' part of N come from _deep_marks where every
+    den(c) prime is deep at the entry, and otherwise from _den_walk, whose
+    lists stop where a residue runs out of digits.  Past the last precision,
+    or past the end of those lists, the answer is (False, None), and the
+    caller goes on exactly.
     """
     n0, num, den, deep = start
     index_primes = _index_primes(horizon)
-    key = (g.degree, support, tuple(deep[p] for p, _, _ in support), n0, horizon)
+    key = (g.degree, support, tuple(deep.values()), horizon - n0)
+    walk = None if len(deep) == len(support) else _den_walk(g, c, support, start, nums, horizon)
     growth = _escape_bits(g, c, num, den)
     for scale in enclosure.PRECISIONS if growth is None else (1, *enclosure.PRECISIONS):
         logs = growth if scale == 1 else _interval_logs(g, c, num, den, scale)
-        decided = _settle(logs, _den_marks(*key, scale), [scale * x.bit_length() for x in nums],
-                          scale * bit_cap, n0, index_primes)
+        marks = _deep_marks(*key, scale) if walk is None else _den_marks(support, *walk, scale)
+        decided = _settle(logs, marks, [scale * x.bit_length() for x in nums], scale * bit_cap,
+                          n0, index_primes)
         if decided[0]:
             return decided
     return False, None
@@ -306,12 +425,11 @@ def _scan_one(payload: tuple) -> ScanRow:
     """The row of one parameter from one walk; module level so process pools can pickle it.
 
     The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
-    finite verdict ends the row.  From the first entry past 64 bits at which
-    every den(c) prime is deep, the walk hands the later indices to
-    _enclosed_tail: a deep prime stays deep and divides no later numerator,
-    so the tail needs no seen.  The exact indices are decided at the end,
-    once the verdict is infinite, by _index_columns, with the den(c) primes
-    not deep at index 1 tracked.
+    finite verdict ends the row.  From the first entry past 64 bits, once
+    the verdict is infinite, the walk hands the later indices to
+    _enclosed_tail, which reads the den(c) primes still shallow there off
+    residues.  The exact indices are decided at the end by _index_columns,
+    with the den(c) primes not deep at index 1 tracked.
     """
     g, c, horizon, bit_cap = payload
     support = _den_support(g.lead, c.denominator)
@@ -332,7 +450,7 @@ def _scan_one(payload: tuple) -> ScanRow:
             return _row(c, horizon, decision)
         if n >= horizon or capped_at is not None:
             break
-        if handoff is not None and bits > handoff and len(deep) == len(support):
+        if handoff is not None and bits > handoff:
             decided, capped_at = _enclosed_tail(g, c, horizon, bit_cap, (n, num, den, deep),
                                                 nums, support)
             if decided:

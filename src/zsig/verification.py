@@ -528,10 +528,10 @@ def scan_grid_and_determinism() -> str:
 
 @_check
 def value_free_scan_matches_exact() -> str:
-    # every scan row, off enclosures from the entry where every den(c) prime is deep,
-    # must be the row of iterate and zsigmondy_set; 3x^3+2x^2 hands rows off late.  A
-    # 64-bit cap stops rows in the exact prefix, a 1000-bit one in the enclosed tail,
-    # the default none
+    # every scan row, off enclosures from its first entry past 64 bits, must be the
+    # row of iterate and zsigmondy_set; 2x^3+x^2 and 3x^3+2x^2 hand rows off with a
+    # shallow den(c) prime, read off residues.  A 64-bit cap stops rows in the exact
+    # prefix, a 1000-bit one in the enclosed tail, the default none
     value_free = 0
     for text in ("x^3+x^2", "2x^3+x^2", "3x^3+2x^2"):
         g = X2DivisiblePoly.parse(text)

@@ -360,9 +360,13 @@ def test_scan_walks_each_parameter_once(monkeypatch):
     assert walks == [F(r.c_num, r.c_den) for r in rows]
 
 
-def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch):
-    """At horizon 12 every x^3+x^2 grid point is decided from enclosures once its
-    entry passes 64 bits, so no exact step gets a wider operand."""
+@pytest.mark.parametrize("horizon", [8, 12])
+def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch, horizon):
+    """On the survey grid every infinite row of the three survey families, its den(c)
+    primes deep or shallow, is decided from enclosures once its entry passes 64 bits,
+    so no exact step gets a wider operand.  The steps stop by index 6, so horizons 8
+    and 12 make the same 491, 493 and 491 (2*x^3+x^2 made 613 at horizon 8, and
+    3*x^3+2*x^2 512, while rows with a shallow den(c) prime were walked exactly)."""
     bits = []
     step = X2DivisiblePoly.eval_int_pair
 
@@ -371,14 +375,17 @@ def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch):
         return step(g, num, den)
 
     monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", counted)
-    rows = run_scan(ScanConfig(CUBIC, 20, 6, horizon=12)).rows
-    assert len(rows) == 155
-    assert bits and max(bits) <= zsig.enclosure.PRECISIONS[0] == 64
+    for text, want in (("x^3+x^2", 491), ("2*x^3+x^2", 493), ("3*x^3+2*x^2", 491)):
+        bits.clear()
+        rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=horizon)).rows
+        assert len(rows) == 155
+        assert len(bits) == want, text
+        assert max(bits) <= zsig.enclosure.PRECISIONS[0] == 64, text
 
 
 def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
-    """With the growth rung off and one 2-bit precision the enclosures give up on 104
-    of the 114 tails, the walk goes on exactly from where it handed off, and every
+    """With the growth rung off and one 2-bit precision the enclosures give up on 114
+    of the 124 tails, the walk goes on exactly from where it handed off, and every
     row the one builder makes, all-deep or shallow, is still the exact one."""
     tails = []
     tail = zsig.harness._enclosed_tail
@@ -394,7 +401,7 @@ def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
     monkeypatch.setattr(zsig.harness, "_escape_bits", lambda *args: None)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
-    assert len(tails) == 114 and tails.count((False, None)) == 104
+    assert len(tails) == 124 and tails.count((False, None)) == 114
 
 
 # -1/2 and -1/4 have |value| < 1 past index 5, so their denominators pass a cap first;
@@ -426,6 +433,45 @@ def test_enclosed_tail_gives_up_where_the_size_test_fails():
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (True, None)
     nums[0] = abs(walk[4][1])
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (False, None)
+
+
+def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
+    """2*x^3+x^2 at c = -19/2 hands off at entry 4 with 2 in seen, and 2 divides N_6
+    once.  With N_3 replaced by an odd number one bit shorter than |N_6| / N_2, the
+    bound 2^(bitlen N_3 + bitlen N_2) on prod = N_3 * N_2 lies under |N_6| but not
+    under rest = |N_6| / 2, so nothing certifies a primitive prime at 6 and every
+    rung gives up."""
+    g, c = X2DivisiblePoly.parse("2*x^3+x^2"), F(-19, 2)
+    support = zsig.orbit._den_support(g.lead, c.denominator)
+    walk = list(itertools.islice(zsig.orbit._decided_pairs(g, c, support), 6))
+    start = walk[3][:4]
+    nums = [abs(num) for _, num, _, _, _ in walk]
+    assert [num % 4 for num in nums] == [3, 2, 3, 0, 3, 2]
+    tail = zsig.harness._enclosed_tail
+    assert tail(g, c, 6, 10**6, start, nums[:4], support) == (True, None)
+    nums[2] = (1 << nums[5].bit_length() - nums[1].bit_length() - 2) + 1
+    assert nums[2].bit_length() + nums[1].bit_length() == nums[5].bit_length() - 1
+    assert tail(g, c, 6, 10**6, start, nums[:4], support) == (False, None)
+
+
+def test_settle_decides_the_cap_only_where_every_value_in_the_bounds_agrees():
+    """Index 1 of a window, with bounds [lo, hi] on log2|value| and [m_lo, m_hi] on
+    log2 M, so [lo + m_lo, hi + m_hi] on log2|N|, and every cap around M's bounds:
+    _settle reports the index capped only where |N| or M reaches 2^cap at every point
+    of the bounds, and not capped only where both stay under it at every point."""
+    for lo, width, m_lo, m_width in itertools.product(range(-4, 5), range(3), range(9), range(4)):
+        hi, m_hi = lo + width, m_lo + m_width
+        for cap in range(max(1, m_lo - 1), m_hi + 2):
+            upper = []
+            decided, capped_at = zsig.harness._settle(iter([(lo, hi)]), [(m_lo, m_hi, 0)],
+                                                       upper, cap, 0, ((),))
+            case = (lo, hi, m_lo, m_hi, cap)
+            if decided and capped_at:
+                assert lo + m_lo >= cap or m_lo >= cap, case
+            elif decided:
+                assert hi + m_hi < cap and m_hi < cap and upper == [hi + m_hi], case
+            else:
+                assert lo + m_lo <= 0 or max(lo + m_lo, m_lo) < cap <= max(hi + m_hi, m_hi), case
 
 
 def test_a_cap_inside_the_old_log2_prime_slack_is_settled_from_enclosures(monkeypatch):
@@ -478,15 +524,15 @@ def _counting(monkeypatch, name, log):
 
 
 def test_survey_tails_step_intervals_only_where_the_growth_bound_cannot_settle(monkeypatch):
-    """On the survey grids at horizon 8, 135 of the 153 x^3+x^2 tails and 113 of the
-    120 2*x^3+x^2 tails start at an escaped entry, and the whole-bit growth bound
-    settles each of them: the interval ladder starts for the other 18 and 7 rows
-    only, and enclosure.orbit_step runs 60 and 21 times (582 and 460 when every tail
-    stepped intervals)."""
+    """On the survey grids at horizon 8, the whole-bit growth bound settles 135 of the
+    153 x^3+x^2 tails and 144 of the 153 2*x^3+x^2 tails: the interval ladder starts
+    for the other 18 and 9 rows only, and enclosure.orbit_step runs 60 and 27 times
+    (582 and 460 when every tail stepped intervals, and 2*x^3+x^2 handed 120 rows
+    off)."""
     steps, starts = [], []
     _counting(monkeypatch, "orbit_step", steps)
     _counting(monkeypatch, "enclose_ratio", starts)
-    for text, want_steps, want_starts in (("x^3+x^2", 60, 18), ("2*x^3+x^2", 21, 7)):
+    for text, want_steps, want_starts in (("x^3+x^2", 60, 18), ("2*x^3+x^2", 27, 9)):
         steps.clear()
         starts.clear()
         rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=8)).rows
@@ -529,12 +575,16 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
         assert starts == [zsig.enclosure.PRECISIONS[0]] * want_64, text
 
 
-def test_tails_start_late_where_the_last_den_prime_goes_deep(monkeypatch):
-    """On the survey grid at horizons 8, 10, 12, 14 and 30, 148 3*x^3+2*x^2 tails
-    start: 112 at rows deep at index 1, and 36 at rows whose den(c) primes all
-    turn deep later, each at its first such entry past 64 bits.  Every one
-    settles.  The 2 of den(c) never turns deep on 2*x^3+x^2, so none of its 120
-    tails starts late (horizons 8 and 10 here; 12, 14 and 30 take seconds)."""
+def test_every_infinite_row_hands_off_at_its_first_entry_past_64_bits(monkeypatch):
+    """On the survey grid at horizons 8, 10, 12, 14 and 30, each of the 153 infinite
+    rows of 2*x^3+x^2 and of 3*x^3+2*x^2 hands off, at its first entry past 64 bits,
+    and every tail settles.  The 2 of den(c) never turns deep on 2*x^3+x^2, so 33
+    rows carry it shallow: 22 hand off at index 4, 10 at 5 and 1 at 6 (those rows
+    were walked exactly to the end of the window while a tail needed every den(c)
+    prime deep).  On 3*x^3+2*x^2, 41 rows track the 3 of den(c); at 8 of them it is
+    still shallow at the handoff, 6 at index 4 and 2 at 5: 5 rows that had no tail,
+    3 at index 4 and 2 at 5, and 3 whose tail started one index later, where the 3
+    had turned deep."""
     tails, tracked = [], []
     tail, tracked_primes = zsig.harness._enclosed_tail, zsig.harness._tracked_primes
 
@@ -542,21 +592,25 @@ def test_tails_start_late_where_the_last_den_prime_goes_deep(monkeypatch):
         tracked.append(tracked_primes(*args))
         return tracked[-1]
 
-    def recorded(*args):
-        tails.append((bool(tracked[-1]), tail(*args)))
-        return tails[-1][1]
+    def recorded(g, c, horizon, bit_cap, start, nums, support):
+        shallow = len(start[3]) < len(support)
+        tails.append((bool(tracked[-1]), start[0] if shallow else None,
+                      tail(g, c, horizon, bit_cap, start, nums, support)))
+        return tails[-1][2]
 
     monkeypatch.setattr(zsig.harness, "_tracked_primes", recorded_tracked)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
-    for text, horizons, want, want_late in (("3*x^3+2*x^2", (8, 10, 12, 14, 30), 148, 36),
-                                            ("2*x^3+x^2", (8, 10), 120, 0)):
-        for horizon in horizons:
+    for text, want_tracked, want_shallow in (("2*x^3+x^2", 33, {4: 22, 5: 10, 6: 1}),
+                                             ("3*x^3+2*x^2", 41, {4: 6, 5: 2})):
+        for horizon in (8, 10, 12, 14, 30):
             tails.clear()
             rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=horizon)).rows
             assert len(rows) == 155
-            assert len(tails) == want, (text, horizon)
-            assert [late for late, _ in tails].count(True) == want_late, (text, horizon)
-            assert all(decided for _, (decided, _) in tails), (text, horizon)
+            assert len(tails) == 153 == sum(r.zset is not None for r in rows), (text, horizon)
+            assert [late for late, _, _ in tails].count(True) == want_tracked, (text, horizon)
+            handoffs = [n for _, n, _ in tails if n is not None]
+            assert {n: handoffs.count(n) for n in set(handoffs)} == want_shallow, (text, horizon)
+            assert all(decided for _, _, (decided, _) in tails), (text, horizon)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -591,3 +645,93 @@ def test_scan_builds_coefficient_length_once(monkeypatch):
     rows = run_scan(ScanConfig(poly=poly, num_bound=20, den_bound=6, horizon=8)).rows
     assert len(rows) == 155
     assert builds == [poly]
+
+
+def _exact_den_columns(g, c, horizon):
+    """Per index of the exact walk: (n, num, den, deep), the ledger val_p(M_n) over the
+    support primes, and the pairs (p, val_p(N_n)), val_p(N_n) > 0, at the tracked primes
+    that divide an earlier numerator."""
+    support = zsig.orbit._den_support(g.lead, c.denominator)
+    tracked = [p for p, b, lead_val in support if b <= lead_val]
+    walk, ledgers, drops, seen = [], [], [], set()
+    for n, num, den, deep, _ in itertools.islice(
+            zsig.orbit._decided_pairs(g, c, support), horizon):
+        walk.append((n, num, den, deep))
+        ledgers.append(tuple(zsig.arith.val_p(den, p) for p, _, _ in support))
+        vals = [(p, zsig.arith.val_p(num, p)) for p in tracked]
+        drops.append(tuple((p, v) for p, v in vals if v and p in seen))
+        seen.update(p for p, v in vals if v)
+    return support, walk, ledgers, drops
+
+
+@pytest.mark.parametrize("text", ["2*x^3+x^2", "3*x^3+2*x^2", "4*x^3", "6*x^3+x^2"])
+def test_den_walk_is_the_exact_ledger(monkeypatch, text):
+    """From every entry of every infinite row with a den(c) prime, the residue walk
+    gives the exact val_p(M_n) of each den(c) prime and val_p(N_n) at the primes of
+    seen, at each later index of a 9-entry window: all of them with the full digit
+    budget, and a prefix of them, ending where a residue runs out of digits, with
+    budgets of 1 to 12 digits."""
+    g = X2DivisiblePoly.parse(text)
+    walk_of, horizon, short = zsig.harness._den_walk, 9, 0
+    for c in grid(ScanConfig(g, 12, 6)):
+        if c.denominator == 1 or zsig.harness._exact_row(g, c, 2, 10**6).zset is None:
+            continue
+        support, walk, ledgers, drops = _exact_den_columns(g, c, horizon)
+        for n0 in range(1, horizon):
+            nums = [abs(num) for _, num, _, _ in walk[:n0]]
+            args = (g, c, support, walk[n0 - 1], nums, horizon)
+            assert walk_of(*args) == (tuple(ledgers[n0:]), tuple(drops[n0:])), (c, n0)
+            for budget in (1, 2, 3, 4, 6, 8, 12):
+                monkeypatch.setattr(zsig.harness, "_digit_budget", lambda steps: budget)
+                got, got_drops = walk_of(*args)
+                monkeypatch.undo()
+                assert got == tuple(ledgers[n0:n0 + len(got)]), (c, n0, budget)
+                assert got_drops == tuple(drops[n0:n0 + len(got)]), (c, n0, budget)
+                short += len(got) < horizon - n0
+    assert short
+
+
+# rows whose tail starts while a den(c) prime is still shallow: 2 | den(c) for 4*x^3 at
+# 1/90, 2*x^3+x^2 at -1/6 and 6*x^3+x^2 at 1/10 (3 and 5 deep), and 3 for 3*x^3+2*x^2
+_SHALLOW_HANDOFFS = ((X2DivisiblePoly.parse("4*x^3"), F(1, 90), 6, 1000),
+                     (X2DivisiblePoly.parse("4*x^3"), F(1, 90), 9, 1000),
+                     (X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 6), 9, 10**4),
+                     (X2DivisiblePoly.parse("6*x^3+x^2"), F(1, 10), 9, 10**4),
+                     (X2DivisiblePoly.parse("3*x^3+2*x^2"), F(4, 3), 9, 10**4))
+
+
+def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
+    """Each shallow handoff above walks residues once, and its tail settles the
+    window.  On the survey grid's 2*x^3+x^2 and 3*x^3+2*x^2 rows at horizon 9, 41 of
+    the 306 tails walk residues; with a 12-digit budget in place of 28 or more, 14 of
+    those walks run out of digits, and each of their tails gives up and sends the
+    walk on exactly from where it handed off, and every row is still the exact one."""
+    walks, tails = [], []
+    walk, tail = zsig.harness._den_walk, zsig.harness._enclosed_tail
+
+    def recorded_walk(*args):
+        walks.append((args[3][0], walk(*args)))
+        return walks[-1][1]
+
+    def recorded(*args):
+        tails.append(tail(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(zsig.harness, "_den_walk", recorded_walk)
+    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    for payload in _SHALLOW_HANDOFFS:
+        walks.clear()
+        tails.clear()
+        assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+        assert len(walks) == len(tails) == 1 and tails[0][0], payload
+    payloads = [(g, c, 9, 10**4) for g in (X2DivisiblePoly.parse("2*x^3+x^2"),
+                                           X2DivisiblePoly.parse("3*x^3+2*x^2"))
+                for c in grid(ScanConfig(g, 20, 6))]
+    exact = [zsig.harness._exact_row(*p) for p in payloads]
+    monkeypatch.setattr(zsig.harness, "_digit_budget", lambda steps: 12)
+    walks.clear()
+    tails.clear()
+    assert [zsig.harness._scan_one(p) for p in payloads] == exact
+    assert (len(tails), len(walks)) == (306, 41)
+    short = [n0 for n0, (ledgers, _) in walks if len(ledgers) < 9 - n0]
+    assert len(short) == tails.count((False, None)) == 14

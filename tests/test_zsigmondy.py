@@ -317,22 +317,71 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
     return (*head, report.zset, report.rin_failures, orbit.capped_at)
 
 
+# a fixed cap, or (n, delta, side): delta plus the bit length of N_n (side 0) or M_n (side
+# 1), read off the exact orbit, where _settle's cap rules decide
+_CAPS = st.one_of(st.sampled_from([8, 64, 10**4]),
+                  st.tuples(st.integers(1, 10), st.integers(-2, 2), st.integers(0, 1)))
+
+
+def _cap_near(g, c, horizon, bit_cap):
+    """bit_cap itself, or the cap a _CAPS triple names on the exact orbit to horizon."""
+    if not isinstance(bit_cap, tuple):
+        return bit_cap
+    n, delta, side = bit_cap
+    entries = iterate(g, c, horizon=horizon, bit_cap=10**5).entries
+    entry = entries[min(n, len(entries)) - 1]
+    return max(1, (entry.den if side else abs(entry.num)).bit_length() + delta)
+
+
+@st.composite
+def _shallow_poly_and_param(draw):
+    """A degree 3-4 model polynomial and c with a shallow den(c) prime: 0 < val_p(den(c))
+    <= val_p(u_d) for p = 2 or 3, and den(c) may carry one more prime of 2, 3 and 5.
+    val_p(u_(d-1)) = val_p(u_d) - val_p(den(c)) mostly keeps p shallow past 64 bits."""
+    p = draw(st.sampled_from([2, 3]))
+    lead_val = draw(st.integers(1, 2))
+    b = draw(st.integers(1, lead_val))
+    other = draw(st.sampled_from([1, 5, 6 // p]))
+    lower = draw(st.lists(st.integers(-4, 4), max_size=1))
+    below = p ** (lead_val - b) * draw(st.sampled_from([1, -1, 2, -2, 5]).filter(lambda s: s % p))
+    unit = draw(st.sampled_from([1, -1, 5, -7]))
+    c_num = draw(st.integers(-40, 40).filter(lambda a: a % p and a % other))
+    g = X2DivisiblePoly.from_coeffs([0, 0, *lower, below, unit * p**lead_val])
+    return g, F(c_num, p**b * other)
+
+
 @settings(max_examples=100, deadline=None)
-@given(g_c=_poly_and_param(), horizon=st.integers(1, 10),
-       bit_cap=st.sampled_from([8, 64, 10**4]))
+@given(g_c=_shallow_poly_and_param(), horizon=st.integers(5, 10),
+       bit_cap=st.one_of(st.just(10**4), st.tuples(st.integers(5, 10), st.integers(-2, 2),
+                                                    st.integers(0, 1))))
+# the cap is bitlen|N_8| = 6812, the 64-bit bounds on M_8 straddle it, and M_8 has 6813 bits
+@example(g_c=(X2DivisiblePoly.parse("3*x^3+5*x^2"), F(1, 15)), horizon=8, bit_cap=(8, 0, 0))
+def test_shallow_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
+    """Rows with a den(c) prime that is shallow at index 1, so that their tail may
+    start while it is still shallow and read it off residues, give the cells that
+    iterate and zsigmondy_set give."""
+    g, c = g_c
+    bit_cap = _cap_near(g, c, horizon, bit_cap)
+    row = _scan_one((g, c, horizon, bit_cap))
+    cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
+    assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g_c=_poly_and_param(), horizon=st.integers(1, 10), bit_cap=_CAPS)
 @example(g_c=(CUBIC, F(1, 6)), horizon=10, bit_cap=10**4)  # capped at n = 9, past the prefix
 @example(g_c=(CUBIC, F(7)), horizon=10, bit_cap=10**4)  # integer c: den(c) = 1
 @example(g_c=(CUBIC, F(-1)), horizon=10, bit_cap=64)  # finite: the row ends at the verdict
 @example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(1, 2)), horizon=10, bit_cap=10**4)  # shallow
-# 3 | den(c) is shallow at index 1 and deep from entry 3, 2 or 2: the tail starts late,
+# 3 | den(c) is shallow at index 1 and deep from entry 3, 2 or 2, before the tail starts
 # at the first entry past 64 bits (6, 5 or 4)
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(1, 3)), horizon=10, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-1, 3)), horizon=10, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(5, 3)), horizon=10, bit_cap=10**4)
-# 2 | den(c) is shallow at index 1 while 3 and 5 are deep: no tail may start until 2 is too
+# 2 | den(c) is shallow at index 1 while 3 and 5 are deep: the tail reads 2 off residues
 @example(g_c=(X2DivisiblePoly.parse("4*x^3"), F(1, 90)), horizon=6, bit_cap=1000)
 @example(g_c=(X2DivisiblePoly.parse("4*x^3"), F(1, 90)), horizon=9, bit_cap=1000)
-# 2 | den(c) is shallow at index 1: a tail started before it is deep misses the cap at 9
+# 2 | den(c) is shallow at index 1: a tail that takes it for deep misses the cap at 9
 @example(g_c=(X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 6)), horizon=9, bit_cap=10**4)
 @example(g_c=(X2DivisiblePoly.parse("6*x^3+x^2"), F(1, 10)), horizon=9, bit_cap=10**4)
 # |N_8| lies below the cap while the 64-bit bounds on M_8 straddle it, and M_8 has
@@ -340,9 +389,10 @@ def _exact_scan_cells(g, c, horizon, bit_cap):
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-8, 15)), horizon=8, bit_cap=6812)
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """The one scan row builder, which reads the window off enclosures from the
-    first entry past 64 bits at which every den(c) prime is deep and off its own
-    exact walk before that, gives the cells that iterate and zsigmondy_set give."""
+    first entry past 64 bits and off its own exact walk before that, gives the cells
+    that iterate and zsigmondy_set give."""
     g, c = g_c
+    bit_cap = _cap_near(g, c, horizon, bit_cap)
     row = _scan_one((g, c, horizon, bit_cap))
     cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
     assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
@@ -377,6 +427,7 @@ def test_escape_bits_bound_every_later_entry(g_c, horizon):
 @given(g_c=_poly_and_param(), start=st.fractions(-2**12, 2**12, max_denominator=2**8),
        steps=st.integers(1, 3))
 @example(g_c=(SQUARE, F(-1000)), start=F(32), steps=1)  # 4 L <= |v| < |c|: g(v) + c = 24
+@example(g_c=(SQUARE, F(1)), start=F(2), steps=1)  # 2 L <= |v| < 4 L: inside the radius
 @example(g_c=(SQUARE, F(-8)), start=F(257, 31), steps=1)  # just past 2^lo: v^2 + c < 2^(2 lo)
 def test_escape_bits_hold_from_any_start(g_c, start, steps):
     """The growth bound is a statement about g + c from any value past the escape
