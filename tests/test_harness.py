@@ -437,10 +437,10 @@ def test_enclosed_tail_gives_up_where_the_size_test_fails():
 
 def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
     """2*x^3+x^2 at c = -19/2 hands off at entry 4 with 2 in seen, and 2 divides N_6
-    once.  With N_3 replaced by an odd number one bit shorter than |N_6| / N_2, the
-    bound 2^(bitlen N_3 + bitlen N_2) on prod = N_3 * N_2 lies under |N_6| but not
-    under rest = |N_6| / 2, so nothing certifies a primitive prime at 6 and every
-    rung gives up."""
+    once.  With N_3 replaced by an odd number of bitlen|N_6| - bitlen N_2 - 1 bits,
+    the bound 2^(bitlen N_3 + bitlen N_2) on prod = N_3 * N_2 lies under |N_6| but
+    not under rest = |N_6| / 2, so nothing certifies a primitive prime at 6 and
+    every rung gives up."""
     g, c = X2DivisiblePoly.parse("2*x^3+x^2"), F(-19, 2)
     support = zsig.orbit._den_support(g.lead, c.denominator)
     walk = list(itertools.islice(zsig.orbit._decided_pairs(g, c, support), 6))

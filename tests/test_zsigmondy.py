@@ -323,14 +323,18 @@ _CAPS = st.one_of(st.sampled_from([8, 64, 10**4]),
                   st.tuples(st.integers(1, 10), st.integers(-2, 2), st.integers(0, 1)))
 
 
-def _cap_near(g, c, horizon, bit_cap):
-    """bit_cap itself, or the cap a _CAPS triple names on the exact orbit to horizon."""
-    if not isinstance(bit_cap, tuple):
-        return bit_cap
-    n, delta, side = bit_cap
-    entries = iterate(g, c, horizon=horizon, bit_cap=10**5).entries
-    entry = entries[min(n, len(entries)) - 1]
-    return max(1, (entry.den if side else abs(entry.num)).bit_length() + delta)
+def _check_scan_row(g_c, horizon, bit_cap):
+    """_scan_one's row has the cells of iterate and zsigmondy_set, under bit_cap itself or
+    under the cap a _CAPS triple names on the exact orbit to horizon."""
+    g, c = g_c
+    if isinstance(bit_cap, tuple):
+        n, delta, side = bit_cap
+        entries = iterate(g, c, horizon=horizon, bit_cap=10**5).entries
+        entry = entries[min(n, len(entries)) - 1]
+        bit_cap = max(1, (entry.den if side else abs(entry.num)).bit_length() + delta)
+    row = _scan_one((g, c, horizon, bit_cap))
+    cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
+    assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
 
 
 @st.composite
@@ -360,11 +364,7 @@ def test_shallow_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """Rows with a den(c) prime that is shallow at index 1, so that their tail may
     start while it is still shallow and read it off residues, give the cells that
     iterate and zsigmondy_set give."""
-    g, c = g_c
-    bit_cap = _cap_near(g, c, horizon, bit_cap)
-    row = _scan_one((g, c, horizon, bit_cap))
-    cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
-    assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
+    _check_scan_row(g_c, horizon, bit_cap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,11 +391,7 @@ def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """The one scan row builder, which reads the window off enclosures from the
     first entry past 64 bits and off its own exact walk before that, gives the cells
     that iterate and zsigmondy_set give."""
-    g, c = g_c
-    bit_cap = _cap_near(g, c, horizon, bit_cap)
-    row = _scan_one((g, c, horizon, bit_cap))
-    cells = (row.verdict, row.witness, row.zset, row.rin_failures, row.capped_at)
-    assert cells == _exact_scan_cells(g, c, horizon, bit_cap)
+    _check_scan_row(g_c, horizon, bit_cap)
 
 
 def _check_escape_bits(g, c, values):
