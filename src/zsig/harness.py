@@ -13,10 +13,11 @@ verdict ends the row.  A parameter builds exact values only until its
 verdict is in and an entry passes enclosure.PRECISIONS[0] bits.  Each
 later index is decided from the ledger's denominator valuations, the
 valuations of N_n at the den(c) primes already seen, and, on each rung,
-one pair of integer bounds on log2 of its value.  A deep den(c) prime
-steps its ledger by one recursion and divides no later numerator; a
-shallow one, which does not divide rigidly, is stepped on residues mod
-a power of it.  Where that entry has passed the escape radius, the rung
+one pair of integer bounds on log2 of its value.  A shallow den(c)
+prime, which does not divide rigidly, is stepped on residues mod a power
+of it until it turns deep; from then on, or from the entry where it is
+deep already, its ledger steps by one recursion and it divides no later
+numerator.  Where that entry has passed the escape radius, the rung
 of whole-bit bounds from the escape growth comes first; otherwise, or
 where it leaves an index open, the rungs of intervals stepped from the
 entry at rising precision; an index no rung settles, or a residue that
@@ -181,19 +182,18 @@ def _exact_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> S
     return _row(c, horizon, orbit.decision, report.zset, report.rin_failures, orbit.capped_at)
 
 
-def _escape_bits(g: X2DivisiblePoly, c: Fraction, num: int, den: int):
+def _escape_bits(g: X2DivisiblePoly, radius: Fraction, num: int, den: int):
     """Whole-bit bounds lo < log2|value| < hi at each index past the entry num/den, or None.
 
-    None unless |num/den| >= R = escape_radius(g, c), the escape radius.
-    Then lo = bitlen|num| - bitlen(den) - 1 and hi = lo + 2 at the entry,
-    and each step of g + c takes them to d * lo - 1 and d * hi +
-    bitlen(2 * sum |u_i|); _enclosed_tail proves the step.  Each later
-    index gets its one pair (lo, hi).
+    None unless |num/den| >= radius, the escape radius of g + c.  Then lo =
+    bitlen|num| - bitlen(den) - 1 and hi = lo + 2 at the entry, and each
+    step of g + c takes them to d * lo - 1 and d * hi + bitlen(2 * sum
+    |u_i|); _enclosed_tail proves the step.  Each later index gets its one
+    pair (lo, hi).
     """
-    radius = escape_radius(g, c)
     if not _past_radius(num, den, radius.numerator, radius.denominator):
         return None
-    d, grow = g.degree, (2 * sum(map(abs, g.coeffs))).bit_length()
+    d, grow = g.degree, g._escape_growth
 
     def grown(lo, hi):
         while True:
@@ -211,34 +211,27 @@ def _digit_budget(steps: int) -> int:
 
 def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: int, m: int,
                 steps: int) -> tuple[list[int], list[int]]:
-    """val_p(M_n) and val_p(N_n) at each of the steps indices past the entry num/den, if known.
+    """val_p(M_n) from the entry num/den on, and val_p(N_n) past it, while p is shallow.
 
-    prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  The
-    ledger steps as orbit._orbit_pairs steps it: a deep p takes k =
-    val_p(u_d) + b.  A shallow p reads k off residues mod p^K, K =
-    _digit_budget(steps) at the entry, of the pair (num, den) times a
-    p-adic unit.  The raw numerator B * P + A * M^d is homogeneous of degree
-    d in the pair, so its residue has the exact value's val_p; k =
-    min(val_p(raw), d * m + b), which the residue shows while it is not 0;
+    prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  p
+    reads k off residues mod p^K, K = _digit_budget(steps), of the pair
+    (num, den) times a p-adic unit.  The raw numerator B * P + A * M^d is
+    homogeneous of degree d in the pair, so its residue has the exact
+    value's val_p; k = min(val_p(raw), d * m + b), as in orbit._orbit_pairs;
     the pair goes on as (raw, M^d * B) / p^k mod p^(K - k), the other
-    primes' shrink left in the unit; and val_p(N') = val_p(raw) - k.  A raw
-    residue of 0 mod p^K ends the columns early: its digits ran out.
+    primes' shrink left in the unit; and val_p(N') = val_p(raw) - k.  The
+    columns end steps indices on or at the first index where p is deep, its
+    val_p(M) included; a raw residue of 0 mod p^K ends them early: its
+    digits ran out.
     """
     p, b, lead_val = prime
     d = g.degree
-    dens: list[int] = []
-    vals: list[int] = []
-    if m <= lead_val:
-        lead, lower = g._horner
-        c_num, c_den = c.numerator, c.denominator
-        mod = p ** _digit_budget(steps)
-        r, s = num % mod, den % mod
-    for _ in range(steps):
-        if m > lead_val:
-            m = d * m - lead_val
-            dens.append(m)
-            vals.append(0)
-            continue
+    lead, lower = g._horner
+    c_num, c_den = c.numerator, c.denominator
+    mod = p ** _digit_budget(steps)
+    r, s = num % mod, den % mod
+    dens, vals = [m], []
+    while len(vals) < steps and m <= lead_val:
         acc, s_k = lead, 1
         for u in lower:
             s_k = s_k * s % mod
@@ -261,56 +254,69 @@ def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: in
 
 def _den_walk(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, nums: list[int],
               horizon: int) -> tuple[tuple, tuple]:
-    """(ledgers, drops) of the indices past start = (n0, num, den, deep), as far as known.
+    """(columns, drops) of the horizon - n0 indices past start = (n0, num, den, deep).
 
-    ledgers lists val_p(M_n) over the support primes at each index, and
-    drops the pairs (p, val_p(N_n)), val_p(N_n) > 0, at the primes of seen:
-    the tracked den(c) primes that divide an earlier numerator, read off
-    nums = |N_1|, ..., |N_(n0)| and then off the later valuations.  Only a
-    prime shallow at n0 can divide a later numerator, and it is tracked.
-    Each prime's columns come from _den_column; the lists stop at the
-    shortest.
+    columns holds val_p(M_n) from n0 on per support prime: deep[p] alone for
+    a prime deep at n0, and otherwise _den_column's.  drops lists per index
+    the pairs (p, val_p(N_n)), val_p(N_n) > 0, at the primes of seen: the
+    tracked den(c) primes that divide an earlier numerator, read off nums =
+    |N_1|, ..., |N_(n0)| and then off the later valuations.  Only a prime
+    shallow at n0, and so tracked, divides a later numerator, until it turns
+    deep.
     """
     n0, num, den, deep = start
     steps = horizon - n0
-    dens, vals = [], []
+    columns, drops = [], [()] * steps
     for prime in support:
         p = prime[0]
-        m = deep.get(p, 0)
-        if not m:
-            while den % p ** (m + 1) == 0:
-                m += 1
-        column = _den_column(g, c, prime, num, den, m, steps)
-        dens.append(column[0])
-        if p not in deep:
-            vals.append((p, column[1]))
-    ledgers = tuple(zip(*dens))
-    drops = [()] * len(ledgers)
-    for p, column in vals:
-        if not any(column):
+        if p in deep:
+            columns.append((deep[p],))
             continue
+        m = 0
+        while den % p ** (m + 1) == 0:
+            m += 1
+        column, vals = _den_column(g, c, prime, num, den, m, steps)
+        columns.append(tuple(column))
         seen = any(x % p == 0 for x in nums)
-        for j, v in enumerate(column[:len(ledgers)]):
+        for j, v in enumerate(vals):
             if v:
                 if seen:
                     drops[j] += ((p, v),)
                 seen = True
-    return ledgers, tuple(drops)
+    return tuple(columns), tuple(drops)
+
+
+def _den_ledgers(d: int, support: tuple, columns: tuple, steps: int) -> list[tuple[int, ...]]:
+    """val_p(M_n) over the support primes at each of the steps indices past a _den_walk's entry.
+
+    A column that ends deep goes on by val_p(M') = d * val_p(M) - val_p(u_d);
+    one that ends shallow ran out of digits, and the ledgers stop with it.
+    """
+    full = []
+    for column, (_, _, lead_val) in zip(columns, support):
+        if column[-1] > lead_val:
+            column = list(column)
+            while len(column) <= steps:
+                column.append(d * column[-1] - lead_val)
+        full.append(column)
+    return [tuple(column[j] for column in full)
+            for j in range(1, min(map(len, full), default=steps + 1))]
 
 
 @lru_cache(maxsize=256)
-def _den_marks(support: tuple, ledgers: tuple, drops: tuple,
+def _den_marks(d: int, support: tuple, columns: tuple, drops: tuple,
                scale: int) -> tuple[tuple[int, int, int], ...]:
     """Integers (m_lo, m_hi, s_hi) per index of a _den_walk, at one scale.
 
-    m_lo <= scale * log2 M_n <= m_hi, from the ledger's val_p(M_n), and
-    s_hi >= scale * log2 of N_n's part at the primes of seen, from drops.
-    The bounds on M run in 2^-k units, 2^k past every val_p(M) in the
-    ledgers, on brackets of 2^k * scale * log2 p one unit wide
-    (enclosure.log2_prime), so m_lo and m_hi lie within a unit per den(c)
-    prime of each other.  Kept per key: a scan meets few denominators,
-    ledgers and precisions.
+    m_lo <= scale * log2 M_n <= m_hi, from _den_ledgers, and s_hi >= scale *
+    log2 of N_n's part at the primes of seen, from drops.  The bounds on M
+    run in 2^-k units, 2^k past every val_p(M) in the ledgers, on brackets
+    of 2^k * scale * log2 p one unit wide (enclosure.log2_prime), so m_lo
+    and m_hi lie within a unit per den(c) prime of each other.  Kept per
+    key: a scan meets few denominators, columns and precisions, and a row
+    whose den(c) primes are all deep at the entry has one value per column.
     """
+    ledgers = _den_ledgers(d, support, columns, len(drops))
     k = max(map(max, ledgers), default=0).bit_length() if support else 0
     logs = [enclosure.log2_prime(p, scale << k) for p, _, _ in support]
     marks = []
@@ -323,21 +329,6 @@ def _den_marks(support: tuple, ledgers: tuple, drops: tuple,
             seen_hi += v * enclosure.log2_prime(p, scale)[1]
         marks.append((den_lo >> k, -(-den_hi >> k), seen_hi))
     return tuple(marks)
-
-
-@lru_cache(maxsize=256)
-def _deep_marks(d: int, support: tuple, ledger: tuple[int, ...], steps: int,
-                scale: int) -> tuple[tuple[int, int, int], ...]:
-    """_den_marks of the steps indices past one at which every den(c) prime is deep.
-
-    A deep prime goes to val_p(M') = d * val_p(M) - val_p(u_d) and divides no
-    later numerator, so the marks follow from the ledger at the handoff.
-    """
-    ledgers = []
-    for _ in range(steps):
-        ledger = tuple(d * m - lead_val for m, (_, _, lead_val) in zip(ledger, support))
-        ledgers.append(ledger)
-    return _den_marks(support, tuple(ledgers), ((),) * steps, scale)
 
 
 def _interval_logs(g: X2DivisiblePoly, c: Fraction, num: int, den: int, prec: int):
@@ -384,12 +375,12 @@ def _settle(logs, marks, upper: list[int], cap: int, n0: int,
 
 
 def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
-                   nums: list[int], support: tuple) -> tuple[bool, Optional[int]]:
+                   nums: list[int], support: tuple, radius: Fraction) -> tuple[bool, Optional[int]]:
     """(decided, capped_at) of the indices past start = (n, num, den, deep), without values.
 
     |N| = |value| * M, and each rung bounds scale * log2 of |value| and M in
     integers and lets _settle decide every index by one rule.  The first
-    rung, at scale 1, applies where the entry has escaped: _escape_bits
+    rung, at scale 1, applies where the entry is past radius = R: _escape_bits
     grows whole-bit bounds on log2|value| by the escape growth.  With
     L = length(g), if |v| >= R = max(4L, |c|) >= 4, then |g(v)| >= |u_d|
     |v|^(d-1) (|v| - (L - 1)) >= 3/4 |v|^d, so |g(v) + c| >= 3/4 |v|^d - |v|
@@ -400,20 +391,18 @@ def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, 
     open, the interval rungs run from the same entry at each precision in
     enclosure.PRECISIONS in turn, with scale the precision.  nums give the
     exact N_n, whose upper bounds are their bit lengths.  The bounds on M
-    and on the seen primes' part of N come from _deep_marks where every
-    den(c) prime is deep at the entry, and otherwise from _den_walk, whose
-    lists stop where a residue runs out of digits.  Past the last precision,
-    or past the end of those lists, the answer is (False, None), and the
-    caller goes on exactly.
+    and on the seen primes' part of N come from _den_walk through
+    _den_marks, whose marks stop where a residue runs out of digits.  Past
+    the last precision, or past the end of those marks, the answer is
+    (False, None), and the caller goes on exactly.
     """
-    n0, num, den, deep = start
+    n0, num, den, _ = start
     index_primes = _index_primes(horizon)
-    key = (g.degree, support, tuple(deep.values()), horizon - n0)
-    walk = None if len(deep) == len(support) else _den_walk(g, c, support, start, nums, horizon)
-    growth = _escape_bits(g, c, num, den)
+    columns, drops = _den_walk(g, c, support, start, nums, horizon)
+    growth = _escape_bits(g, radius, num, den)
     for scale in enclosure.PRECISIONS if growth is None else (1, *enclosure.PRECISIONS):
         logs = growth if scale == 1 else _interval_logs(g, c, num, den, scale)
-        marks = _deep_marks(*key, scale) if walk is None else _den_marks(support, *walk, scale)
+        marks = _den_marks(g.degree, support, columns, drops, scale)
         decided = _settle(logs, marks, [scale * x.bit_length() for x in nums], scale * bit_cap,
                           n0, index_primes)
         if decided[0]:
@@ -433,10 +422,11 @@ def _scan_one(payload: tuple) -> ScanRow:
     """
     g, c, horizon, bit_cap = payload
     support = _den_support(g.lead, c.denominator)
+    radius = escape_radius(g, c)
     nums: list[int] = []
     capped_at = None
     handoff = enclosure.PRECISIONS[0]
-    for n, num, den, deep, decision in _decided_pairs(g, c, support):
+    for n, num, den, deep, decision in _decided_pairs(g, c, support, radius):
         if n == 1:
             tracked = _tracked_primes((p for p, _, _ in support), deep)
         bits = max(num.bit_length(), den.bit_length())
@@ -452,7 +442,7 @@ def _scan_one(payload: tuple) -> ScanRow:
             break
         if handoff is not None and bits > handoff:
             decided, capped_at = _enclosed_tail(g, c, horizon, bit_cap, (n, num, den, deep),
-                                                nums, support)
+                                                nums, support, radius)
             if decided:
                 break
             handoff = None  # the same walk goes on exactly to the end of the window

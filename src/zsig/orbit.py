@@ -211,7 +211,7 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
     return sum(2 * (r * m // s) + 1 for m in denominators) + 2
 
 
-def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
+def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple, radius: Fraction):
     """(n, num, den, deep, decision) of entries 1, 2, 3, ...: the walk and its verdict checks.
 
     decision is None until the membership verdict and that verdict from then
@@ -219,9 +219,9 @@ def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, in
     repeated value (finite orbit), an escape-radius crossing, a deep
     denominator.  An orbit that never triggers either infinite verdict lives
     in a finite state space, read off the den(c) support, and must repeat
-    within its bound.  Every reader of a verdict walks through here.
+    within its bound.  Every reader of a verdict walks through here, with
+    radius = escape_radius(g, c), worked out once per walk.
     """
-    radius = escape_radius(g, c)
     r_num, r_den = radius.numerator, radius.denominator
     decision = None
     # _state_space_bound is at least 3, so it is built only when a walk passes n = 3
@@ -256,7 +256,7 @@ def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitR
     support = _den_support(g.lead, c.denominator)
     entries: list[OrbitEntry] = []
     capped_at = None
-    for n, num, den, deep, decision in _decided_pairs(g, c, support):
+    for n, num, den, deep, decision in _decided_pairs(g, c, support, escape_radius(g, c)):
         if n <= horizon and capped_at is None:
             entries.append(OrbitEntry(n, num, den, deep))
             if max(num.bit_length(), den.bit_length()) > bit_cap:

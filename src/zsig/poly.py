@@ -184,6 +184,10 @@ class X2DivisiblePoly(RatPolynomial):
         return 4 * self._length
 
     @cached_property
+    def _escape_growth(self) -> int:
+        return (2 * sum(map(abs, self.coeffs))).bit_length()
+
+    @cached_property
     def _horner(self) -> tuple[int, tuple[int, ...]]:
         return self.coeffs[-1], self.coeffs[-2:1:-1]
 

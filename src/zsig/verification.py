@@ -27,6 +27,7 @@ from .arith import (
     strip_common_primes,
     val_p,
 )
+from .enclosure import PRECISIONS
 from .harness import ScanConfig, _exact_row, _scan_one, csv_text, grid, run_scan
 from .lemmas import (
     check_denominator_lower_bound,
@@ -59,7 +60,6 @@ from .poly import (
 )
 from .zsigmondy import (
     KriegerStatus,
-    _tracked_primes,
     growth_threshold,
     index_bound_n0,
     zsigmondy_set,
@@ -529,20 +529,24 @@ def scan_grid_and_determinism() -> str:
 @_check
 def value_free_scan_matches_exact() -> str:
     # every scan row, off enclosures from its first entry past 64 bits, must be the
-    # row of iterate and zsigmondy_set; 2x^3+x^2 and 3x^3+2x^2 hand rows off with a
-    # shallow den(c) prime, read off residues.  A 64-bit cap stops rows in the exact
+    # row of iterate and zsigmondy_set; at least 50 rows hand off there, and some with
+    # a shallow den(c) prime, read off residues.  A 64-bit cap stops rows in the exact
     # prefix, a 1000-bit one in the enclosed tail, the default none
-    value_free = 0
+    handoffs = shallow = 0
     for text in ("x^3+x^2", "2x^3+x^2", "3x^3+2x^2"):
         g = X2DivisiblePoly.parse(text)
         for c in grid(ScanConfig(g, 6, 4)):
-            o = iterate(g, c, 1)
-            value_free += not _tracked_primes(o.den_prime_support, o.entries[0].deep_valuations)
+            o = iterate(g, c, 8)
+            past = [e for e in o.entries[o.decision.steps_used - 1:]
+                    if max(e.num.bit_length(), e.den.bit_length()) > PRECISIONS[0]]
+            if past and o.decision.verdict is not Verdict.FINITE_ORBIT:
+                handoffs += 1
+                shallow += len(past[0].deep_valuations) < len(o.den_prime_support)
             for cap in (64, 1000, DEFAULT_BIT_CAP):
                 if _scan_one((g, c, 9, cap)) != _exact_row(g, c, 9, cap):
                     return f"rows differ at g={g}, c={c}, bit_cap={cap}"
-    if value_free < 50:
-        return f"only {value_free} value-free parameters"
+    if handoffs < 50 or shallow < 1:
+        return f"only {handoffs} value-free parameters, {shallow} with a shallow den(c) prime"
     return ""
 
 

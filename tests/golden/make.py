@@ -53,8 +53,8 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
      "--bit-cap", "10000"),
     # horizon 30 at the default cap: rows capped at n = 11-16 and decided from
     # enclosures.  -x^3+x^2 and x^4+x^2 settle escaped tails by the whole-bit growth
-    # bound; 3*x^3+2*x^2 hands rows off late, where its last den(c) prime turns deep;
-    # 2*x^3+x^2 and 3*x^3+2*x^2 carry rows whose den(c) primes stay shallow
+    # bound; 2*x^3+x^2 and 3*x^3+2*x^2 hand rows off with a den(c) prime still
+    # shallow, and on three rows of 3*x^3+2*x^2 the 3 turns deep inside the tail
     *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6", "--horizon", "30")
       for poly in ("x^3+x^2", "-x^3+x^2", "x^4+x^2", "3*x^3+2*x^2", "2*x^3+x^2")),
     # deep orbits: entries of 10^5-10^6 bits; the horizon-13 and -16 steps make

@@ -27,7 +27,7 @@ from zsig.harness import (
     run_scan,
     write_output,
 )
-from zsig.orbit import iterate
+from zsig.orbit import escape_radius, iterate
 from zsig.poly import X2DivisiblePoly
 
 F = Fraction
@@ -425,14 +425,14 @@ def test_caps_at_an_entrys_own_bit_length():
 def test_enclosed_tail_gives_up_where_the_size_test_fails():
     """With N_1 replaced by |N_5|, prod equals |N_5| at the prime index 5, which
     certifies no primitive prime: every precision gives up on it."""
-    support = zsig.orbit._den_support(1, 6)
-    walk = list(itertools.islice(zsig.orbit._decided_pairs(CUBIC, F(1, 6), support), 5))
+    support, radius = zsig.orbit._den_support(1, 6), escape_radius(CUBIC, F(1, 6))
+    walk = list(itertools.islice(zsig.orbit._decided_pairs(CUBIC, F(1, 6), support, radius), 5))
     start = walk[3][:4]
     nums = [abs(num) for _, num, _, _, _ in walk[:4]]
     tail = zsig.harness._enclosed_tail
-    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (True, None)
+    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support, radius) == (True, None)
     nums[0] = abs(walk[4][1])
-    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support) == (False, None)
+    assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support, radius) == (False, None)
 
 
 def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
@@ -442,16 +442,16 @@ def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
     not under rest = |N_6| / 2, so nothing certifies a primitive prime at 6 and
     every rung gives up."""
     g, c = X2DivisiblePoly.parse("2*x^3+x^2"), F(-19, 2)
-    support = zsig.orbit._den_support(g.lead, c.denominator)
-    walk = list(itertools.islice(zsig.orbit._decided_pairs(g, c, support), 6))
+    support, radius = zsig.orbit._den_support(g.lead, c.denominator), escape_radius(g, c)
+    walk = list(itertools.islice(zsig.orbit._decided_pairs(g, c, support, radius), 6))
     start = walk[3][:4]
     nums = [abs(num) for _, num, _, _, _ in walk]
     assert [num % 4 for num in nums] == [3, 2, 3, 0, 3, 2]
     tail = zsig.harness._enclosed_tail
-    assert tail(g, c, 6, 10**6, start, nums[:4], support) == (True, None)
+    assert tail(g, c, 6, 10**6, start, nums[:4], support, radius) == (True, None)
     nums[2] = (1 << nums[5].bit_length() - nums[1].bit_length() - 2) + 1
     assert nums[2].bit_length() + nums[1].bit_length() == nums[5].bit_length() - 1
-    assert tail(g, c, 6, 10**6, start, nums[:4], support) == (False, None)
+    assert tail(g, c, 6, 10**6, start, nums[:4], support, radius) == (False, None)
 
 
 def test_settle_decides_the_cap_only_where_every_value_in_the_bounds_agrees():
@@ -592,10 +592,10 @@ def test_every_infinite_row_hands_off_at_its_first_entry_past_64_bits(monkeypatc
         tracked.append(tracked_primes(*args))
         return tracked[-1]
 
-    def recorded(g, c, horizon, bit_cap, start, nums, support):
+    def recorded(g, c, horizon, bit_cap, start, nums, support, radius):
         shallow = len(start[3]) < len(support)
         tails.append((bool(tracked[-1]), start[0] if shallow else None,
-                      tail(g, c, horizon, bit_cap, start, nums, support)))
+                      tail(g, c, horizon, bit_cap, start, nums, support, radius)))
         return tails[-1][2]
 
     monkeypatch.setattr(zsig.harness, "_tracked_primes", recorded_tracked)
@@ -655,7 +655,7 @@ def _exact_den_columns(g, c, horizon):
     tracked = [p for p, b, lead_val in support if b <= lead_val]
     walk, ledgers, drops, seen = [], [], [], set()
     for n, num, den, deep, _ in itertools.islice(
-            zsig.orbit._decided_pairs(g, c, support), horizon):
+            zsig.orbit._decided_pairs(g, c, support, escape_radius(g, c)), horizon):
         walk.append((n, num, den, deep))
         ledgers.append(tuple(zsig.arith.val_p(den, p) for p, _, _ in support))
         vals = [(p, zsig.arith.val_p(num, p)) for p in tracked]
@@ -667,12 +667,14 @@ def _exact_den_columns(g, c, horizon):
 @pytest.mark.parametrize("text", ["2*x^3+x^2", "3*x^3+2*x^2", "4*x^3", "6*x^3+x^2"])
 def test_den_walk_is_the_exact_ledger(monkeypatch, text):
     """From every entry of every infinite row with a den(c) prime, the residue walk
-    gives the exact val_p(M_n) of each den(c) prime and val_p(N_n) at the primes of
-    seen, at each later index of a 9-entry window: all of them with the full digit
-    budget, and a prefix of them, ending where a residue runs out of digits, with
-    budgets of 1 to 12 digits."""
+    heads each column with the entry's exact val_p(M), and its columns, gone on by
+    the recursion, give the exact val_p(M_n) of each den(c) prime and val_p(N_n) at
+    the primes of seen, at each later index of a 9-entry window: all of them with the
+    full digit budget, and a prefix of them, ending where a residue runs out of
+    digits, with budgets of 1 to 12 digits."""
     g = X2DivisiblePoly.parse(text)
-    walk_of, horizon, short = zsig.harness._den_walk, 9, 0
+    walk_of, ledgers_of = zsig.harness._den_walk, zsig.harness._den_ledgers
+    horizon, short = 9, 0
     for c in grid(ScanConfig(g, 12, 6)):
         if c.denominator == 1 or zsig.harness._exact_row(g, c, 2, 10**6).zset is None:
             continue
@@ -680,13 +682,17 @@ def test_den_walk_is_the_exact_ledger(monkeypatch, text):
         for n0 in range(1, horizon):
             nums = [abs(num) for _, num, _, _ in walk[:n0]]
             args = (g, c, support, walk[n0 - 1], nums, horizon)
-            assert walk_of(*args) == (tuple(ledgers[n0:]), tuple(drops[n0:])), (c, n0)
+            columns, got_drops = walk_of(*args)
+            assert tuple(column[0] for column in columns) == ledgers[n0 - 1], (c, n0)
+            got = ledgers_of(g.degree, support, columns, horizon - n0)
+            assert (got, got_drops) == (ledgers[n0:], tuple(drops[n0:])), (c, n0)
             for budget in (1, 2, 3, 4, 6, 8, 12):
                 monkeypatch.setattr(zsig.harness, "_digit_budget", lambda steps: budget)
-                got, got_drops = walk_of(*args)
+                columns, got_drops = walk_of(*args)
                 monkeypatch.undo()
-                assert got == tuple(ledgers[n0:n0 + len(got)]), (c, n0, budget)
-                assert got_drops == tuple(drops[n0:n0 + len(got)]), (c, n0, budget)
+                got = ledgers_of(g.degree, support, columns, horizon - n0)
+                assert got == ledgers[n0:n0 + len(got)], (c, n0, budget)
+                assert got_drops[:len(got)] == tuple(drops[n0:n0 + len(got)]), (c, n0, budget)
                 short += len(got) < horizon - n0
     assert short
 
@@ -707,17 +713,18 @@ def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
     those walks run out of digits, and each of their tails gives up and sends the
     walk on exactly from where it handed off, and every row is still the exact one."""
     walks, tails = [], []
-    walk, tail = zsig.harness._den_walk, zsig.harness._enclosed_tail
+    column, tail = zsig.harness._den_column, zsig.harness._enclosed_tail
 
-    def recorded_walk(*args):
-        walks.append((args[3][0], walk(*args)))
-        return walks[-1][1]
+    def recorded_walk(g, c, prime, num, den, m, steps):
+        dens, vals = column(g, c, prime, num, den, m, steps)
+        walks.append(len(dens) <= steps and dens[-1] <= prime[2])  # ran out of digits
+        return dens, vals
 
     def recorded(*args):
         tails.append(tail(*args))
         return tails[-1]
 
-    monkeypatch.setattr(zsig.harness, "_den_walk", recorded_walk)
+    monkeypatch.setattr(zsig.harness, "_den_column", recorded_walk)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     for payload in _SHALLOW_HANDOFFS:
         walks.clear()
@@ -733,5 +740,4 @@ def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
     tails.clear()
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
     assert (len(tails), len(walks)) == (306, 41)
-    short = [n0 for n0, (ledgers, _) in walks if len(ledgers) < 9 - n0]
-    assert len(short) == tails.count((False, None)) == 14
+    assert walks.count(True) == tails.count((False, None)) == 14
