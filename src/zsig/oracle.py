@@ -6,8 +6,10 @@ Fractions, against iterate.  Generic value sequences have no rigid
 divisibility and are stripped against every earlier numerator:
 primitive_divisor_verdicts does that, against zsigmondy_set.
 mobius_residues inverts the strong form of rigid divisibility with no
-strip at all, a third route to the residues of a critical orbit.  zsig
-verify and the tests read this module; no scan or single orbit imports it.
+strip at all, a third route to the residues of a critical orbit.
+_exact_row builds a scan row from iterate and zsigmondy_set, against the
+value-free rows of harness._scan_one.  zsig verify and the tests read
+this module; no scan or single orbit imports it.
 """
 from __future__ import annotations
 
@@ -17,8 +19,10 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .arith import distinct_prime_factors, strip_common_primes
+from .harness import ScanRow, _row
+from .orbit import Verdict, iterate
 from .poly import RatPolynomial, X2DivisiblePoly
-from .zsigmondy import PrimitiveDivisorVerdict
+from .zsigmondy import PrimitiveDivisorVerdict, zsigmondy_set
 
 
 def brute_force_verdict(g: X2DivisiblePoly, c, steps: int = 500,
@@ -109,3 +113,12 @@ def mobius_residues(nums: Iterable, support: Sequence[int]) -> tuple[Fraction, .
                     top *= factor
         out.append(Fraction(top, bottom))
     return tuple(out)
+
+
+def _exact_row(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> ScanRow:
+    """The row iterate and zsigmondy_set give: the reference _scan_one is checked against."""
+    orbit = iterate(g, c, horizon, bit_cap)
+    if orbit.decision.verdict is Verdict.FINITE_ORBIT:
+        return _row(c, horizon, orbit.decision)
+    report = zsigmondy_set(orbit)
+    return _row(c, horizon, orbit.decision, report.zset, report.rin_failures, orbit.capped_at)

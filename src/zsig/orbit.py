@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .arith import divisors, factor_small, ln_abs_ratio, val_p
@@ -91,43 +92,6 @@ def _den_support(lead: int, den: int) -> tuple[tuple[int, int, int], ...]:
     if den == 1:
         return ()
     return tuple((p, b, val_p(lead, p)) for p, b in factor_small(den))
-
-
-def _orbit_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple[tuple[int, int, int], ...]):
-    """Reduced (num, den, deep) of entries 1, 2, 3, ...; each step runs on demand.
-
-    support is _den_support(g.lead, den(c)); deep maps each p with m = val_p(den) >
-    val_p(u_d) to m.  The raw step shares p^k with its denominator at each
-    p | den(c).  With b = val_p(den(c)), a deep p has k = val_p(u_d) + b:
-    u_d*a^d is the term of P with least valuation, and a deep m is at least
-    b, so d*m exceeds val_p(u_d) + b.  A shallow p has k <= d*m + b =
-    val_p(M^d*B), found by exact division tests.  Integer c has no support
-    and no reduction work.
-    """
-    d = g.degree
-    c_num, c_den = c.numerator, c.denominator
-    ledger = {p: b for p, b, _ in support}  # val_p of the current denominator
-    num, den = c_num, c_den
-    while True:
-        deep = {p: ledger[p] for p, _, lead_val in support if ledger[p] > lead_val}
-        yield num, den, deep
-        p_raw, q_raw = g.eval_int_pair(num, den)
-        num = p_raw * c_den + c_num * q_raw
-        den = q_raw * c_den
-        shrink = 1
-        for p, b, lead_val in support:
-            m = ledger[p]
-            if p in deep:
-                k = lead_val + b
-            else:
-                k, top = 0, d * m + b
-                while k < top and num % p ** (k + 1) == 0:
-                    k += 1
-            ledger[p] = d * m + b - k
-            shrink *= p**k
-        if shrink > 1:
-            num //= shrink
-            den //= shrink
 
 
 def escape_radius(g: X2DivisiblePoly, c: Fraction) -> Fraction:
@@ -214,20 +178,30 @@ def _state_space_bound(radius: Fraction, support: tuple[tuple[int, int, int], ..
 def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple, radius: Fraction):
     """(n, num, den, deep, decision) of entries 1, 2, 3, ...: the walk and its verdict checks.
 
+    Each step runs on demand.  deep maps each p of support = _den_support(g.lead,
+    den(c)) with m = val_p(den) > val_p(u_d) to m.  With b = val_p(den(c)),
+    the raw step shares p^k with its denominator: k = val_p(u_d) + b at a
+    deep p, since u_d*a^d is the term of P with least valuation and d*m
+    exceeds val_p(u_d) + b, and k <= d*m + b = val_p(M^d*B), found by exact
+    division tests, at a shallow p.
+
     decision is None until the membership verdict and that verdict from then
     on.  Per step until the verdict, in order: the state-space guard, a
     repeated value (finite orbit), an escape-radius crossing, a deep
-    denominator.  An orbit that never triggers either infinite verdict lives
-    in a finite state space, read off the den(c) support, and must repeat
-    within its bound.  Every reader of a verdict walks through here, with
-    radius = escape_radius(g, c), worked out once per walk.
+    denominator.  An orbit that triggers neither infinite verdict lives in a
+    finite state space, read off the support, and repeats within its bound.
+    Every reader of a verdict walks through here; radius = escape_radius(g, c).
     """
+    d, c_num, c_den = g.degree, c.numerator, c.denominator
     r_num, r_den = radius.numerator, radius.denominator
+    ledger = {p: b for p, b, _ in support}  # val_p of the current denominator
+    num, den = c_num, c_den
     decision = None
     # _state_space_bound is at least 3, so it is built only when a walk passes n = 3
     limit = 3
     seen: dict[tuple[int, int], int] = {}
-    for n, (num, den, deep) in enumerate(_orbit_pairs(g, c, support), start=1):
+    for n in count(1):
+        deep = {p: ledger[p] for p, _, lead_val in support if ledger[p] > lead_val}
         if decision is None:
             if n > limit:
                 if n == 4:
@@ -246,6 +220,23 @@ def _decided_pairs(g: X2DivisiblePoly, c: Fraction, support: tuple, radius: Frac
             else:
                 seen[num, den] = n
         yield n, num, den, deep, decision
+        p_raw, q_raw = g.eval_int_pair(num, den)
+        num = p_raw * c_den + c_num * q_raw
+        den = q_raw * c_den
+        shrink = 1
+        for p, b, lead_val in support:
+            m = ledger[p]
+            if p in deep:
+                k = lead_val + b
+            else:
+                k, top = 0, d * m + b
+                while k < top and num % p ** (k + 1) == 0:
+                    k += 1
+            ledger[p] = d * m + b - k
+            shrink *= p**k
+        if shrink > 1:
+            num //= shrink
+            den //= shrink
 
 
 def _walk(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int) -> OrbitRecord:

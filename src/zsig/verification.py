@@ -28,7 +28,7 @@ from .arith import (
     val_p,
 )
 from .enclosure import PRECISIONS
-from .harness import ScanConfig, _exact_row, _scan_one, csv_text, grid, run_scan
+from .harness import ScanConfig, _scan_one, csv_text, grid, run_scan
 from .lemmas import (
     check_denominator_lower_bound,
     check_escape_growth,
@@ -40,6 +40,7 @@ from .lemmas import (
     power_sum_dominated,
 )
 from .oracle import (
+    _exact_row,
     brute_force_verdict,
     iterate_rational,
     primitive_divisor_verdicts,

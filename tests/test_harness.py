@@ -15,7 +15,9 @@ import pytest
 import zsig.arith
 import zsig.enclosure
 import zsig.harness
+import zsig.oracle
 import zsig.orbit
+import zsig.tail
 import zsig.zsigmondy
 from zsig.harness import (
     CSV_HEADER,
@@ -348,13 +350,13 @@ def test_scan_factors_no_orbit_index(monkeypatch):
 def test_scan_walks_each_parameter_once(monkeypatch):
     """One orbit walk per grid point gives both its verdict and its window."""
     walks = []
-    pairs = zsig.orbit._orbit_pairs
+    pairs = zsig.harness._decided_pairs
 
-    def counted(g, c, support):
+    def counted(g, c, support, radius):
         walks.append(c)
-        return pairs(g, c, support)
+        return pairs(g, c, support, radius)
 
-    monkeypatch.setattr(zsig.orbit, "_orbit_pairs", counted)
+    monkeypatch.setattr(zsig.harness, "_decided_pairs", counted)
     rows = run_scan(ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)).rows
     assert len(walks) == len(rows) == 155
     assert walks == [F(r.c_num, r.c_den) for r in rows]
@@ -366,21 +368,36 @@ def test_survey_scan_steps_no_operand_past_the_first_precision(monkeypatch, hori
     primes deep or shallow, is decided from enclosures once its entry passes 64 bits,
     so no exact step gets a wider operand.  The steps stop by index 6, so horizons 8
     and 12 make the same 491, 493 and 491 (2*x^3+x^2 made 613 at horizon 8, and
-    3*x^3+2*x^2 512, while rows with a shallow den(c) prime were walked exactly)."""
-    bits = []
-    step = X2DivisiblePoly.eval_int_pair
+    3*x^3+2*x^2 512, while rows with a shallow den(c) prime were walked exactly).
+    The residue walks of the shallow den(c) primes step the same kernel on operands
+    of at most 64 bits: 0, 120 and 21 times at horizon 8, 0, 252 and 41 at 12."""
+    exact, residue = [], []
+    log = exact
+    step, column = X2DivisiblePoly.eval_int_pair, zsig.tail._den_column
 
     def counted(g, num, den):
-        bits.append(max(num.bit_length(), den.bit_length()))
+        log.append(max(num.bit_length(), den.bit_length()))
         return step(g, num, den)
 
+    def walked(*args):
+        nonlocal log
+        log = residue
+        try:
+            return column(*args)
+        finally:
+            log = exact
+
     monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", counted)
-    for text, want in (("x^3+x^2", 491), ("2*x^3+x^2", 493), ("3*x^3+2*x^2", 491)):
-        bits.clear()
+    monkeypatch.setattr(zsig.tail, "_den_column", walked)
+    residue_steps = {8: (0, 120, 21), 12: (0, 252, 41)}[horizon]
+    for text, want, want_residue in zip(("x^3+x^2", "2*x^3+x^2", "3*x^3+2*x^2"),
+                                        (491, 493, 491), residue_steps):
+        exact.clear()
+        residue.clear()
         rows = run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=horizon)).rows
         assert len(rows) == 155
-        assert len(bits) == want, text
-        assert max(bits) <= zsig.enclosure.PRECISIONS[0] == 64, text
+        assert (len(exact), len(residue)) == (want, want_residue), text
+        assert max(exact + residue) <= zsig.enclosure.PRECISIONS[0] == 64, text
 
 
 def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
@@ -396,9 +413,9 @@ def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
 
     payloads = [(g, c, horizon, cap) for g in (CUBIC, X2DivisiblePoly.parse("2*x^3+x^2"))
                 for c in grid(ScanConfig(g, 6, 4)) for horizon, cap in ((7, 200), (9, 10**6))]
-    exact = [zsig.harness._exact_row(*p) for p in payloads]
+    exact = [zsig.oracle._exact_row(*p) for p in payloads]
     monkeypatch.setattr(zsig.enclosure, "PRECISIONS", (2,))
-    monkeypatch.setattr(zsig.harness, "_escape_bits", lambda *args: None)
+    monkeypatch.setattr(zsig.tail, "_escape_bits", lambda *args: None)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
     assert len(tails) == 124 and tails.count((False, None)) == 114
@@ -419,7 +436,7 @@ def test_caps_at_an_entrys_own_bit_length():
             for bits in {abs(e.num).bit_length(), e.den.bit_length()} - {1}:  # den(7) = 1
                 for cap in (bits - 1, bits):
                     payload = (g, c, 9, cap)
-                    assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+                    assert zsig.harness._scan_one(payload) == zsig.oracle._exact_row(*payload)
 
 
 def test_enclosed_tail_gives_up_where_the_size_test_fails():
@@ -492,7 +509,7 @@ def test_a_cap_inside_the_old_log2_prime_slack_is_settled_from_enclosures(monkey
         cap = (6 ** 3 ** (n - 1)).bit_length()
         payload = (CUBIC, F(1, 6), n + 1, cap)
         tails.clear()
-        assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+        assert zsig.harness._scan_one(payload) == zsig.oracle._exact_row(*payload)
         assert tails == [(True, n + 1)]
 
 
@@ -547,7 +564,7 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
     64-bit interval rung starts on the other 29, 44 and 16 and settles each, so no
     interval starts at 128 bits and no tail resumes exactly."""
     tried, starts, tails = [], [], []
-    escape_bits, tail = zsig.harness._escape_bits, zsig.harness._enclosed_tail
+    escape_bits, tail = zsig.tail._escape_bits, zsig.harness._enclosed_tail
 
     def growth(*args):
         bits = escape_bits(*args)
@@ -558,7 +575,7 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
         tails.append(tail(*args))
         return tails[-1]
 
-    monkeypatch.setattr(zsig.harness, "_escape_bits", growth)
+    monkeypatch.setattr(zsig.tail, "_escape_bits", growth)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     _counting(monkeypatch, "enclose_ratio", starts)
     for text, want_tried, want_growth, want_64 in (("x^3+x^2", 135, 124, 29),
@@ -622,7 +639,7 @@ def test_a_cap_inside_the_growth_bounds_falls_back_to_intervals(monkeypatch, n):
     starts = []
     cap = abs(iterate(CUBIC, 7, horizon=n).entries[-1].num).bit_length()
     payload = (CUBIC, F(7), 9, cap)
-    exact = zsig.harness._exact_row(*payload)
+    exact = zsig.oracle._exact_row(*payload)
     _counting(monkeypatch, "enclose_ratio", starts)
     assert zsig.harness._scan_one(payload) == exact
     assert exact.capped_at == n + 1
@@ -673,10 +690,10 @@ def test_den_walk_is_the_exact_ledger(monkeypatch, text):
     full digit budget, and a prefix of them, ending where a residue runs out of
     digits, with budgets of 1 to 12 digits."""
     g = X2DivisiblePoly.parse(text)
-    walk_of, ledgers_of = zsig.harness._den_walk, zsig.harness._den_ledgers
+    walk_of, ledgers_of = zsig.tail._den_walk, zsig.tail._den_ledgers
     horizon, short = 9, 0
     for c in grid(ScanConfig(g, 12, 6)):
-        if c.denominator == 1 or zsig.harness._exact_row(g, c, 2, 10**6).zset is None:
+        if c.denominator == 1 or zsig.oracle._exact_row(g, c, 2, 10**6).zset is None:
             continue
         support, walk, ledgers, drops = _exact_den_columns(g, c, horizon)
         for n0 in range(1, horizon):
@@ -687,7 +704,7 @@ def test_den_walk_is_the_exact_ledger(monkeypatch, text):
             got = ledgers_of(g.degree, support, columns, horizon - n0)
             assert (got, got_drops) == (ledgers[n0:], tuple(drops[n0:])), (c, n0)
             for budget in (1, 2, 3, 4, 6, 8, 12):
-                monkeypatch.setattr(zsig.harness, "_digit_budget", lambda steps: budget)
+                monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps: budget)
                 columns, got_drops = walk_of(*args)
                 monkeypatch.undo()
                 got = ledgers_of(g.degree, support, columns, horizon - n0)
@@ -713,7 +730,7 @@ def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
     those walks run out of digits, and each of their tails gives up and sends the
     walk on exactly from where it handed off, and every row is still the exact one."""
     walks, tails = [], []
-    column, tail = zsig.harness._den_column, zsig.harness._enclosed_tail
+    column, tail = zsig.tail._den_column, zsig.harness._enclosed_tail
 
     def recorded_walk(g, c, prime, num, den, m, steps):
         dens, vals = column(g, c, prime, num, den, m, steps)
@@ -724,18 +741,18 @@ def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
         tails.append(tail(*args))
         return tails[-1]
 
-    monkeypatch.setattr(zsig.harness, "_den_column", recorded_walk)
+    monkeypatch.setattr(zsig.tail, "_den_column", recorded_walk)
     monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
     for payload in _SHALLOW_HANDOFFS:
         walks.clear()
         tails.clear()
-        assert zsig.harness._scan_one(payload) == zsig.harness._exact_row(*payload)
+        assert zsig.harness._scan_one(payload) == zsig.oracle._exact_row(*payload)
         assert len(walks) == len(tails) == 1 and tails[0][0], payload
     payloads = [(g, c, 9, 10**4) for g in (X2DivisiblePoly.parse("2*x^3+x^2"),
                                            X2DivisiblePoly.parse("3*x^3+2*x^2"))
                 for c in grid(ScanConfig(g, 20, 6))]
-    exact = [zsig.harness._exact_row(*p) for p in payloads]
-    monkeypatch.setattr(zsig.harness, "_digit_budget", lambda steps: 12)
+    exact = [zsig.oracle._exact_row(*p) for p in payloads]
+    monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps: 12)
     walks.clear()
     tails.clear()
     assert [zsig.harness._scan_one(p) for p in payloads] == exact

@@ -1,5 +1,4 @@
 """Orbit iteration, escape detection, and the membership decision procedure."""
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -368,13 +367,15 @@ def test_escape_index_is_recheckable():
             assert abs(v) < radius
 
 
-def _never_settles(steps):
-    """A fake _orbit_pairs: distinct values 1/k, inside the radius, never deep."""
-    def pairs(g, c, support):
-        for k in itertools.count(1):
-            steps.append(k)
-            yield 1, k, {}
-    return pairs
+def _never_settles(steps, b):
+    """A fake eval_int_pair for c = 1/b: the entry 1/(b j) steps to 1/(b (j + b)), with
+    raw numerator b^d, so each den(c) prime keeps val_p(b) and never turns deep, and
+    the values are distinct and inside the radius."""
+    def step(g, num, den):
+        steps.append(den)
+        j = den // b + b
+        return b ** (g.degree - 1) * (1 - j), b ** g.degree * j
+    return step
 
 
 def test_state_space_guard_still_raises(monkeypatch):
@@ -391,15 +392,16 @@ def test_state_space_guard_still_raises(monkeypatch):
         assert bound(radius, ()) == 2 * math.floor(radius) + 3
 
     steps = []
-    monkeypatch.setattr(orbit_module, "_orbit_pairs", _never_settles(steps))
     for poly, c in ((g, 1), (CUBIC, 1), (g, F(1, 2))):
-        support = orbit_module._den_support(poly.lead, F(c).denominator)
+        c = F(c)
+        monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", _never_settles(steps, c.denominator))
+        support = orbit_module._den_support(poly.lead, c.denominator)
         limit = bound(escape_radius(poly, c), support)
         steps.clear()
         with pytest.raises(ArithmeticError,
                            match=f"^no verdict after {limit} steps; state-space bound violated$"):
             decide_membership(poly, c)
-        assert len(steps) == limit + 1
+        assert len(steps) == limit  # entries 1 .. limit + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,7 +430,7 @@ def test_orbit_entries_are_slotted_records():
 def test_state_space_guard_never_factors_the_lead(monkeypatch):
     # factor_small refuses this lead; the guard reads only the (empty) support of den(c) = 1
     g = X2DivisiblePoly.parse(f"{(2**89 - 1) * (2**107 - 1)}*x^3+x^2")
-    monkeypatch.setattr(orbit_module, "_orbit_pairs", _never_settles([]))
+    monkeypatch.setattr(X2DivisiblePoly, "eval_int_pair", _never_settles([], 1))
     with pytest.raises(ArithmeticError,
                        match="^no verdict after 11 steps; state-space bound violated$"):
         decide_membership(g, 1)

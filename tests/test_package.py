@@ -59,23 +59,24 @@ def test_import_footprint():
     assert _fresh_python(f"import sys, zsig.cli; {listing}") == (
         "['zsig', 'zsig.arith', 'zsig.cli', 'zsig.orbit', 'zsig.poly', 'zsig.zsigmondy']")
     # a single-orbit report and a scan, imported and run, load no checker code; the
-    # report stays exact, and only the scan reads enclosures
+    # report stays exact, and only the scan reads enclosures and value-free tails
     code = """
 import contextlib, io, sys
 from zsig.cli import main
+watched = ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure', 'zsig.tail')
 with contextlib.redirect_stdout(io.StringIO()):
     main(['zsigmondy', '--poly', 'x^3+x^2', '--c', '1/2'])
-print([m for m in ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure') if m in sys.modules])
+print([m for m in watched if m in sys.modules])
 import zsig.harness
 from zsig.poly import X2DivisiblePoly
 zsig.harness.run_scan(zsig.harness.ScanConfig(X2DivisiblePoly.parse('x^3+x^2'), 3, 2, horizon=6))
-print([m for m in ('zsig.oracle', 'zsig.lemmas', 'zsig.enclosure') if m in sys.modules])
+print([m for m in watched if m in sys.modules])
 """
-    assert _fresh_python(code) == "[]\n['zsig.enclosure']"
+    assert _fresh_python(code) == "[]\n['zsig.enclosure', 'zsig.tail']"
 
 
 # the modules a scan or a single orbit runs; the oracles and lemma checkers stay off them
-FAST_PATH = ("arith", "poly", "enclosure", "orbit", "zsigmondy", "harness", "cli")
+FAST_PATH = ("arith", "poly", "enclosure", "orbit", "tail", "zsigmondy", "harness", "cli")
 
 
 def test_fast_path_modules_never_import_oracles_or_lemmas():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import zsig.oracle as oracle_module
 import zsig.zsigmondy as zsigmondy_module
-from zsig.harness import ScanConfig, _escape_bits, _scan_one, run_scan
+from zsig.harness import ScanConfig, _scan_one, run_scan
 from zsig.lemmas import (
     check_cross_bound,
     check_escape_growth,
@@ -30,6 +30,7 @@ from zsig.oracle import (
 )
 from zsig.orbit import OrbitEntry, Verdict, decide_membership, escape_radius, iterate
 from zsig.poly import X2DivisiblePoly, length
+from zsig.tail import _escape_bits
 from zsig.zsigmondy import (
     KriegerStatus,
     bound_report,
@@ -387,6 +388,10 @@ def test_shallow_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
 # |N_8| lies below the cap while the 64-bit bounds on M_8 straddle it, and M_8 has
 # more bits than the cap: the index stays open until the 128-bit rung caps it at 8
 @example(g_c=(X2DivisiblePoly.parse("3*x^3+2*x^2"), F(-8, 15)), horizon=8, bit_cap=6812)
+# the 2 of den(c) is shallow at the handoff at 4 and its residue runs out of digits a step
+# later, so the marks stop there: a ledger that went on by the deep recursion would read
+# val_2(M_6) = 4, not 0, and cap the row at 6 under bitlen|N_6| + 1
+@example(g_c=(X2DivisiblePoly.parse("4*x^3+x^2"), F(-19, 12)), horizon=6, bit_cap=782)
 def test_scan_row_is_the_exact_row(g_c, horizon, bit_cap):
     """The one scan row builder, which reads the window off enclosures from the
     first entry past 64 bits and off its own exact walk before that, gives the cells
