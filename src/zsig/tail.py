@@ -80,16 +80,17 @@ def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: in
                 steps: int) -> tuple[list[int], list[int]]:
     """val_p(M_n) from the entry num/den on, and val_p(N_n) past it, while p is shallow.
 
-    prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  The
-    pair (num, den) times a p-adic unit is stepped mod p^K, K =
-    _digit_budget(steps), by (P, M^d) = g.eval_int_pair.  The raw numerator
-    B * P + A * M^d is homogeneous of degree d in the pair, so its residue
-    has the exact value's val_p; k = min(val_p(raw), d * m + b), as in
-    orbit._decided_pairs; the pair goes on as (raw, M^d * B) / p^k mod
-    p^(K - k), the other primes' shrink left in the unit; and val_p(N') =
-    val_p(raw) - k.  The columns end steps indices on, or at the first index
-    where p is deep, that val_p(M) included; a raw residue of 0 mod p^K ends
-    them early: its digits ran out.
+    prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  The pair
+    (num, den) times a p-adic unit is stepped mod p^K, K = _digit_budget(steps),
+    by (P, M^d) = g.eval_int_pair.  The raw numerator B * P + A * M^d is
+    homogeneous of degree d in the pair, so its residue has the exact value's
+    val_p; k = min(val_p(raw), d * m + b), as in orbit._decided_pairs; the pair
+    goes on as (raw, M^d * B) / p^k mod p^(K - k), the other primes' shrink left
+    in the unit; and val_p(N') = val_p(raw) - k.  The columns end steps indices
+    on, or at the first index where p is deep, that val_p(M) included; a raw
+    residue of 0 mod p^K ends them early: its digits ran out.  A residue has
+    under K * bitlen(p) bits; while that is under arith._MUL_BITS (steps < 748
+    for p < 2^8), eval_int_pair keeps off arith.mul and the den^d helper.
     """
     p, b, lead_val = prime
     d, c_num, c_den = g.degree, c.numerator, c.denominator
@@ -174,9 +175,8 @@ def _den_marks(d: int, support: tuple, columns: tuple, drops: tuple,
     logs = [enclosure.log2_prime(p, scale << k) for p, _, _ in support]
     marks = []
     for ledger, seen_part in zip(ledgers, drops):
-        den_lo = den_hi = 0
-        for m, (p_lo, p_hi) in zip(ledger, logs):
-            den_lo, den_hi = den_lo + m * p_lo, den_hi + m * p_hi
+        den_lo = sum(m * p_lo for m, (p_lo, _) in zip(ledger, logs))
+        den_hi = sum(m * p_hi for m, (_, p_hi) in zip(ledger, logs))
         seen_hi = sum(v * enclosure.log2_prime(p, scale)[1] for p, v in seen_part)
         marks.append((den_lo >> k, -(-den_hi >> k), seen_hi))
     return tuple(marks)

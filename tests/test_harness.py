@@ -348,15 +348,19 @@ def test_scan_factors_no_orbit_index(monkeypatch):
 
 
 def test_scan_walks_each_parameter_once(monkeypatch):
-    """One orbit walk per grid point gives both its verdict and its window."""
+    """One orbit walk per grid point gives both its verdict and its window.  The
+    walk is counted both where harness steps it and where iterate and
+    decide_membership step it, so a second walk by either route is seen."""
     walks = []
-    pairs = zsig.harness._decided_pairs
 
-    def counted(g, c, support, radius):
-        walks.append(c)
-        return pairs(g, c, support, radius)
+    def counted(pairs):
+        def wrapper(g, c, support, radius):
+            walks.append(c)
+            return pairs(g, c, support, radius)
+        return wrapper
 
-    monkeypatch.setattr(zsig.harness, "_decided_pairs", counted)
+    for module in (zsig.orbit, zsig.harness):
+        monkeypatch.setattr(module, "_decided_pairs", counted(module._decided_pairs))
     rows = run_scan(ScanConfig(poly=CUBIC, num_bound=20, den_bound=6, horizon=8)).rows
     assert len(walks) == len(rows) == 155
     assert walks == [F(r.c_num, r.c_den) for r in rows]
