@@ -9,7 +9,8 @@ uses on big operands: a shift for a power of two, a Schönhage-Strassen
 transform for products of 550000 bits or more, whose one butterfly
 routine also inverts it, and CPython's own multiply for the rest.
 `power_on_helper` hands a big den^d to one forked helper process, so that
-it runs beside the numerator's chain.
+it runs beside the numerator's chain.  `Record` is the base of the
+package's value records.
 """
 from __future__ import annotations
 
@@ -33,6 +34,40 @@ _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _MUL_BITS = 24_000  # mul hands a pair whose shorter operand is under this to CPython at once
 _SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
 _HELPER_BITS = 50_000  # base bits from which power_on_helper hands base^d to the helper
+
+
+class Record:
+    """Equality, hash, repr and _replace derived from _fields, a class's field names.
+
+    A subclass lists _fields in constructor order and writes its own
+    __init__.  Records of one class are equal when their _key() tuples
+    are (all of _fields unless the class narrows it); a record never
+    equals one of another class.  The repr leaves out the _hidden fields,
+    which can hold million-bit ints.  Records are read-only by convention:
+    _replace(**changes) makes a changed copy, as on a namedtuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def _replace(self, **changes):
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
 
 
 class IncompleteFactorizationError(ArithmeticError, ValueError):

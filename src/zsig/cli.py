@@ -12,7 +12,6 @@ factorization that cannot be certified, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -114,6 +113,8 @@ def _cmd_zsigmondy(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import dataclasses
+
     from .harness import ScanConfig, run_scan, write_output  # only scan loads the harness
 
     if args.config is None:

@@ -12,19 +12,24 @@ goes back to exact arithmetic, so no float ever decides anything.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .arith import Record
 
 # the precisions sign tries in turn; past the last it reports the sides inseparable
 PRECISIONS = tuple(64 << i for i in range(9))
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    lo: int
-    hi: int
-    exp: int = 0
+class Enclosure(Record):
+    """The interval [lo * 2^exp, hi * 2^exp]; read-only by convention."""
+
+    _fields = ("lo", "hi", "exp")
+
+    def __init__(self, lo: int, hi: int, exp: int = 0):
+        self.lo = lo
+        self.hi = hi
+        self.exp = exp
 
     def __add__(self, other: Enclosure) -> Enclosure:
         e = min(self.exp, other.exp)

@@ -21,35 +21,40 @@ is its oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from fractions import Fraction
 from itertools import count
 from typing import Optional
 
-from .arith import divisors, factor_small, ln_abs_ratio, val_p
+from .arith import Record, divisors, factor_small, ln_abs_ratio, val_p
 from .poly import X2DivisiblePoly
 
 # entries past this many bits stop an orbit (iterate, scans and the CLI share it)
 DEFAULT_BIT_CAP = 2_000_000
 
 
-@dataclass(slots=True)
-class OrbitEntry:
+class OrbitEntry(Record):
     """One orbit value as a reduced fraction num/den, den > 0.
 
     deep_valuations is val_p(den) at the primes where it exceeds val_p(lead),
     as the step ledger recorded it; ln_abs is worked out on each read.
-    Entries are slotted records, not frozen ones (a frozen __init__ costs
-    several times as much, and a scan builds thousands): treat them as
-    read-only, and use dataclasses.replace for a changed copy.
+    Entries are slotted records that compare on (n, num, den) and have no
+    hash.  Treat them as read-only, and use _replace for a changed copy.
     """
 
-    n: int
-    num: int
-    den: int
-    deep_valuations: dict[int, int] = field(repr=False, compare=False)
+    __slots__ = _fields = ("n", "num", "den", "deep_valuations")
+    _hidden = ("deep_valuations",)
+    __hash__ = None
+
+    def __init__(self, n: int, num: int, den: int, deep_valuations: dict[int, int]):
+        self.n = n
+        self.num = num
+        self.den = den
+        self.deep_valuations = deep_valuations
+
+    def _key(self) -> tuple:
+        return self.n, self.num, self.den
 
     @property
     def value(self) -> Fraction:
@@ -60,15 +65,25 @@ class OrbitEntry:
         return ln_abs_ratio(self.num, self.den)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    poly: X2DivisiblePoly
-    c: Fraction
-    bit_cap: int
-    entries: tuple[OrbitEntry, ...]
-    capped_at: Optional[int]
-    den_prime_support: tuple[int, ...]
-    decision: MembershipDecision
+class OrbitRecord(Record):
+    """The window of entries 1..len(entries) of g + c and the walk's verdict.
+
+    Read-only by convention; _replace makes a changed copy.
+    """
+
+    _fields = ("poly", "c", "bit_cap", "entries", "capped_at", "den_prime_support",
+               "decision")
+
+    def __init__(self, poly: X2DivisiblePoly, c: Fraction, bit_cap: int,
+                 entries: tuple[OrbitEntry, ...], capped_at: Optional[int],
+                 den_prime_support: tuple[int, ...], decision: MembershipDecision):
+        self.poly = poly
+        self.c = c
+        self.bit_cap = bit_cap
+        self.entries = entries
+        self.capped_at = capped_at
+        self.den_prime_support = den_prime_support
+        self.decision = decision
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -130,8 +145,7 @@ class Verdict(str, Enum):
     INFINITE_DENOMINATOR = "denominator"
 
 
-@dataclass(frozen=True)
-class MembershipDecision:
+class MembershipDecision(Record):
     """Outcome of the finiteness test for one parameter.
 
     For FINITE_ORBIT, tail is the least index n >= 1 whose value lies on
@@ -141,16 +155,23 @@ class MembershipDecision:
     whose denominator is deep at trigger_prime (the smallest such prime).
     Both infinite verdicts certify the orbit never hits zero: a zero
     would force periodicity, which the repeat check catches first, and
-    neither denominator depth nor escape growth can be undone.
+    neither denominator depth nor escape growth can be undone.  Read-only
+    by convention.
     """
 
-    verdict: Verdict
-    steps_used: int
-    tail: Optional[int] = None
-    cycle: Optional[int] = None
-    escape_index: Optional[int] = None
-    trigger_index: Optional[int] = None
-    trigger_prime: Optional[int] = None
+    _fields = ("verdict", "steps_used", "tail", "cycle", "escape_index", "trigger_index",
+               "trigger_prime")
+
+    def __init__(self, verdict: Verdict, steps_used: int, tail: Optional[int] = None,
+                 cycle: Optional[int] = None, escape_index: Optional[int] = None,
+                 trigger_index: Optional[int] = None, trigger_prime: Optional[int] = None):
+        self.verdict = verdict
+        self.steps_used = steps_used
+        self.tail = tail
+        self.cycle = cycle
+        self.escape_index = escape_index
+        self.trigger_index = trigger_index
+        self.trigger_prime = trigger_prime
 
     def witness_text(self) -> str:
         if self.verdict is Verdict.FINITE_ORBIT:

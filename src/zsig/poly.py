@@ -15,15 +15,17 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _MUL_BITS, divisors, factor_small, mul, omega, power_on_helper
+from .arith import _MUL_BITS, Record, divisors, factor_small, mul, omega, power_on_helper
 
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:/\d+)?)?(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$"
 )
+
+# RatPolynomial.parse refuses exponents above this: it builds one coefficient per degree
+_DEGREE_LIMIT = 100_000
 
 
 class PolynomialSyntaxError(ValueError):
@@ -38,11 +40,16 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as a rational")
 
 
-@dataclass(frozen=True)
-class RatPolynomial:
-    """Dense polynomial over Q; coeffs[i] is the coefficient of x^i."""
+class RatPolynomial(Record):
+    """Dense polynomial over Q; coeffs[i] is the coefficient of x^i.
 
-    coeffs: tuple[Fraction, ...]
+    Read-only by convention.
+    """
+
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.coeffs = coeffs
 
     @staticmethod
     def from_coeffs(values) -> "RatPolynomial":
@@ -75,6 +82,9 @@ class RatPolynomial:
             if m.group("sign") == "-":
                 coef = -coef
             exp = (int(m.group("exp")) if m.group("exp") else 1) if m.group("var") else 0
+            if exp > _DEGREE_LIMIT:
+                raise PolynomialSyntaxError(
+                    f"exponent {exp} in {text!r} is above the degree limit {_DEGREE_LIMIT}")
             powers[exp] = powers.get(exp, Fraction(0)) + coef
         top = max(powers)
         return RatPolynomial.from_coeffs([powers.get(i, Fraction(0)) for i in range(top + 1)])
@@ -127,7 +137,6 @@ class RatPolynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class X2DivisiblePoly(RatPolynomial):
     """Integer polynomial u_d x^d + ... + u_2 x^2, d >= 2, u_d != 0.
 
@@ -135,12 +144,12 @@ class X2DivisiblePoly(RatPolynomial):
     so degree, evaluation and printing are the RatPolynomial ones.  The
     coefficient length, 4 * length (the escape radius floor) and the Horner
     coefficients of eval_int_pair are worked out on first read and kept on
-    the instance, so one instance serves a whole scan.
+    the instance, so one instance serves a whole scan.  Read-only by
+    convention.
     """
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
         if len(self.coeffs) < 3:
             raise ValueError("degree must be at least 2")
         if any(not isinstance(c, int) for c in self.coeffs):
@@ -319,8 +328,7 @@ def scale_to_integer(g0: RatPolynomial) -> tuple[X2DivisiblePoly, int]:
     return X2DivisiblePoly.from_coeffs(scaled), t
 
 
-@dataclass(frozen=True)
-class NormalizationCertificate:
+class NormalizationCertificate(Record):
     """Exact record of the conjugation f -> target.
 
     With s = shift_constant and t = scale, the defining identity is
@@ -335,16 +343,22 @@ class NormalizationCertificate:
     distortion_bound caps how far Zsigmondy-set counts can move under the
     rescaling: the number of distinct primes in the numerator and
     denominator of t (each such prime can create or absorb at most one
-    primitive-divisor index).
+    primitive-divisor index).  Read-only by convention.
     """
 
-    source: RatPolynomial
-    u: Fraction
-    shift_constant: Fraction
-    scale: Fraction
-    target: X2DivisiblePoly
-    krieger_regime: bool
-    distortion_bound: int
+    _fields = ("source", "u", "shift_constant", "scale", "target", "krieger_regime",
+               "distortion_bound")
+
+    def __init__(self, source: RatPolynomial, u: Fraction, shift_constant: Fraction,
+                 scale: Fraction, target: X2DivisiblePoly, krieger_regime: bool,
+                 distortion_bound: int):
+        self.source = source
+        self.u = u
+        self.shift_constant = shift_constant
+        self.scale = scale
+        self.target = target
+        self.krieger_regime = krieger_regime
+        self.distortion_bound = distortion_bound
 
     def param_map(self, c) -> Fraction:
         return (_as_fraction(c) + self.shift_constant) / self.scale

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -442,7 +442,7 @@ def rigid_strip_matches_all_pairs() -> str:
     # pairwise coprime: N_6 = 2 <= N_3 * N_2 = 35, yet 2 is primitive, so only the
     # strip keeps 6 out of the size-decided set
     values = [3, 5, 7, 11, 13, 2]
-    fake = replace(iterate(X2DivisiblePoly.parse("x^3+x^2"), 2, 1), entries=tuple(
+    fake = iterate(X2DivisiblePoly.parse("x^3+x^2"), 2, 1)._replace(entries=tuple(
         OrbitEntry(n, num, 1, {}) for n, num in enumerate(values, start=1)))
     if zsigmondy_set(fake).zset != zsigmondy_of_values(values):
         return f"size-decided Zsigmondy set differs on the window {values}"

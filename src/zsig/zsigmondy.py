@@ -53,13 +53,13 @@ is in zsig.oracle and the growth lemmas are checked in zsig.lemmas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import (
+    Record,
     distinct_prime_factors,  # unused here; perfbench --trace 1 patches it until ROADMAP item 2d
     is_probable_prime,
     ln_abs_ratio,
@@ -71,8 +71,7 @@ from .orbit import OrbitRecord
 from .poly import X2DivisiblePoly, length
 
 
-@dataclass(frozen=True)
-class PrimitiveDivisorVerdict:
+class PrimitiveDivisorVerdict(Record):
     """Outcome of the primitivity test at one index.
 
     residue is N_n stripped of every prime it shares with an earlier
@@ -80,11 +79,16 @@ class PrimitiveDivisorVerdict:
     witness_prime, the smallest identifiable prime of the residue, is named
     on its first read and never before: scans never name one.  It can be
     None even when a primitive prime exists, if the residue resists
-    factoring or is too large for naming to be worth the cost.
+    factoring or is too large for naming to be worth the cost.  Read-only
+    by convention; the repr leaves the residue out.
     """
 
-    n: int
-    residue: int = field(repr=False)
+    _fields = ("n", "residue")
+    _hidden = ("residue",)
+
+    def __init__(self, n: int, residue: int):
+        self.n = n
+        self.residue = residue
 
     @property
     def has_primitive(self) -> bool:
@@ -185,8 +189,7 @@ def _index_columns(nums: Sequence[int], tracked: Sequence[int]):
     return prods, seens, zset, rin_failures
 
 
-@dataclass(frozen=True)
-class ZsigmondyReport:
+class ZsigmondyReport(Record):
     """Every per-index answer of zsigmondy_set on one orbit.
 
     zset and rin_failures are decided by the walk that makes the report,
@@ -198,14 +201,20 @@ class ZsigmondyReport:
     built from the verdicts and prods, also on first read; both are
     kept.  Krieger's check runs at every index whose residue is 1, so on
     a window that is not rigidly divisible it shows where the size test
-    behind zset does not apply.
+    behind zset does not apply.  Read-only by convention; the repr shows
+    zset and rin_failures only.
     """
 
-    nums: tuple[int, ...] = field(repr=False)
-    prods: tuple[int, ...] = field(repr=False)
-    seens: tuple[int, ...] = field(repr=False)
-    zset: tuple[int, ...]
-    rin_failures: tuple[int, ...]
+    _fields = ("nums", "prods", "seens", "zset", "rin_failures")
+    _hidden = ("nums", "prods", "seens")
+
+    def __init__(self, nums: tuple[int, ...], prods: tuple[int, ...], seens: tuple[int, ...],
+                 zset: tuple[int, ...], rin_failures: tuple[int, ...]):
+        self.nums = nums
+        self.prods = prods
+        self.seens = seens
+        self.zset = zset
+        self.rin_failures = rin_failures
 
     @cached_property
     def verdicts(self) -> tuple[PrimitiveDivisorVerdict, ...]:
@@ -385,23 +394,36 @@ def growth_threshold(d: int, alpha, beta) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything the finiteness argument instantiates for one polynomial."""
+class BoundReport(Record):
+    """Everything the finiteness argument instantiates for one polynomial.
 
-    degree: int
-    lead: int
-    coefficient_length: Fraction
-    parameter_height: Fraction
-    preimage_depth: int
-    root_bound: int
-    n0: int
-    n1: int
-    n2: int
-    evertse_at_n0: float
-    region_thresholds: dict
+    Read-only by convention.
+    """
+
+    _fields = ("degree", "lead", "coefficient_length", "parameter_height", "preimage_depth",
+               "root_bound", "n0", "n1", "n2", "evertse_at_n0", "region_thresholds")
+
+    def __init__(self, degree: int, lead: int, coefficient_length: Fraction,
+                 parameter_height: Fraction, preimage_depth: int, root_bound: int, n0: int,
+                 n1: int, n2: int, evertse_at_n0: float, region_thresholds: dict):
+        self.degree = degree
+        self.lead = lead
+        self.coefficient_length = coefficient_length
+        self.parameter_height = parameter_height
+        self.preimage_depth = preimage_depth
+        self.root_bound = root_bound
+        self.n0 = n0
+        self.n1 = n1
+        self.n2 = n2
+        self.evertse_at_n0 = evertse_at_n0
+        self.region_thresholds = region_thresholds
 
     def max_index_bound(self) -> int:
+        """The largest of n1, n2 and the growth thresholds.
+
+        Each threshold is at least 30, the floor its search starts from, so
+        30 here says only that no threshold lies past that floor.
+        """
         return max(self.n1, self.n2, *self.region_thresholds.values())
 
 
@@ -412,6 +434,8 @@ def bound_report(g: X2DivisiblePoly, parameter_height=None, preimage_depth: int 
     region_thresholds gives the growth threshold in the three parameter
     regimes: "escape" (orbit past the escape radius), "monomial" (small
     parameter under a monomial), "bounded" (parameter inside the radius).
+    growth_threshold searches from n = 30 up, so a threshold of 30 is that
+    search floor, not a crossing the search found.
     """
     d = g.degree
     lg = length(g)

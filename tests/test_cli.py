@@ -305,6 +305,18 @@ def test_malformed_polynomial_exits_two(capsys):
         assert "Traceback" not in err
 
 
+def test_exponent_past_the_degree_limit_exits_two(capsys):
+    # refused while parsing, before a coefficient list of that length is built
+    for argv in (("zsigmondy", "--poly", "x^99999999999", "--c", "1"),
+                 ("normalize", "--poly", "x^99999999999"),
+                 ("scan", "--poly", "x^99999999999", "--num-bound", "1", "--den-bound", "1")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert err == ("error: exponent 99999999999 in 'x^99999999999' "
+                       "is above the degree limit 100000\n"), argv
+        assert out == ""
+
+
 def test_uncertified_denominator_support_exits_two(capsys):
     # a 30-digit prime is past the range where Miller-Rabin is a proof
     big = 10**30 + 57

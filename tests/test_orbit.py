@@ -1,7 +1,6 @@
 """Orbit iteration, escape detection, and the membership decision procedure."""
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -219,8 +218,8 @@ def test_ledger_reduction_matches_plain_fractions(middle, unit, lead_powers, c_n
         if prev.deep_valuations:
             p = min(prev.deep_valuations)
             bad = list(orbit.entries)
-            bad[cur.n - 1] = replace(cur, den=p * cur.den)
-            assert check_valuation_recursion(replace(orbit, entries=tuple(bad))) != []
+            bad[cur.n - 1] = cur._replace(den=p * cur.den)
+            assert check_valuation_recursion(orbit._replace(entries=tuple(bad))) != []
             break
 
 
@@ -418,12 +417,12 @@ def test_state_space_bound_is_at_least_three(r_num, r_den, support):
 
 
 def test_orbit_entries_are_slotted_records():
-    """Entries compare on (n, num, den) only and still copy with dataclasses.replace."""
+    """Entries compare on (n, num, den) only and copy with _replace."""
     e = iterate(CUBIC, F(1, 6), horizon=2).entry(2)
     assert not hasattr(e, "__dict__")
-    twin = replace(e, deep_valuations={})
+    twin = e._replace(deep_valuations={})
     assert twin == e and twin.deep_valuations == {} and e.deep_valuations == {2: 3, 3: 3}
-    moved = replace(e, den=3 * e.den)
+    moved = e._replace(den=3 * e.den)
     assert moved != e and (moved.n, moved.num, moved.deep_valuations) == (2, e.num, {2: 3, 3: 3})
 
 
@@ -443,8 +442,8 @@ def test_valuation_recursion_checker():
     assert orbit.entry(3).deep_valuations == {2: 9, 3: 9}
     for wrong in ({}, {2: 9}, {2: 9, 3: 10}, {2: 9, 3: 9, 5: 1}):
         entries = list(orbit.entries)
-        entries[2] = replace(entries[2], deep_valuations=wrong)
-        assert check_valuation_recursion(replace(orbit, entries=tuple(entries))) == [
+        entries[2] = entries[2]._replace(deep_valuations=wrong)
+        assert check_valuation_recursion(orbit._replace(entries=tuple(entries))) == [
             f"n=3: ledger depth {wrong}, denominator depth {{2: 9, 3: 9}}"
         ]
 
@@ -469,29 +468,27 @@ def test_escape_growth_checker():
 
 def test_checkers_report_fabricated_violations():
     """Tampered records must trip the inequality checkers."""
-    import dataclasses
-
     orbit = iterate(CUBIC, F(1, 2), horizon=5, bit_cap=10**5)
     bad_entries = list(orbit.entries)
     e = bad_entries[3]
     # the check must read depth from the denominator itself
-    bad_entries[3] = dataclasses.replace(e, den=2 * e.den)
-    bad = dataclasses.replace(orbit, entries=tuple(bad_entries))
+    bad_entries[3] = e._replace(den=2 * e.den)
+    bad = orbit._replace(entries=tuple(bad_entries))
     assert check_valuation_recursion(bad) != []
     # M_n = 2^(3^(n-1)) meets its ceiling M_1^(d^(n-1)) exactly, so one more
     # unit is a violation that no log slack may forgive
     orbit = iterate(CUBIC, F(1, 2), horizon=8)
     entries = list(orbit.entries)
-    entries[6] = dataclasses.replace(entries[6], den=entries[6].den + 1)
+    entries[6] = entries[6]._replace(den=entries[6].den + 1)
     assert check_upper_bounds(orbit) == []
-    assert check_upper_bounds(dataclasses.replace(orbit, entries=tuple(entries))) == [
+    assert check_upper_bounds(orbit._replace(entries=tuple(entries))) == [
         "denominator bound fails at n=7"
     ]
 
     def tampered(orbit, n, **changes):
         entries = list(orbit.entries)
-        entries[n - 1] = dataclasses.replace(entries[n - 1], **changes)
-        return dataclasses.replace(orbit, entries=tuple(entries))
+        entries[n - 1] = entries[n - 1]._replace(**changes)
+        return orbit._replace(entries=tuple(entries))
 
     # the value ceiling at c = 1/2 is 2 |u_d| R = 16: 32/2 meets it, 33/2 passes it
     assert check_upper_bounds(tampered(orbit, 1, num=32)) == []

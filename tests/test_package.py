@@ -2,11 +2,23 @@
 import ast
 import importlib
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import zsig
+from zsig.enclosure import Enclosure, ln
+from zsig.orbit import MembershipDecision, OrbitEntry, OrbitRecord, iterate
+from zsig.poly import (
+    NormalizationCertificate, RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible,
+)
+from zsig.zsigmondy import (
+    BoundReport, PrimitiveDivisorVerdict, ZsigmondyReport, bound_report, zsigmondy_set,
+)
 
 
 def test_public_names_resolve_to_distinct_objects():
@@ -16,12 +28,12 @@ def test_public_names_resolve_to_distinct_objects():
         assert owner == name, f"{name} is a second name for {owner}"
 
 
-def _fresh_python(code: str) -> str:
+def _fresh_python(code: str, *flags: str) -> str:
     """Stdout of `code` run in a new interpreter that imports this checkout's zsig."""
     src = str(Path(zsig.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     return proc.stdout.strip()
 
@@ -73,6 +85,66 @@ zsig.harness.run_scan(zsig.harness.ScanConfig(X2DivisiblePoly.parse('x^3+x^2'), 
 print([m for m in watched if m in sys.modules])
 """
     assert _fresh_python(code) == "[]\n['zsig.enclosure', 'zsig.tail']"
+
+
+def test_single_orbit_commands_load_no_dataclasses():
+    # -S keeps site from preloading stdlib modules; entry 9 of this orbit has 11586 bits,
+    # so printing it loads zsig.enclosure too
+    code = """
+import contextlib, io, sys
+from zsig.cli import main
+for argv in (['zsigmondy', '--poly', 'x^3+x^2', '--c', '3', '--horizon', '3'],
+             ['orbit', '--poly', 'x^3+x^2', '--c', '3', '--horizon', '9'],
+             ['bounds', '--poly', 'x^3+x^2'], ['normalize', '--poly', 'x^3']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print([m for m in ('zsig.enclosure', 'dataclasses', 'inspect') if m in sys.modules])
+"""
+    assert _fresh_python(code, "-S") == "['zsig.enclosure']"
+
+
+def test_records_keep_their_value_semantics():
+    """Each value record, built twice from the same inputs, compares and hashes alike."""
+    g = X2DivisiblePoly.parse("x^3+x^2")
+    builds = {
+        RatPolynomial: lambda: RatPolynomial.parse("x^3+x^2"),
+        X2DivisiblePoly: lambda: X2DivisiblePoly.parse("x^3+x^2"),
+        NormalizationCertificate:
+            lambda: normalize_to_x2_divisible(RatPolynomial.parse("x^3-3*x"), 1),
+        OrbitEntry: lambda: iterate(g, Fraction(1, 6), 3).entry(3),
+        OrbitRecord: lambda: iterate(g, Fraction(1, 6), 3),
+        MembershipDecision: lambda: iterate(g, Fraction(1, 6), 3).decision,
+        PrimitiveDivisorVerdict: lambda: zsigmondy_set(iterate(g, 3, 5)).verdicts[4],
+        ZsigmondyReport: lambda: zsigmondy_set(iterate(g, 3, 5)),
+        BoundReport: lambda: bound_report(g),
+        Enclosure: lambda: ln(3, 64),
+    }
+    unhashable_fields = (OrbitRecord, BoundReport)  # a tuple of entries, a dict
+    for cls, build in builds.items():
+        a, b = build(), build()
+        assert type(a) is cls and a is not b and a == b and not a != b, cls
+        if cls is OrbitEntry:
+            assert cls.__hash__ is None
+        elif cls in unhashable_fields:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b), cls
+    assert RatPolynomial((0, 0, 1)) != X2DivisiblePoly((0, 0, 1))
+    assert X2DivisiblePoly((0, 0, 1)) != RatPolynomial((0, 0, 1))
+    # Horner coefficients cached before pickling come back with the polynomial
+    g.eval_int_pair(1, 2)
+    assert "_horner" in vars(g)
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and vars(h) == vars(g)
+    orbit = iterate(g, Fraction(1, 6), 5)
+    assert pickle.loads(pickle.dumps(orbit)) == orbit
+    # million-bit fields stay out of the reprs
+    report = ZsigmondyReport(nums=((1 << 100_000) + 1,), prods=(1,), seens=(1,), zset=(),
+                             rin_failures=())
+    assert report.verdicts[0].stripped_remainder_bits == 100_001
+    assert repr(report) == "ZsigmondyReport(zset=(), rin_failures=())"
+    assert repr(report.verdicts[0]) == "PrimitiveDivisorVerdict(n=1)"
 
 
 # the modules a scan or a single orbit runs; the oracles and lemma checkers stay off them

@@ -52,9 +52,10 @@ def test_parse_agrees_with_sympy():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "x^", "x^-2", "y^2", "x^2 +", "2x^2x"]:
+    for bad in ["", "x^", "x^-2", "y^2", "x^2 +", "2x^2x", f"x^{poly._DEGREE_LIMIT + 1}"]:
         with pytest.raises(PolynomialSyntaxError):
             RatPolynomial.parse(bad)
+    assert RatPolynomial.parse(f"x^{poly._DEGREE_LIMIT}").degree == poly._DEGREE_LIMIT
 
 
 def test_evaluation_and_derivative():

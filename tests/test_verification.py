@@ -1,5 +1,4 @@
 """The self-check suite must be green and cover every documented invariant."""
-from dataclasses import replace
 
 import pytest
 
@@ -88,7 +87,7 @@ def test_sampling_checks_can_fail(monkeypatch, name, checker, filtered):
         finite = MembershipDecision(Verdict.FINITE_ORBIT, 1, tail=1, cycle=1)
         walk = verification.iterate
         monkeypatch.setattr(verification, "iterate",
-                            lambda *args, **kw: replace(walk(*args, **kw), decision=finite))
+                            lambda *args, **kw: walk(*args, **kw)._replace(decision=finite))
         [result] = run_all([name])
         assert not result.ok and result.detail.startswith("only 0"), result
 

@@ -1,7 +1,6 @@
 """Primitive divisors, Zsigmondy sets, and the explicit bound machinery."""
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -460,7 +459,7 @@ def test_prime_power_residue_is_the_quotient(g_c, horizon):
 def test_size_test_is_audited_on_a_fabricated_window():
     """[2, 4, 3] is not rigidly divisible: 4 > N_1 = 2 keeps index 2 out of zset
     though its residue is 1, and Krieger's check, run on the residues, says FAILS."""
-    fake = replace(iterate(CUBIC, 2, horizon=1), entries=tuple(
+    fake = iterate(CUBIC, 2, horizon=1)._replace(entries=tuple(
         OrbitEntry(n, num, 1, {}) for n, num in enumerate([2, 4, 3], start=1)))
     report = zsigmondy_set(fake)
     assert report.zset == ()
@@ -469,7 +468,7 @@ def test_size_test_is_audited_on_a_fabricated_window():
     # 2 a prime of den(c) that divides N_2 and N_3 but not N_1, as 2 does N_5 and N_8
     # of 2*x^3+x^2 at c = 3/2: N_3 = 12 > N_1 = 3, but 12 without the 2 seen at N_2
     # is 3 <= 3, and only the strip against N_1 * 2 leaves 1
-    fake = replace(fake, den_prime_support=(2,), entries=tuple(
+    fake = fake._replace(den_prime_support=(2,), entries=tuple(
         OrbitEntry(n, num, 1, {}) for n, num in enumerate([3, 2, 12], start=1)))
     assert zsigmondy_set(fake).zset == (3,) == zsigmondy_of_values([3, 2, 12])
 
@@ -550,7 +549,7 @@ def test_rin_matches_direct_product():
     outcomes = set()
     for _ in range(20):
         nums = [rng.randint(2, 4 ** rng.randint(1, n)) for n in range(1, 41)]
-        fake = replace(orbit, entries=tuple(
+        fake = orbit._replace(entries=tuple(
             OrbitEntry(n, num, 1, {}) for n, num in enumerate(nums, start=1)))
         rin_failures = zsigmondy_set(fake).rin_failures
         for n in range(1, 41):
@@ -575,7 +574,7 @@ def test_krieger_divisibility_frozen():
     assert cu[0] == (1, KriegerStatus.HOLDS)
     # no orbit drawn so far fails; a fabricated window does: N_2 = 4 has no prime
     # that N_1 = 2 lacks, yet does not divide it
-    fake = replace(iterate(CUBIC, 2, horizon=1), entries=tuple(
+    fake = iterate(CUBIC, 2, horizon=1)._replace(entries=tuple(
         OrbitEntry(n, num, 1, {}) for n, num in enumerate([2, 4, 3], start=1)))
     assert zsigmondy_set(fake).krieger_checks == (
         (1, KriegerStatus.VACUOUS), (2, KriegerStatus.FAILS), (3, KriegerStatus.VACUOUS))
@@ -849,9 +848,9 @@ def test_monomial_sandwich_reads_integer_pairs(monkeypatch):
 
 def _with_entries(orbit, pairs):
     """orbit with entry n replaced by num/den for each n: (num, den) in pairs."""
-    entries = tuple(replace(e, num=pairs[e.n][0], den=pairs[e.n][1]) if e.n in pairs else e
+    entries = tuple(e._replace(num=pairs[e.n][0], den=pairs[e.n][1]) if e.n in pairs else e
                     for e in orbit.entries)
-    return replace(orbit, entries=entries)
+    return orbit._replace(entries=entries)
 
 
 def test_monomial_sandwich_reports_fabricated_violations():
@@ -911,8 +910,8 @@ def test_check_cross_bound_on_orbits():
     assert check_cross_bound(orbit) == []
     # N_15 feeds n = 30 (through 30/2); inflating it must break n = 30 only
     e = orbit.entries[14]
-    big = replace(e, num=e.num << 800_000)
-    tampered = replace(orbit, entries=orbit.entries[:14] + (big,) + orbit.entries[15:])
+    big = e._replace(num=e.num << 800_000)
+    tampered = orbit._replace(entries=orbit.entries[:14] + (big,) + orbit.entries[15:])
     assert check_cross_bound(tampered) == ["cross bound fails at n=30"]
     # x^2 - 1 runs -1, 0, -1, ...: ln|N_2| is undefined
     with pytest.raises(ValueError, match="^orbit hits zero; cross bound undefined$"):
