@@ -10,12 +10,11 @@ wall-clock time never enters the files.
 A row reads only the verdict, zset, rin_failures and capped_at, and
 _scan_one builds every row from one walk that keeps only |N_n|.  A finite
 verdict ends the row.  A parameter builds exact values only until its
-verdict is in and an entry passes enclosure.PRECISIONS[0] bits.  Each
-later index is decided without values, on the rungs of bounds zsig.tail
-builds from that entry; an index no rung settles sends the same walk on
-exactly.  The exact indices are decided by the per-index rule
-zsigmondy_set runs; oracle._exact_row, the row of iterate and
-zsigmondy_set, is the reference.
+verdict is in and an entry passes enclosure.PRECISIONS[0] bits; then
+tail.settle decides the later indices without values, to the cap at most,
+and a window it leaves undecided sends the same walk on exactly.  The
+exact indices are decided by the per-index rule zsigmondy_set runs;
+oracle._exact_row, the row of iterate and zsigmondy_set, is the reference.
 
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
@@ -51,7 +50,7 @@ from .orbit import (
     iterate,
 )
 from .poly import X2DivisiblePoly, _poly_from_text
-from .zsigmondy import _index_columns, _index_primes, _tracked_primes, zsigmondy_set
+from .zsigmondy import _index_columns, _tracked_primes, zsigmondy_set
 
 CSV_HEADER = [
     "c_num", "c_den", "verdict", "witness", "horizon",
@@ -164,59 +163,13 @@ def _row(c: Fraction, horizon: int, decision: MembershipDecision, zset=None, rin
                    horizon, zset, rin_failures, capped_at)
 
 
-def _settle(logs, marks, upper: list[int], cap: int, n0: int,
-            index_primes: tuple) -> tuple[bool, Optional[int]]:
-    """(decided, capped_at) of the indices n0 + 1, ... from bounds at one scale.
-
-    logs gives, per index, one pair of integer bounds on scale * log2|value|,
-    or None where the rung has none; marks the (m_lo, m_hi, s_hi) of
-    _den_marks; upper the upper bounds on scale * log2|N| of the indices
-    before.  An index is decided when rest, |N| without the primes of seen,
-    exceeds prod, the N_(n/q) over the primes q | n, which keeps it out of
-    the Zsigmondy set and, as |N| >= rest, the inequality failures, and when
-    |N| and M both lie on one side of the cap.  The first index left
-    undecided gives (False, None), and so do marks that stop short of the
-    window's last index, index_primes' length.
-    """
-    for n, bounds, (m_lo, m_hi, s_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
-        if bounds is None:
-            return False, None
-        prod_hi = 0
-        for q in index_primes[n - 1]:
-            prod_hi += upper[n // q - 1]
-        n_lo, n_hi = bounds[0] + m_lo, bounds[1] + m_hi
-        capped = n_lo >= cap or m_lo >= cap
-        if not (n_lo - s_hi > prod_hi and (capped or max(n_hi, m_hi) < cap)):
-            return False, None
-        upper.append(n_hi)
-        if capped:
-            return True, n
-    return len(upper) == len(index_primes), None
-
-
-def _enclosed_tail(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
-                   nums: list[int], support: tuple, radius: Fraction) -> tuple[bool, Optional[int]]:
-    """(decided, capped_at) of the indices past start = (n, num, den, deep), without values.
-
-    _settle tries each of tail.rungs in turn, with the bit lengths of nums =
-    |N_1|, ..., |N_n| as upper bounds; past the last, the caller goes on exactly.
-    """
-    index_primes = _index_primes(horizon)
-    for scale, logs, marks in tail.rungs(g, c, support, start, nums, horizon, radius):
-        decided = _settle(logs, marks, [scale * x.bit_length() for x in nums], scale * bit_cap,
-                          start[0], index_primes)
-        if decided[0]:
-            return decided
-    return False, None
-
-
 def _scan_one(payload: tuple) -> ScanRow:
     """The row of one parameter from one walk; module level so process pools can pickle it.
 
     The payload is (g, c, horizon, bit_cap) with c the grid's Fraction.  A
     finite verdict ends the row.  From the first entry past 64 bits, once
     the verdict is infinite, the walk hands the later indices to
-    _enclosed_tail.  The exact indices are decided at the end by
+    tail.settle.  The exact indices are decided at the end by
     _index_columns, with the den(c) primes not deep at index 1 tracked.
     """
     g, c, horizon, bit_cap = payload
@@ -240,8 +193,8 @@ def _scan_one(payload: tuple) -> ScanRow:
         if n >= horizon or capped_at is not None:
             break
         if handoff is not None and bits > handoff:
-            decided, capped_at = _enclosed_tail(g, c, horizon, bit_cap, (n, num, den, deep),
-                                                nums, support, radius)
+            decided, capped_at = tail.settle(g, c, horizon, bit_cap, (n, num, den, deep),
+                                             nums, support, radius)
             if decided:
                 break
             handoff = None  # the same walk goes on exactly to the end of the window

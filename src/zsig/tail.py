@@ -1,8 +1,8 @@
-"""Value-free bounds on the orbit indices past a handoff entry.
+"""Value-free decisions on the orbit indices past a handoff entry.
 
-From an exact entry num/den at index n0, rungs bounds scale * log2|value|,
-scale * log2 M and the seen primes' part of N at each later index, on one
-rung after another, and builds no later value.
+From an exact entry num/den at index n0, settle decides each later index
+of a scan row's window from rungs of bounds on scale * log2|value|, scale
+* log2 M and the seen primes' part of N, and builds no later value.
 
 The bounds on M come from the ledger of val_p(M).  A shallow den(c) prime,
 which does not divide rigidly, is stepped on residues mod a power of it by
@@ -30,11 +30,67 @@ from . import enclosure
 from .arith import _int_val
 from .orbit import _past_radius
 from .poly import X2DivisiblePoly
+from .zsigmondy import _index_primes
+
+
+def settle(g: X2DivisiblePoly, c: Fraction, horizon: int, bit_cap: int, start: tuple,
+           nums: list[int], support: tuple, radius: Fraction) -> tuple[bool, int | None]:
+    """(decided, capped_at) of the indices past start = (n0, num, den, deep), without values.
+
+    _settle tries each rung in turn on the indices to last = min(horizon, n0
+    + bitlen(bit_cap)), with the bit lengths of nums = |N_1|, ..., |N_(n0)|
+    as upper bounds.  Past the verdict, |v| >= R >= 4 or a den(c) prime p is
+    deep, e = val_p(u_d) < val_p(M).  Each step at least doubles log2|v| - 1
+    >= 1, as |g(v) + c| >= |v|^d / 2 (module docstring), or val_p(M) - e >=
+    1, as d val_p(M) - 2e >= 2 (val_p(M) - e); so bitlen|num| or bitlen(den)
+    exceeds 2^k k steps on, and the exact walk caps by last.  The bounds
+    contain the exact values, so _settle certifies that cap or gives up.
+    Only a certified cap decides a window cut short; undecided, the caller
+    goes on exactly.
+    """
+    last = min(horizon, start[0] + bit_cap.bit_length())
+    index_primes = _index_primes(last)
+    for scale, logs, marks in rungs(g, c, support, start, nums, last, radius):
+        decided, capped_at = _settle(logs, marks, [scale * x.bit_length() for x in nums],
+                                     scale * bit_cap, start[0], index_primes)
+        if capped_at is not None or decided and last == horizon:
+            return decided, capped_at
+    return False, None
+
+
+def _settle(logs, marks, upper: list[int], cap: int, n0: int,
+            index_primes: tuple) -> tuple[bool, int | None]:
+    """(decided, capped_at) of the indices n0 + 1, ... from bounds at one scale.
+
+    logs gives, per index, one pair of integer bounds on scale * log2|value|,
+    or None where the rung has none; marks the (m_lo, m_hi, s_hi) of
+    _den_marks; upper the upper bounds on scale * log2|N| of the indices
+    before.  An index is decided when rest, |N| without the primes of seen,
+    exceeds prod, the N_(n/q) over the primes q | n, which keeps it out of
+    the Zsigmondy set and, as |N| >= rest, the inequality failures, and when
+    |N| and M both lie on one side of the cap.  The first index left
+    undecided gives (False, None), and so do marks that stop short of the
+    window's last index, index_primes' length.
+    """
+    for n, bounds, (m_lo, m_hi, s_hi) in zip(range(n0 + 1, n0 + 1 + len(marks)), logs, marks):
+        if bounds is None:
+            return False, None
+        prod_hi = 0
+        for q in index_primes[n - 1]:
+            prod_hi += upper[n // q - 1]
+        n_lo, n_hi = bounds[0] + m_lo, bounds[1] + m_hi
+        capped = n_lo >= cap or m_lo >= cap
+        if not (n_lo - s_hi > prod_hi and (capped or max(n_hi, m_hi) < cap)):
+            return False, None
+        upper.append(n_hi)
+        if capped:
+            return True, n
+    return len(upper) == len(index_primes), None
 
 
 def rungs(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, nums: list[int],
-          horizon: int, radius: Fraction):
-    """(scale, logs, marks) per rung, for the indices past start = (n0, num, den, deep).
+          last: int, radius: Fraction):
+    """(scale, logs, marks) per rung, for the indices past start = (n0, num, den, deep) to last.
 
     nums = |N_1|, ..., |N_(n0)| and radius = escape_radius(g, c).  logs
     gives per index one pair of integer bounds on scale * log2|value|, or
@@ -42,7 +98,7 @@ def rungs(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, nums: l
     rung is built only when it is asked for.
     """
     _, num, den, _ = start
-    walk = (g.degree, support, *_den_walk(g, c, support, start, nums, horizon))
+    walk = (g.degree, support, *_den_walk(g, c, support, start, nums, last))
     growth = _escape_bits(g, radius, num, den)
     if growth is not None:
         yield 1, growth, _den_marks(*walk, 1)
@@ -71,9 +127,13 @@ def _escape_bits(g: X2DivisiblePoly, radius: Fraction, num: int, den: int):
     return grown(lo, lo + 2)
 
 
-def _digit_budget(steps: int) -> int:
-    """p-adic digits K of each shallow prime's residue at a handoff with steps indices to go."""
-    return 4 * steps + 8
+def _digit_budget(steps: int, per_step: int) -> int:
+    """p-adic digits K of a shallow prime's residue with steps indices to go.
+
+    While p is shallow a step divides out at most per_step = d * val_p(u_d)
+    + val_p(den(c)) digits (_den_column's k); 8 more read the last valuation.
+    """
+    return per_step * steps + 8
 
 
 def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: int, m: int,
@@ -81,20 +141,22 @@ def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: in
     """val_p(M_n) from the entry num/den on, and val_p(N_n) past it, while p is shallow.
 
     prime is one (p, b, val_p(u_d)) of the support and m = val_p(den).  The pair
-    (num, den) times a p-adic unit is stepped mod p^K, K = _digit_budget(steps),
-    by (P, M^d) = g.eval_int_pair.  The raw numerator B * P + A * M^d is
-    homogeneous of degree d in the pair, so its residue has the exact value's
-    val_p; k = min(val_p(raw), d * m + b), as in orbit._decided_pairs; the pair
-    goes on as (raw, M^d * B) / p^k mod p^(K - k), the other primes' shrink left
-    in the unit; and val_p(N') = val_p(raw) - k.  The columns end steps indices
-    on, or at the first index where p is deep, that val_p(M) included; a raw
-    residue of 0 mod p^K ends them early: its digits ran out.  A residue has
-    under K * bitlen(p) bits; while that is under arith._MUL_BITS (steps < 748
-    for p < 2^8), eval_int_pair keeps off arith.mul and the den^d helper.
+    (num, den) times a p-adic unit is stepped mod p^K, K = _digit_budget(steps,
+    d * val_p(u_d) + b), by (P, M^d) = g.eval_int_pair.  The raw numerator
+    B * P + A * M^d is homogeneous of degree d in the pair, so its residue has
+    the exact value's val_p; k = min(val_p(raw), d * m + b), as in
+    orbit._decided_pairs; the pair goes on as (raw, M^d * B) / p^k mod p^(K -
+    k), the other primes' shrink left in the unit; and val_p(N') = val_p(raw)
+    - k.  The columns end steps indices on, or at the first index where p is
+    deep, that val_p(M) included; a raw residue of 0 mod p^K ends them early:
+    its digits ran out.  A residue has under K * bitlen(p) bits; at settle's
+    steps <= bitlen(bit_cap) (K = 92 on the survey families at the default
+    cap), while that stays under arith._MUL_BITS, eval_int_pair keeps off
+    arith.mul and the den^d helper.
     """
     p, b, lead_val = prime
     d, c_num, c_den = g.degree, c.numerator, c.denominator
-    mod = p ** _digit_budget(steps)
+    mod = p ** _digit_budget(steps, d * lead_val + b)
     r, s = num % mod, den % mod
     dens, vals = [m], []
     while len(vals) < steps and m <= lead_val:
@@ -113,8 +175,8 @@ def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: in
 
 
 def _den_walk(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, nums: list[int],
-              horizon: int) -> tuple[tuple, tuple]:
-    """(columns, drops) of the horizon - n0 indices past start = (n0, num, den, deep).
+              last: int) -> tuple[tuple, tuple]:
+    """(columns, drops) of the indices n0 + 1, ..., last past start = (n0, num, den, deep).
 
     columns holds val_p(M_n) from n0 on per support prime: deep[p] alone for
     a prime deep at n0, and otherwise _den_column's.  drops lists per index
@@ -124,7 +186,7 @@ def _den_walk(g: X2DivisiblePoly, c: Fraction, support: tuple, start: tuple, num
     n0 divides a later numerator, and only until it turns deep.
     """
     n0, num, den, deep = start
-    steps = horizon - n0
+    steps = last - n0
     columns, drops = [], [()] * steps
     for prime in support:
         p = prime[0]

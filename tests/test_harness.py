@@ -1,6 +1,7 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -29,7 +30,7 @@ from zsig.harness import (
     run_scan,
     write_output,
 )
-from zsig.orbit import escape_radius, iterate
+from zsig.orbit import DEFAULT_BIT_CAP, escape_radius, iterate
 from zsig.poly import X2DivisiblePoly
 
 F = Fraction
@@ -409,7 +410,7 @@ def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
     of the 124 tails, the walk goes on exactly from where it handed off, and every
     row the one builder makes, all-deep or shallow, is still the exact one."""
     tails = []
-    tail = zsig.harness._enclosed_tail
+    tail = zsig.tail.settle
 
     def recorded(*args):
         tails.append(tail(*args))
@@ -420,7 +421,7 @@ def test_value_free_rows_survive_a_precision_that_settles_nothing(monkeypatch):
     exact = [zsig.oracle._exact_row(*p) for p in payloads]
     monkeypatch.setattr(zsig.enclosure, "PRECISIONS", (2,))
     monkeypatch.setattr(zsig.tail, "_escape_bits", lambda *args: None)
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
     assert len(tails) == 124 and tails.count((False, None)) == 114
 
@@ -443,20 +444,33 @@ def test_caps_at_an_entrys_own_bit_length():
                     assert zsig.harness._scan_one(payload) == zsig.oracle._exact_row(*payload)
 
 
-def test_enclosed_tail_gives_up_where_the_size_test_fails():
+def test_settle_gives_up_where_the_size_test_fails():
     """With N_1 replaced by |N_5|, prod equals |N_5| at the prime index 5, which
     certifies no primitive prime: every precision gives up on it."""
     support, radius = zsig.orbit._den_support(1, 6), escape_radius(CUBIC, F(1, 6))
     walk = list(itertools.islice(zsig.orbit._decided_pairs(CUBIC, F(1, 6), support, radius), 5))
     start = walk[3][:4]
     nums = [abs(num) for _, num, _, _, _ in walk[:4]]
-    tail = zsig.harness._enclosed_tail
+    tail = zsig.tail.settle
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support, radius) == (True, None)
     nums[0] = abs(walk[4][1])
     assert tail(CUBIC, F(1, 6), 5, 10**6, start, nums, support, radius) == (False, None)
 
 
-def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
+def test_settle_decides_a_window_cut_short_only_by_a_cap(monkeypatch):
+    """settle ends the window bitlen(bit_cap) indices past the handoff, by when the
+    exact walk has capped.  Were a rung to decide every index of a window cut short
+    without a cap, which that growth rules out, the walk would still go on exactly;
+    a window that reaches the horizon is decided."""
+    support, radius = zsig.orbit._den_support(1, 6), escape_radius(CUBIC, F(1, 6))
+    walk = list(itertools.islice(zsig.orbit._decided_pairs(CUBIC, F(1, 6), support, radius), 4))
+    start, nums = walk[3][:4], [abs(num) for _, num, _, _, _ in walk]
+    monkeypatch.setattr(zsig.tail, "_settle", lambda *args: (True, None))
+    assert zsig.tail.settle(CUBIC, F(1, 6), 6, 2, start, nums, support, radius) == (True, None)
+    assert zsig.tail.settle(CUBIC, F(1, 6), 7, 2, start, nums, support, radius) == (False, None)
+
+
+def test_settle_takes_the_seen_primes_off_before_the_size_test():
     """2*x^3+x^2 at c = -19/2 hands off at entry 4 with 2 in seen, and 2 divides N_6
     once.  With N_3 replaced by an odd number of bitlen|N_6| - bitlen N_2 - 1 bits,
     the bound 2^(bitlen N_3 + bitlen N_2) on prod = N_3 * N_2 lies under |N_6| but
@@ -468,7 +482,7 @@ def test_enclosed_tail_takes_the_seen_primes_off_before_the_size_test():
     start = walk[3][:4]
     nums = [abs(num) for _, num, _, _, _ in walk]
     assert [num % 4 for num in nums] == [3, 2, 3, 0, 3, 2]
-    tail = zsig.harness._enclosed_tail
+    tail = zsig.tail.settle
     assert tail(g, c, 6, 10**6, start, nums[:4], support, radius) == (True, None)
     nums[2] = (1 << nums[5].bit_length() - nums[1].bit_length() - 2) + 1
     assert nums[2].bit_length() + nums[1].bit_length() == nums[5].bit_length() - 1
@@ -484,8 +498,8 @@ def test_settle_decides_the_cap_only_where_every_value_in_the_bounds_agrees():
         hi, m_hi = lo + width, m_lo + m_width
         for cap in range(max(1, m_lo - 1), m_hi + 2):
             upper = []
-            decided, capped_at = zsig.harness._settle(iter([(lo, hi)]), [(m_lo, m_hi, 0)],
-                                                       upper, cap, 0, ((),))
+            decided, capped_at = zsig.tail._settle(iter([(lo, hi)]), [(m_lo, m_hi, 0)],
+                                                    upper, cap, 0, ((),))
             case = (lo, hi, m_lo, m_hi, cap)
             if decided and capped_at:
                 assert lo + m_lo >= cap or m_lo >= cap, case
@@ -502,13 +516,13 @@ def test_a_cap_inside_the_old_log2_prime_slack_is_settled_from_enclosures(monkey
     precision.  The tail settles it with no exact resumption, and the row is the
     exact one."""
     tails = []
-    tail = zsig.harness._enclosed_tail
+    tail = zsig.tail.settle
 
     def recorded(*args):
         tails.append(tail(*args))
         return tails[-1]
 
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
     for n in (9, 10):
         cap = (6 ** 3 ** (n - 1)).bit_length()
         payload = (CUBIC, F(1, 6), n + 1, cap)
@@ -568,7 +582,7 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
     64-bit interval rung starts on the other 29, 44 and 16 and settles each, so no
     interval starts at 128 bits and no tail resumes exactly."""
     tried, starts, tails = [], [], []
-    escape_bits, tail = zsig.tail._escape_bits, zsig.harness._enclosed_tail
+    escape_bits, tail = zsig.tail._escape_bits, zsig.tail.settle
 
     def growth(*args):
         bits = escape_bits(*args)
@@ -580,7 +594,7 @@ def test_horizon_30_tails_settle_on_the_growth_rung_or_at_64_bits(monkeypatch):
         return tails[-1]
 
     monkeypatch.setattr(zsig.tail, "_escape_bits", growth)
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
     _counting(monkeypatch, "enclose_ratio", starts)
     for text, want_tried, want_growth, want_64 in (("x^3+x^2", 135, 124, 29),
                                                    ("-x^3+x^2", 122, 108, 44),
@@ -607,7 +621,7 @@ def test_every_infinite_row_hands_off_at_its_first_entry_past_64_bits(monkeypatc
     3 at index 4 and 2 at 5, and 3 whose tail started one index later, where the 3
     had turned deep."""
     tails, tracked = [], []
-    tail, tracked_primes = zsig.harness._enclosed_tail, zsig.harness._tracked_primes
+    tail, tracked_primes = zsig.tail.settle, zsig.harness._tracked_primes
 
     def recorded_tracked(*args):
         tracked.append(tracked_primes(*args))
@@ -620,7 +634,7 @@ def test_every_infinite_row_hands_off_at_its_first_entry_past_64_bits(monkeypatc
         return tails[-1][2]
 
     monkeypatch.setattr(zsig.harness, "_tracked_primes", recorded_tracked)
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
     for text, want_tracked, want_shallow in (("2*x^3+x^2", 33, {4: 22, 5: 10, 6: 1}),
                                              ("3*x^3+2*x^2", 41, {4: 6, 5: 2})):
         for horizon in (8, 10, 12, 14, 30):
@@ -632,6 +646,36 @@ def test_every_infinite_row_hands_off_at_its_first_entry_past_64_bits(monkeypatc
             handoffs = [n for _, n, _ in tails if n is not None]
             assert {n: handoffs.count(n) for n in set(handoffs)} == want_shallow, (text, horizon)
             assert all(decided for _, _, (decided, _) in tails), (text, horizon)
+
+
+def test_tails_look_no_further_than_the_cap_comes(monkeypatch):
+    """At horizon 10^6 on the survey grids of six families, every tail asks
+    tail.rungs for at most bitlen(bit_cap) indices past its handoff, since the exact
+    walk caps by then (tail.settle proves it), and settles: 153 tails per family, 152
+    on x^2 and -x^3+x^2, at caps 1000 and the default, and none at cap 64, where each
+    row caps before an entry passes 64 bits.  Each row is the horizon-30 row but for
+    its horizon cell."""
+    rungs, settle, tails = zsig.tail.rungs, zsig.tail.settle, []
+
+    def windowed(g, c, support, start, nums, last, radius):
+        assert last - start[0] <= cap.bit_length(), (g, c, start[0], last)
+        return rungs(g, c, support, start, nums, last, radius)
+
+    def recorded(*args):
+        tails.append(settle(*args))
+        return tails[-1]
+
+    monkeypatch.setattr(zsig.tail, "rungs", windowed)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
+    for text in ("x^3+x^2", "2*x^3+x^2", "3*x^3+2*x^2", "x^2", "-x^3+x^2", "x^4+x^2"):
+        g = X2DivisiblePoly.parse(text)
+        for cap in (64, 1000, DEFAULT_BIT_CAP):
+            tails.clear()
+            rows = run_scan(ScanConfig(g, 20, 6, horizon=10**6, bit_cap=cap)).rows
+            want = 0 if cap == 64 else 152 if text in ("x^2", "-x^3+x^2") else 153
+            assert len(tails) == want and all(decided for decided, _ in tails), (text, cap)
+            short = run_scan(ScanConfig(g, 20, 6, horizon=30, bit_cap=cap)).rows
+            assert tuple(dataclasses.replace(r, horizon=30) for r in rows) == short, (text, cap)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -708,7 +752,7 @@ def test_den_walk_is_the_exact_ledger(monkeypatch, text):
             got = ledgers_of(g.degree, support, columns, horizon - n0)
             assert (got, got_drops) == (ledgers[n0:], tuple(drops[n0:])), (c, n0)
             for budget in (1, 2, 3, 4, 6, 8, 12):
-                monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps: budget)
+                monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps, per_step: budget)
                 columns, got_drops = walk_of(*args)
                 monkeypatch.undo()
                 got = ledgers_of(g.degree, support, columns, horizon - n0)
@@ -719,46 +763,77 @@ def test_den_walk_is_the_exact_ledger(monkeypatch, text):
 
 
 # rows whose tail starts while a den(c) prime is still shallow: 2 | den(c) for 4*x^3 at
-# 1/90, 2*x^3+x^2 at -1/6 and 6*x^3+x^2 at 1/10 (3 and 5 deep), and 3 for 3*x^3+2*x^2
+# 1/90, 2*x^3+x^2 at -1/6 and 6*x^3+x^2 at 1/10 (3 and 5 deep), and 3 for 3*x^3+2*x^2;
+# 4*x^3+x^2 and 12*x^3+x^2 have val_2(u_d) = 2, so while the 2 of den(c) = 12 or 4 is
+# shallow a step can divide out d * 2 + 2 = 8 digits, where 4 suffice on the others
 _SHALLOW_HANDOFFS = ((X2DivisiblePoly.parse("4*x^3"), F(1, 90), 6, 1000),
                      (X2DivisiblePoly.parse("4*x^3"), F(1, 90), 9, 1000),
                      (X2DivisiblePoly.parse("2*x^3+x^2"), F(-1, 6), 9, 10**4),
                      (X2DivisiblePoly.parse("6*x^3+x^2"), F(1, 10), 9, 10**4),
-                     (X2DivisiblePoly.parse("3*x^3+2*x^2"), F(4, 3), 9, 10**4))
+                     (X2DivisiblePoly.parse("3*x^3+2*x^2"), F(4, 3), 9, 10**4),
+                     (X2DivisiblePoly.parse("4*x^3+x^2"), F(-7, 12), 12, DEFAULT_BIT_CAP),
+                     (X2DivisiblePoly.parse("12*x^3+x^2"), F(-15, 4), 12, DEFAULT_BIT_CAP))
 
 
-def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
-    """Each shallow handoff above walks residues once, and its tail settles the
-    window.  On the survey grid's 2*x^3+x^2 and 3*x^3+2*x^2 rows at horizon 9, 41 of
-    the 306 tails walk residues; with a 12-digit budget in place of 28 or more, 14 of
-    those walks run out of digits, and each of their tails gives up and sends the
-    walk on exactly from where it handed off, and every row is still the exact one."""
-    walks, tails = [], []
-    column, tail = zsig.tail._den_column, zsig.harness._enclosed_tail
+def _recorded_walks(monkeypatch) -> list[bool]:
+    """Wrap tail._den_column; the list gets, per residue walk, whether it ran out of digits."""
+    walks, column = [], zsig.tail._den_column
 
     def recorded_walk(g, c, prime, num, den, m, steps):
         dens, vals = column(g, c, prime, num, den, m, steps)
-        walks.append(len(dens) <= steps and dens[-1] <= prime[2])  # ran out of digits
+        walks.append(len(dens) <= steps and dens[-1] <= prime[2])
         return dens, vals
+
+    monkeypatch.setattr(zsig.tail, "_den_column", recorded_walk)
+    return walks
+
+
+def test_rows_resume_exactly_where_the_residues_run_out_of_digits(monkeypatch):
+    """Each shallow handoff above walks residues once without running out of digits
+    (the last two ran out at 4 digits a step), and its tail settles the window.  On the
+    survey grid's 2*x^3+x^2 and 3*x^3+2*x^2 rows at horizon 9, 41 of
+    the 306 tails walk residues; with a 12-digit budget in place of 28 or more, 14 of
+    those walks run out of digits, and each of their tails gives up and sends the
+    walk on exactly from where it handed off, and every row is still the exact one."""
+    walks, tails, tail = _recorded_walks(monkeypatch), [], zsig.tail.settle
 
     def recorded(*args):
         tails.append(tail(*args))
         return tails[-1]
 
-    monkeypatch.setattr(zsig.tail, "_den_column", recorded_walk)
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", recorded)
+    monkeypatch.setattr(zsig.tail, "settle", recorded)
     for payload in _SHALLOW_HANDOFFS:
         walks.clear()
         tails.clear()
         assert zsig.harness._scan_one(payload) == zsig.oracle._exact_row(*payload)
-        assert len(walks) == len(tails) == 1 and tails[0][0], payload
+        assert walks == [False] and len(tails) == 1 and tails[0][0], payload
     payloads = [(g, c, 9, 10**4) for g in (X2DivisiblePoly.parse("2*x^3+x^2"),
                                            X2DivisiblePoly.parse("3*x^3+2*x^2"))
                 for c in grid(ScanConfig(g, 20, 6))]
     exact = [zsig.oracle._exact_row(*p) for p in payloads]
-    monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps: 12)
+    monkeypatch.setattr(zsig.tail, "_digit_budget", lambda steps, per_step: 12)
     walks.clear()
     tails.clear()
     assert [zsig.harness._scan_one(p) for p in payloads] == exact
     assert (len(tails), len(walks)) == (306, 41)
     assert walks.count(True) == tails.count((False, None)) == 14
+
+
+def test_residue_walks_keep_the_digits_their_steps_divide_out(monkeypatch):
+    """A shallow prime's residue carries d * val_p(u_d) + val_p(den(c)) digits per step
+    to go, so none runs out: on |a| <= 30, b <= 12 at horizons 8 and 12, 4*x^3+x^2,
+    12*x^3+x^2, 2*x^3+x^2 and 3*x^3+2*x^2 walk residues 16, 71, 73 and 19 times per
+    horizon, as with 4 digits a step, where 1 walk of 4*x^3+x^2 and 2 of 12*x^3+x^2
+    ran out; every row is the exact one.  The grids run at cap 10^4, which leaves
+    every window, and so every walk, as at the default cap, and keeps the exact rows
+    cheap."""
+    walks = _recorded_walks(monkeypatch)
+    for text, want in (("4*x^3+x^2", 16), ("12*x^3+x^2", 71), ("2*x^3+x^2", 73),
+                       ("3*x^3+2*x^2", 19)):
+        g = X2DivisiblePoly.parse(text)
+        for horizon in (8, 12):
+            payloads = [(g, c, horizon, 10**4) for c in grid(ScanConfig(g, 30, 12))]
+            walks.clear()
+            assert [zsig.harness._scan_one(p) for p in payloads] == [
+                zsig.oracle._exact_row(*p) for p in payloads], (text, horizon)
+            assert (len(walks), walks.count(True)) == (want, 0), (text, horizon)

@@ -62,9 +62,9 @@ def test_full_suite_is_green(verify_run):
 
 def test_value_free_check_catches_a_tail_that_misses_the_cap(monkeypatch):
     """A tail that never reports the cap gives rows the exact walk does not."""
-    import zsig.harness
+    import zsig.tail
 
-    monkeypatch.setattr(zsig.harness, "_enclosed_tail", lambda *args: (True, None))
+    monkeypatch.setattr(zsig.tail, "settle", lambda *args: (True, None))
     detail = verification.value_free_scan_matches_exact()
     assert detail.startswith("rows differ at g=x^3 + x^2, c=") and "bit_cap=1000" in detail
 
