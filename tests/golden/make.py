@@ -57,6 +57,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # shallow, and on three rows of 3*x^3+2*x^2 the 3 turns deep inside the tail
     *(("scan", f"--poly={poly}", "--num-bound", "20", "--den-bound", "6", "--horizon", "30")
       for poly in ("x^3+x^2", "-x^3+x^2", "x^4+x^2", "3*x^3+2*x^2", "2*x^3+x^2")),
+    # a cap of 10^60: tails climb the precision ladder past the 64-bit rung to 256 bits
+    ("scan", "--poly=x^3+x^2", "--num-bound", "20", "--den-bound", "6", "--horizon", "100",
+     "--bit-cap", "1" + "0" * 60),
     # long horizons: every row caps within bitlen(bit_cap) indices of its handoff, so the
     # window past the cap is never read; c = 1/2 of 2*x^3+x^2 walks the 2 on residues
     ("scan", "--poly=x^3+x^2", "--num-bound", "2", "--den-bound", "1", "--horizon", "1000000"),
