@@ -113,8 +113,6 @@ def _cmd_zsigmondy(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import dataclasses
-
     from .harness import ScanConfig, run_scan, write_output  # only scan loads the harness
 
     if args.config is None:
@@ -122,15 +120,8 @@ def _cmd_scan(args) -> int:
             raise ValueError("scan needs --config, or --poly/--coeffs with bounds")
         if args.num_bound is None or args.den_bound is None:
             raise ValueError("scan needs --num-bound and --den-bound")
-    # only the options given override the config file or the ScanConfig defaults
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)
-             if getattr(args, f.name) is not None}
-    if args.poly is not None or args.coeffs is not None:
-        given["poly"] = _poly_from_text(args.poly, args.coeffs)
-    if args.config is not None:
-        cfg = dataclasses.replace(ScanConfig.from_file(args.config), **given)
-    else:
-        cfg = ScanConfig(**given)
+    # the options given complete or override the file, and only the merged settings are checked
+    cfg = ScanConfig.from_file(args.config, vars(args))
     started = time.perf_counter()
     summary = run_scan(cfg)
     seconds = time.perf_counter() - started

@@ -19,8 +19,11 @@ oracle._exact_row, the row of iterate and zsigmondy_set, is the reference.
 Each column and each setting is declared once.  CSV_HEADER lists the row
 columns, and both the CSV cells and the JSON row objects are rendered
 from it; cells are comma-free by construction, so a CSV row needs no csv
-module to quote it, only commas.  ScanConfig's fields are the settings: a
-config file's keys are those fields plus coeffs, and the CLI overrides them.
+module to quote it, only commas.  ScanConfig._fields are the settings,
+and its _required and _ints tables say which a config file must set and
+which it reads as integers.  A config file's keys are those fields plus
+coeffs; ScanConfig.from_file merges the CLI's flags over the file first
+and checks only the merged settings, so a flag completes or corrects a file.
 
 Workers are capped at the grid size and at the CPUs this process may run
 on; the process pool is imported only when more than one worker runs.
@@ -29,14 +32,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from . import enclosure, tail
-from .arith import _no_helper, _usable_cpus
+from .arith import Record, _no_helper, _usable_cpus
 # unused here: perfbench --trace 1 patches decide_membership, iterate and zsigmondy_set on
 # this module until ROADMAP item 2d
 from .orbit import (
@@ -59,61 +61,81 @@ CSV_HEADER = [
 _row_values = attrgetter(*CSV_HEADER)
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    poly: X2DivisiblePoly
-    num_bound: int
-    den_bound: int
-    horizon: int = 8
-    bit_cap: int = DEFAULT_BIT_CAP
-    parallelism: int = 1
-    output: Optional[str] = None
-    format: str = "csv"
+class ScanConfig(Record):
+    """The settings of one scan, checked when built; _replace checks its copy again.
 
-    def __post_init__(self):
-        if self.num_bound < 0 or self.den_bound < 1:
+    _required are the settings with no default, and _ints the ones a
+    config file holds as integers.  Read-only by convention.
+    """
+
+    _fields = ("poly", "num_bound", "den_bound", "horizon", "bit_cap", "parallelism", "output",
+               "format")
+    _required = ("poly", "num_bound", "den_bound")
+    _ints = ("num_bound", "den_bound", "horizon", "bit_cap", "parallelism")
+
+    def __init__(self, poly: X2DivisiblePoly, num_bound: int, den_bound: int, horizon: int = 8,
+                 bit_cap: int = DEFAULT_BIT_CAP, parallelism: int = 1,
+                 output: Optional[str] = None, format: str = "csv"):
+        if num_bound < 0 or den_bound < 1:
             raise ValueError("need num_bound >= 0 and den_bound >= 1")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.bit_cap < 1:
+        if bit_cap < 1:
             raise ValueError("bit_cap must be at least 1")
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
+        if format not in ("csv", "json"):
+            raise ValueError(f"unknown output format {format!r}")
+        self.poly = poly
+        self.num_bound = num_bound
+        self.den_bound = den_bound
+        self.horizon = horizon
+        self.bit_cap = bit_cap
+        self.parallelism = parallelism
+        self.output = output
+        self.format = format
 
-    @staticmethod
-    def from_file(path: str) -> "ScanConfig":
-        """key = value lines; # starts a comment; poly or coeffs required.
+    @classmethod
+    def from_file(cls, path: Optional[str], flags: Optional[dict] = None) -> "ScanConfig":
+        """key = value lines of path, with flags over them; path None reads no file.
 
-        The keys are the ScanConfig fields plus coeffs; a field with no
-        default is required, and one annotated int is read as an integer.
+        # starts a comment.  The keys are _fields plus coeffs, and the
+        _ints are read as integers.  The flags that name a key and are not
+        None replace the file's values, and a poly or coeffs flag replaces
+        both of the file's.  Only then is the polynomial resolved, each
+        _required key looked for and the values checked, once.
         """
-        settings = fields(ScanConfig)
-        keys = {f.name for f in settings} | {"coeffs"}
-        types = get_type_hints(ScanConfig)
+        keys = {*cls._fields, "coeffs"}
         raw: dict[str, object] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, val = (s.strip() for s in body.split("=", 1))
-                if key not in keys:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in raw:
-                    raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-                try:
-                    raw[key] = int(val) if types.get(key) is int else val
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key} = {val!r}: not an integer") from None
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    body = line.split("#", 1)[0].strip()
+                    if not body:
+                        continue
+                    if "=" not in body:
+                        raise ValueError(f"{path}:{lineno}: expected key = value")
+                    key, val = (s.strip() for s in body.split("=", 1))
+                    if key not in keys:
+                        raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                    if key in raw:
+                        raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+                    try:
+                        raw[key] = int(val) if key in cls._ints else val
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: {key} = {val!r}: not an integer") from None
+        given = {key: val for key, val in (flags or {}).items()
+                 if key in keys and val is not None}
+        if given.keys() & {"poly", "coeffs"}:
+            raw.pop("poly", None)
+            raw.pop("coeffs", None)
+        raw |= given
         raw["poly"] = _poly_from_text(raw.get("poly"), raw.pop("coeffs", None))
-        for f in settings:
-            if f.name not in raw and f.default is MISSING:
-                raise ValueError(f"config needs {f.name}")
-        return ScanConfig(**raw)
+        for key in cls._required:
+            if key not in raw:
+                raise ValueError(f"config needs {key}")
+        return cls(**raw)
 
 
 def grid(config: ScanConfig) -> list[Fraction]:
@@ -132,16 +154,27 @@ def grid(config: ScanConfig) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    c_num: int
-    c_den: int
-    verdict: str
-    witness: str
-    horizon: int
-    zset: Optional[tuple[int, ...]]
-    rin_failures: Optional[tuple[int, ...]]
-    capped_at: Optional[int]
+class ScanRow(Record):
+    """One grid parameter's CSV_HEADER columns; zset_size is read off zset.
+
+    Slotted, as a scan builds one per grid point and pool workers pickle
+    it back.  Read-only by convention.
+    """
+
+    __slots__ = _fields = ("c_num", "c_den", "verdict", "witness", "horizon", "zset",
+                           "rin_failures", "capped_at")
+
+    def __init__(self, c_num: int, c_den: int, verdict: str, witness: str, horizon: int,
+                 zset: Optional[tuple[int, ...]], rin_failures: Optional[tuple[int, ...]],
+                 capped_at: Optional[int]):
+        self.c_num = c_num
+        self.c_den = c_den
+        self.verdict = verdict
+        self.witness = witness
+        self.horizon = horizon
+        self.zset = zset
+        self.rin_failures = rin_failures
+        self.capped_at = capped_at
 
     @property
     def zset_size(self) -> Optional[int]:
@@ -202,13 +235,20 @@ def _scan_one(payload: tuple) -> ScanRow:
     return _row(c, horizon, decision, tuple(zset), tuple(rin_failures), capped_at)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    """A scan's rows and tallies: a pure function of its config, with no timing."""
-    config: ScanConfig
-    rows: tuple[ScanRow, ...]
-    verdict_counts: dict
-    empirical_max_zset_size: int
+class ScanSummary(Record):
+    """A scan's rows and tallies: a pure function of its config, with no timing.
+
+    Unhashable, as verdict_counts is a dict.  Read-only by convention.
+    """
+
+    _fields = ("config", "rows", "verdict_counts", "empirical_max_zset_size")
+
+    def __init__(self, config: ScanConfig, rows: tuple[ScanRow, ...], verdict_counts: dict,
+                 empirical_max_zset_size: int):
+        self.config = config
+        self.rows = rows
+        self.verdict_counts = verdict_counts
+        self.empirical_max_zset_size = empirical_max_zset_size
 
 
 def _worker_count(requested: int, grid_size: int) -> int:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
     _MUL_BITS,
     _SSA_BITS,
+    Record,
     factor_small,
     mul,
     omega,
@@ -67,11 +67,15 @@ from .zsigmondy import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    """One check's name and outcome; detail says what failed, "" when it passed."""
+
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 _CHECKS = []

@@ -1,5 +1,4 @@
 """CLI surface: subcommands, flags, exit codes, output wiring."""
-import dataclasses
 import json
 import os
 import random
@@ -164,12 +163,33 @@ def test_scan_config_file_with_override(capsys, tmp_path):
     assert out2 == out3
 
 
+@pytest.mark.parametrize("lines, flags, horizon", [
+    ("poly = x^3+x^2\n", ["--num-bound", "2", "--den-bound", "1"], 8),
+    ("num_bound = 2\nden_bound = 1\n", ["--poly", "x^3+x^2"], 8),
+    ("poly = x^3+x^2\nnum_bound = 2\nden_bound = 1\nformat = xml\n", ["--format", "csv"], 8),
+    ("poly = x^3+x^2\nnum_bound = 2\nden_bound = 1\nhorizon = 0\n", ["--horizon", "5"], 5),
+    ("poly = x^2\ncoeffs = 0,0,1\nnum_bound = 2\nden_bound = 1\n", ["--poly", "x^3+x^2"], 8),
+    ("coeffs = 0,0,1\nnum_bound = 2\nden_bound = 1\n", ["--poly", "x^3+x^2"], 8),
+    ("poly = x^2\nnum_bound = 2\nden_bound = 1\n", ["--coeffs", "0,0,1,1"], 8),
+], ids=["bounds", "poly", "format", "horizon", "poly-over-both", "poly-over-coeffs",
+        "coeffs-over-poly"])
+def test_scan_flags_complete_or_override_the_config_file(capsys, tmp_path, lines, flags,
+                                                         horizon):
+    """The flags are merged over the file first, and only the merged settings are checked."""
+    path = tmp_path / "scan.cfg"
+    path.write_text(lines)
+    rc, out, err = run(capsys, "scan", "--config", str(path), *flags)
+    assert rc == 0, err
+    assert out == csv_text(run_scan(ScanConfig(X2DivisiblePoly.parse("x^3+x^2"), 2, 1,
+                                               horizon=horizon)))
+
+
 def test_scan_config_file_and_flags_give_one_config(capsys, monkeypatch, tmp_path):
     """A config file that sets every ScanConfig field equals the matching flags."""
     dest = tmp_path / "rows.json"
     settings = {"poly": "x^3+x^2", "num_bound": "2", "den_bound": "1", "horizon": "5",
                 "bit_cap": "300", "parallelism": "2", "output": str(dest), "format": "json"}
-    assert set(settings) == {f.name for f in dataclasses.fields(ScanConfig)}
+    assert set(settings) == set(ScanConfig._fields)
     path = tmp_path / "scan.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
     flags = [arg for key, value in settings.items()

@@ -1,7 +1,6 @@
 """Grid scans: enumeration, determinism, serialization, configuration."""
 import concurrent.futures
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -10,6 +9,7 @@ import os
 import re
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +255,19 @@ def test_config_file_rejects_bad_keys(tmp_path):
     short.write_text("num_bound = 2\nden_bound = 1\n")
     with pytest.raises(ValueError, match="^config needs poly or coeffs$"):
         ScanConfig.from_file(str(short))
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The config file README.md shows loads, and sets only ScanConfig fields or coeffs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Config files are `key = value` lines", 1)[1].split("```")[1]
+    path = tmp_path / "scan.cfg"
+    path.write_text(example)
+    bodies = (line.split("#", 1)[0] for line in example.splitlines())
+    keys = {body.split("=", 1)[0].strip() for body in bodies if "=" in body}
+    assert keys and keys <= {*ScanConfig._fields, "coeffs"}
+    assert ScanConfig.from_file(str(path)) == ScanConfig(
+        X2DivisiblePoly.parse("2*x^3+x^2"), 20, 6, horizon=8, parallelism=4)
 
 
 def test_config_file_coeffs_form(tmp_path):
@@ -675,7 +688,7 @@ def test_tails_look_no_further_than_the_cap_comes(monkeypatch):
             want = 0 if cap == 64 else 152 if text in ("x^2", "-x^3+x^2") else 153
             assert len(tails) == want and all(decided for decided, _ in tails), (text, cap)
             short = run_scan(ScanConfig(g, 20, 6, horizon=30, bit_cap=cap)).rows
-            assert tuple(dataclasses.replace(r, horizon=30) for r in rows) == short, (text, cap)
+            assert tuple(r._replace(horizon=30) for r in rows) == short, (text, cap)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

@@ -12,10 +12,12 @@ import pytest
 
 import zsig
 from zsig.enclosure import Enclosure, ln
+from zsig.harness import ScanConfig, ScanRow, ScanSummary, run_scan
 from zsig.orbit import MembershipDecision, OrbitEntry, OrbitRecord, iterate
 from zsig.poly import (
     NormalizationCertificate, RatPolynomial, X2DivisiblePoly, normalize_to_x2_divisible,
 )
+from zsig.verification import CheckResult, run_all
 from zsig.zsigmondy import (
     BoundReport, PrimitiveDivisorVerdict, ZsigmondyReport, bound_report, zsigmondy_set,
 )
@@ -87,20 +89,26 @@ print([m for m in watched if m in sys.modules])
     assert _fresh_python(code) == "[]\n['zsig.enclosure', 'zsig.tail']"
 
 
-def test_single_orbit_commands_load_no_dataclasses():
+def test_no_command_loads_dataclasses_or_inspect():
     # -S keeps site from preloading stdlib modules; entry 9 of this orbit has 11586 bits,
-    # so printing it loads zsig.enclosure too
+    # so printing it loads zsig.enclosure, before the scans and the check load it anyway
     code = """
 import contextlib, io, sys
 from zsig.cli import main
+scan = ['scan', '--poly', 'x^3+x^2', '--num-bound', '3', '--den-bound', '2', '--horizon', '6']
 for argv in (['zsigmondy', '--poly', 'x^3+x^2', '--c', '3', '--horizon', '3'],
              ['orbit', '--poly', 'x^3+x^2', '--c', '3', '--horizon', '9'],
-             ['bounds', '--poly', 'x^3+x^2'], ['normalize', '--poly', 'x^3']):
-    with contextlib.redirect_stdout(io.StringIO()):
+             ['bounds', '--poly', 'x^3+x^2'], ['normalize', '--poly', 'x^3'], None,
+             scan + ['--parallelism', '1'], scan + ['--parallelism', '2'],
+             ['verify', '--check', 'valuation_additivity']):
+    if argv is None:
+        print('zsig.enclosure' in sys.modules)
+        continue
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-print([m for m in ('zsig.enclosure', 'dataclasses', 'inspect') if m in sys.modules])
+print([m for m in ('dataclasses', 'inspect') if m in sys.modules])
 """
-    assert _fresh_python(code, "-S") == "['zsig.enclosure']"
+    assert _fresh_python(code, "-S") == "True\n[]"
 
 
 def test_records_keep_their_value_semantics():
@@ -118,8 +126,13 @@ def test_records_keep_their_value_semantics():
         ZsigmondyReport: lambda: zsigmondy_set(iterate(g, 3, 5)),
         BoundReport: lambda: bound_report(g),
         Enclosure: lambda: ln(3, 64),
+        ScanConfig: lambda: ScanConfig(g, 3, 2, horizon=6),
+        ScanRow: lambda: run_scan(ScanConfig(g, 3, 2, horizon=6)).rows[-1],
+        ScanSummary: lambda: run_scan(ScanConfig(g, 3, 2, horizon=6)),
+        CheckResult: lambda: run_all(["valuation_additivity"])[0],
     }
-    unhashable_fields = (OrbitRecord, BoundReport)  # a tuple of entries, a dict
+    # a tuple of entries, a dict, a dict of verdict counts
+    unhashable_fields = (OrbitRecord, BoundReport, ScanSummary)
     for cls, build in builds.items():
         a, b = build(), build()
         assert type(a) is cls and a is not b and a == b and not a != b, cls
@@ -139,6 +152,15 @@ def test_records_keep_their_value_semantics():
     assert h == g and vars(h) == vars(g)
     orbit = iterate(g, Fraction(1, 6), 5)
     assert pickle.loads(pickle.dumps(orbit)) == orbit
+    # pool workers pickle rows back; a changed config is checked again
+    config = ScanConfig(g, 3, 2, horizon=6, output="rows.json", format="json")
+    row = run_scan(config).rows[-1]
+    assert not hasattr(row, "__dict__") and row.zset_size == len(row.zset)
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert config._replace(horizon=7).horizon == 7
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        config._replace(horizon=0)
     # million-bit fields stay out of the reprs
     report = ZsigmondyReport(nums=((1 << 100_000) + 1,), prods=(1,), seens=(1,), zset=(),
                              rin_failures=())
