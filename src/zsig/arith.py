@@ -7,10 +7,11 @@ primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
 uses on big operands: a shift for a power of two, a Schönhage-Strassen
 transform for products of 550000 bits or more, whose one butterfly
-routine also inverts it, and CPython's own multiply for the rest.
-`power_on_helper` hands a big den^d to one forked helper process, so that
-it runs beside the numerator's chain.  `Record` is the base of the
-package's value records.
+routine also inverts it, and CPython's own multiply for the rest.  One
+forked helper process works beside the caller on a second CPU: mul hands
+it part of each big product, and `power_on_helper` a big den^d, which then
+runs beside the numerator's chain.  `Record` is the base of the package's
+value records.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _MUL_BITS = 24_000  # mul hands a pair whose shorter operand is under this to CPython at once
 _SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
-_HELPER_BITS = 50_000  # base bits from which power_on_helper hands base^d to the helper
+_HELPER_BITS = 50_000  # den bits, or shorter-operand bits, from which the helper takes part
 
 
 class Record:
@@ -333,6 +334,15 @@ def mul(a: int, b: int) -> int:
     Against a * b (CPython 3.11.7, AMD EPYC; the README has the table) the
     transform takes 0.28-0.66 of the time from 7.6 * 10^5 to 5.1 * 10^6
     product bits.
+
+    Past the shifts, a pair whose shorter operand has _HELPER_BITS bits or
+    more is split with the helper process whenever it is idle (`_split`):
+    the helper multiplies the high half of the longer operand by the other,
+    this side the low half, and a square a^2 sends hi * lo over and squares
+    hi and lo here.  Both sides multiply their part by these same kernels,
+    and a pipe failure makes this side compute the helper's part too, so
+    the product never depends on where it ran.  Nothing splits while a
+    request is in flight: not this side's part, and not den^d's chain.
     """
     square = a is b
     negative = (a < 0) != (b < 0)
@@ -347,11 +357,35 @@ def mul(a: int, b: int) -> int:
         r = b << (na - 1)
     elif b.bit_count() == 1:
         r = a << (nb - 1)
-    elif na + nb >= _SSA_BITS and na <= 3 * nb:
-        r = _ssa(a, b, na, nb)
+    elif nb >= _HELPER_BITS and _helper_lock.acquire(False):
+        r = _split(a, b, na, nb)
     else:
-        r = a * b
+        r = _kernel(a, b, na, nb)
     return -r if negative else r
+
+
+def _kernel(a: int, b: int, na: int, nb: int) -> int:
+    # a * b for a >= b > 0 of na >= nb bits on this CPU; a is b squares
+    if na + nb >= _SSA_BITS and na <= 3 * nb:
+        return _ssa(a, b, na, nb)
+    return a * b
+
+
+def _split(a: int, b: int, na: int, nb: int) -> int:
+    # a * b with part of the work on the helper, called with _helper_lock
+    # held, which keeps this side's products inline; a is b squares
+    h = na >> 1
+    hi, lo = a >> h, a & ((1 << h) - 1)
+    if a is b:
+        # a^2 = hi^2 2^2h + 2 hi lo 2^h + lo^2, with hi * lo on the helper
+        if not _request(0, hi, lo):
+            return _kernel(a, b, na, nb)
+        near = (mul(hi, hi) << 2 * h) + mul(lo, lo)
+        return near + (_reply(mul, hi, lo) << h + 1)
+    if not _request(0, hi, b):
+        return _kernel(a, b, na, nb)
+    near = mul(lo, b)
+    return (_reply(mul, hi, b) << h) + near
 
 
 def _ssa_layout(n: int) -> tuple[int, int, int]:
@@ -458,8 +492,9 @@ def _power(base: int, d: int) -> int:
 
 
 class _Helper:
-    """One forked process that reads (d, base) requests from a pipe and writes
-    base^d back on another.  Each int crosses as 8 little-endian bytes of
+    """One forked process that reads requests from a pipe and writes each
+    answer back on another: (d, base) with d >= 2 asks for base^d, and
+    (0, x, y) for x * y.  Each int crosses as 8 little-endian bytes of
     length, then its own little-endian bytes.  owner is the pid that forked it."""
 
     __slots__ = ("pid", "owner", "requests", "replies")
@@ -479,36 +514,48 @@ def power_on_helper(base: int, d: int):
 
     None means the caller computes base^d itself: base is under
     _HELPER_BITS bits, too small to repay the pipes, or a power of two,
-    which mul shifts, or no helper can be used here.  The helper is forked
-    on the first call that can use one, and only with two usable CPUs, an
-    os.fork, and no other thread running.  The returned function waits for
-    the reply; should the pipe fail, it runs the same chain (`_power`)
-    inline, so the value never depends on where it was computed.  One
-    request is in flight at a time; a request that is never collected
-    leaves every later call to the inline chain.
+    which mul shifts, or the helper is busy or cannot be used here.  The
+    returned function waits for the reply; should the pipe fail, it runs
+    the same chain (`_power`) inline, so the value never depends on where
+    it was computed.  Until the reply is collected, mul splits no product,
+    so the caller's chain runs whole on its own CPU.
     """
     if base.bit_length() < _HELPER_BITS or not base & (base - 1) or not _helper_lock.acquire(False):
         return None
+    return (lambda: _reply(_power, base, d)) if _request(d, base) else None
+
+
+def _request(*values: int) -> bool:
+    """Send one request to the helper, forked now if need be; True once it is in flight.
+
+    The caller holds _helper_lock and collects the reply with _reply.  On
+    False the lock is released, and the caller computes the value itself.
+    The helper is forked on the first request that can use one, and only
+    with two usable CPUs, an os.fork, and no other thread running.  One
+    request is in flight at a time; a request that is never collected
+    leaves every later call inline.
+    """
     helper = _running_helper()
     if helper is not None:
         try:
-            _write_ints(helper.requests, d, base)
-            return lambda: _power_reply(base, d)
+            _write_ints(helper.requests, *values)
+            return True
         except OSError:
             _no_helper()
     _helper_lock.release()
-    return None
+    return False
 
 
-def _power_reply(base: int, d: int) -> int:
-    # the helper's answer to the request in flight; the inline chain if the pipe failed
+def _reply(inline, *args: int) -> int:
+    # the helper's answer to the request in flight, or inline(*args) if the
+    # pipe failed; releases _helper_lock
     try:
         value = _read_int(_helper.replies)
     except OSError:
         value = None
     if value is None:
         _no_helper()
-        value = _power(base, d)
+        value = inline(*args)
     _helper_lock.release()
     return value
 
@@ -579,9 +626,13 @@ def _no_helper() -> None:
 
 
 def _serve(requests: int, replies: int) -> None:
-    # the helper's whole life: answer each (d, base) request until the owner
-    # closes its end.  Its stdio goes to /dev/null and every other descriptor
-    # it inherited is closed, so no reader of the owner's pipes waits on it.
+    # the helper's whole life: answer each request, base^d by _power and x * y
+    # by mul, until the owner closes its end.  Both run inline: with
+    # _helper_off set, the helper never forks and never splits.  Its stdio
+    # goes to /dev/null and every other descriptor it inherited is closed,
+    # so no reader of the owner's pipes waits on it.
+    global _helper_off
+    _helper_off = True
     from _signal import SIG_IGN, SIGINT, signal  # signal's enums would delay the first reply 2 ms
     signal(SIGINT, SIG_IGN)
     null = os.open(os.devnull, os.O_RDWR)
@@ -592,8 +643,11 @@ def _serve(requests: int, replies: int) -> None:
     os.closerange(low + 1, high)
     os.closerange(high + 1, max(high + 1, os.sysconf("SC_OPEN_MAX")))
     with os.fdopen(requests, "rb") as src, os.fdopen(replies, "wb") as dst:
-        while (d := _read_int(src)) is not None and (base := _read_int(src)) is not None:
-            _write_ints(dst, _power(base, d))
+        while (d := _read_int(src)) is not None:
+            args = [_read_int(src) for _ in range(1 if d else 2)]
+            if None in args:
+                break
+            _write_ints(dst, _power(args[0], d) if d else mul(*args))
 
 
 def _write_ints(pipe, *values: int) -> None:

@@ -262,9 +262,9 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     Every payload carries the same polynomial instance, so the invariants it
     caches (length, escape floor, Horner coefficients) are worked out once
     per process, and the grid's own Fraction, so no parameter is rebuilt.
-    Pool workers start no den^d helper (arith.power_on_helper): the pool
-    already fills the CPUs, and a forked worker closes its copies of the
-    parent's helper pipes before its first parameter.
+    Pool workers start no helper process (arith.mul, arith.power_on_helper):
+    the pool already fills the CPUs, and a forked worker closes its copies
+    of the parent's helper pipes before its first parameter.
     """
     requested = config.parallelism
     payloads = [(config.poly, c, config.horizon, config.bit_cap) for c in grid(config)]

@@ -215,8 +215,9 @@ class X2DivisiblePoly(RatPolynomial):
         den^degree is independent work, and every den goes to
         arith.power_on_helper, which decides from den's size and shape
         whether a helper process runs the same chain on another CPU while
-        this one runs Horner.  Where it declines, den^degree comes from the
-        den power Horner built.
+        this one runs Horner; Horner's products then run whole here.  Where
+        it declines, den^degree comes from the den power Horner built, and
+        mul may split each big product with the helper instead.
         """
         small = num.bit_length() < _MUL_BITS and den.bit_length() < _MUL_BITS
         times = operator.mul if small else mul

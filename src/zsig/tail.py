@@ -152,7 +152,7 @@ def _den_column(g: X2DivisiblePoly, c: Fraction, prime: tuple, num: int, den: in
     its digits ran out.  A residue has under K * bitlen(p) bits; at settle's
     steps <= bitlen(bit_cap) (K = 92 on the survey families at the default
     cap), while that stays under arith._MUL_BITS, eval_int_pair keeps off
-    arith.mul and the den^d helper.
+    arith.mul and the helper process.
     """
     p, b, lead_val = prime
     d, c_num, c_den = g.degree, c.numerator, c.denominator

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 
 from .arith import (
+    _HELPER_BITS,
     _MUL_BITS,
     _SSA_BITS,
     Record,
@@ -195,8 +196,10 @@ def multiply_kernel_matches_plain() -> str:
     # the orbit step's multiply against CPython's, on both sides of the cutoff
     # under which it hands a pair to CPython at once: balanced and lopsided
     # pairs (long:short in quarters), mixed signs, powers of two and squares;
-    # then across the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones
-    # operands (the largest convolution coefficients) and a negative
+    # a square and a 2:1 pair on each side of the cutoff from which mul
+    # splits a product with the helper, where one can be forked; then across
+    # the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones operands
+    # (the largest convolution coefficients) and a negative
     rng = random.Random(454)
     t = _MUL_BITS
     pairs = []
@@ -205,6 +208,10 @@ def multiply_kernel_matches_plain() -> str:
         a = -(rng.getrandbits(long) | 1 << (long - 1))
         b = rng.getrandbits(short) | 1 << (short - 1)
         pairs += [(a, b), (a, -b), (a, a), (b, b), (1 << short, a)]
+    for short in (_HELPER_BITS - 1, _HELPER_BITS):
+        a = rng.getrandbits(2 * short) | 1 << (2 * short - 1)
+        b = -(rng.getrandbits(short) | 1 << (short - 1))
+        pairs += [(b, b), (a, b)]
     third = _SSA_BITS // 3 + 1
     a = rng.getrandbits(2 * third) | 1 << (2 * third - 1)
     b = rng.getrandbits(third) | 1 << (third - 1)

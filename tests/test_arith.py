@@ -401,7 +401,13 @@ def test_ssa_exact_fill_and_extreme_coefficients():
 
 @pytest.fixture
 def ssa_calls(monkeypatch):
-    """The (na, nb) of every _ssa call the test makes, in order."""
+    """The (na, nb) of every _ssa call the test makes, in order, with no helper.
+
+    With the helper off, every product is multiplied here, whole, as the
+    kernels pick; a split product would send halves to the transform instead.
+    """
+    monkeypatch.setattr(arith, "_helper", None)
+    monkeypatch.setattr(arith, "_helper_off", True)
     calls = []
     real = arith._ssa
 
@@ -436,8 +442,9 @@ def test_mul_takes_ssa_from_its_cutoff(ssa_calls):
 
 
 # (na, nb) of every transform call in iterate(x^3+x^2, c, horizon) with no
-# helper, so that den^d is multiplied inline too; which products reach the
-# transform does not depend on how mul multiplies the ones that do not
+# helper, so that den^d is multiplied inline too and no product is split;
+# which products reach the transform does not depend on how mul multiplies
+# the ones that do not
 SSA_CALLS = {
     ("-5/3", 13): [(379635, 379635), (759270, 379635), (280772, 280772), (561543, 280772)],
     ("1/2", 13): [(401056, 200528)],
@@ -449,9 +456,7 @@ SSA_CALLS = {
 
 
 @pytest.mark.parametrize("c, horizon", SSA_CALLS)
-def test_deep_orbits_reach_the_transform_where_pinned(c, horizon, ssa_calls, monkeypatch):
-    monkeypatch.setattr(arith, "_helper", None)
-    monkeypatch.setattr(arith, "_helper_off", True)
+def test_deep_orbits_reach_the_transform_where_pinned(c, horizon, ssa_calls):
     iterate(X2DivisiblePoly.parse("x^3+x^2"), Fraction(c), horizon)
     assert ssa_calls == SSA_CALLS[c, horizon]
 

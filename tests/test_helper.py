@@ -1,5 +1,6 @@
-"""The den^d helper process: same values as the inline chain, and bounded."""
+"""The helper process: den^d and split products equal to the inline ones, and bounded."""
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -31,14 +32,14 @@ def fresh(monkeypatch):
     monkeypatch.setattr(arith, "_helper", None)
     monkeypatch.setattr(arith, "_helper_off", False)
     monkeypatch.setattr(arith, "_usable_cpus", lambda: 2)
-    replies = []
-    real_reply = arith._power_reply
+    replies = []  # the arguments of each request whose reply was waited for
+    real_reply = arith._reply
 
-    def counting_reply(base, d):
-        replies.append(base)
-        return real_reply(base, d)
+    def counting_reply(inline, *args):
+        replies.append(args)
+        return real_reply(inline, *args)
 
-    monkeypatch.setattr(arith, "_power_reply", counting_reply)
+    monkeypatch.setattr(arith, "_reply", counting_reply)
     yield replies
     arith._no_helper()
 
@@ -66,7 +67,7 @@ def test_helper_matches_the_inline_chain(fresh, monkeypatch, coeffs, num, twos, 
         patch.setattr(arith, "_HELPER_BITS", 1)
         assert g.eval_int_pair(num, den) == inline == _plain(g, num, den)
     # a power of two is a shift for mul, so it never goes to the helper
-    assert fresh == ([] if den & (den - 1) == 0 else [den])
+    assert fresh == ([] if den & (den - 1) == 0 else [(den, g.degree)])
 
 
 def test_replies_longer_than_a_pipe_buffer(fresh, monkeypatch):
@@ -74,7 +75,113 @@ def test_replies_longer_than_a_pipe_buffer(fresh, monkeypatch):
     g = X2DivisiblePoly.parse("x^5-2*x^4+x^2")
     num, den = -(7**90_000), 3**150_000  # den^5 is 1.19 * 10^6 bits
     assert g.eval_int_pair(num, den) == _plain(g, num, den)
-    assert fresh == [den]
+    assert fresh == [(den, 5)]  # no product splits while den^5 is on the helper
+
+
+# long:short as a numerator over 4: squares (None), 1:1, 2:1 and past 3:1
+SPLIT_SHAPES = st.sampled_from((None, 4, 8, 13, 20))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    short=st.integers(2, 3000),
+    shape=SPLIT_SHAPES,
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_products_are_the_plain_product(fresh, monkeypatch, short, shape, signs, seed):
+    monkeypatch.setattr(arith, "_MUL_BITS", 2)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 2)
+    rng = random.Random(seed)
+    b = signs[1] * (rng.getrandbits(short) | 1 << (short - 1) | 1)
+    if shape is None:
+        a, product = b, b * b
+    else:
+        long = max(short * shape // 4, short)
+        a = signs[0] * (rng.getrandbits(long) | 1 << (long - 1) | 1)
+        product = a * b
+    fresh.clear()
+    assert arith.mul(a, b) == product
+    assert len(fresh) == 1 and arith._helper is not None  # the helper took its part
+    if shape is not None:
+        assert arith.mul(b, a) == product and len(fresh) == 2
+
+
+def test_powers_of_two_never_reach_the_helper(fresh, monkeypatch):
+    def no_split(*args):
+        raise AssertionError("a power of two reached the split")
+
+    monkeypatch.setattr(arith, "_split", no_split)
+    rng = random.Random(91)
+    for bits in (arith._HELPER_BITS, 3 * arith._HELPER_BITS):
+        power = 1 << bits
+        other = rng.getrandbits(2 * bits) | 1 << (2 * bits - 1) | 1
+        for p in (power, -power):
+            for x in (other, -other, other >> bits):
+                assert arith.mul(p, x) == p * x == arith.mul(x, p)
+            assert arith.mul(p, p) == p * p
+    assert arith._helper is None and fresh == []
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_helper_killed_during_a_split_gives_the_same_product(fresh, monkeypatch, square):
+    killed = []
+    real_write = arith._write_ints
+
+    def write(pipe, *values):
+        # stopped first, the helper cannot answer before the kill; the
+        # request, 13 KB at most, fits in the pipe while it is stopped
+        if not killed:
+            os.kill(arith._helper.pid, signal.SIGSTOP)
+        real_write(pipe, *values)
+        if not killed:
+            os.kill(arith._helper.pid, signal.SIGKILL)
+            _wait_gone(arith._helper.pid)
+            killed.append(1)
+
+    monkeypatch.setattr(arith, "_write_ints", write)
+    rng = random.Random(17)
+    short = arith._HELPER_BITS
+    b = rng.getrandbits(short) | 1 << (short - 1) | 1
+    a = b if square else -(rng.getrandbits(2 * short) | 1 << (2 * short - 1))
+    assert arith.mul(a, b) == a * b
+    assert killed and len(fresh) == 1 and arith._helper is None and arith._helper_off
+    assert arith.mul(a, b) == a * b and arith._helper is None  # inline from now on
+
+
+def test_product_requests_inside_the_helper_run_inline(fresh, monkeypatch, tmp_path):
+    # the helper itself may neither fork nor split: it serves with _helper_off
+    # set, so a product request finds no helper even with the lock free
+    monkeypatch.setattr(arith, "_HELPER_BITS", 2)
+    marker = tmp_path / "forked"
+
+    def no_fork():
+        marker.touch()
+        raise OSError("the helper forked")
+
+    requests, replies = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(requests[1])
+            os.close(replies[0])
+            os.fork = no_fork
+            arith._serve(requests[0], replies[1])
+        finally:
+            os._exit(0)
+    os.close(requests[0])
+    os.close(replies[1])
+    rng = random.Random(5)
+    x, y = rng.getrandbits(60_000) | 1, rng.getrandbits(30_000) | 1
+    with os.fdopen(requests[1], "wb") as ask, os.fdopen(replies[0], "rb") as answer:
+        arith._write_ints(ask, 0, x, y)
+        assert arith._read_int(answer) == x * y
+        arith._write_ints(ask, 0, y, y)
+        assert arith._read_int(answer) == y * y
+        arith._write_ints(ask, 3, y)
+        assert arith._read_int(answer) == y**3
+    assert os.waitpid(pid, 0)[1] == 0
+    assert not marker.exists()
 
 
 @pytest.mark.parametrize("moment", ["before_request", "after_request"])
@@ -109,7 +216,7 @@ def test_forked_child_never_writes_to_its_parents_helper(fresh, monkeypatch):
     g = X2DivisiblePoly.parse("2*x^3+x^2")
     assert g.eval_int_pair(5, 9) == _plain(g, 5, 9)
     helper = arith._helper
-    assert helper is not None and fresh == [9]
+    assert helper is not None and fresh == [(9, 3)]
     pid = os.fork()
     if pid == 0:
         try:
@@ -121,7 +228,7 @@ def test_forked_child_never_writes_to_its_parents_helper(fresh, monkeypatch):
     assert os.waitpid(pid, 0)[1] == 0
     # the parent's pipes are still in step: its next reply is its own
     assert g.eval_int_pair(11, 21) == _plain(g, 11, 21)
-    assert arith._helper is helper and fresh == [9, 21]
+    assert arith._helper is helper and fresh == [(9, 3), (21, 3)]
 
 
 def test_scan_workers_start_no_helper(fresh, monkeypatch, tmp_path):
@@ -153,21 +260,43 @@ def test_no_fork_while_another_thread_runs(fresh, monkeypatch):
         other.join(timeout=10)
     assert not other.is_alive()
     assert g.eval_int_pair(2, 3) == _plain(g, 2, 3)
-    assert arith._helper is not None and fresh == [3]
+    assert arith._helper is not None and fresh == [(3, 3)]
 
 
-def test_benchmark_inputs_without_a_deep_odd_denominator_start_no_helper(fresh, monkeypatch):
-    # survey grids stay under the threshold, and den(c) = 1 or 2 never leaves mul
-    started = []
-    monkeypatch.setattr(arith, "_running_helper", lambda: started.append(1))
+# (na, nb) of each product that iterate(x^3+x^2, c, 13) offers the idle
+# helper: every one from 50000 bits on the shorter side, none while den^d
+# is on the helper, and none that a power of two makes a shift
+SPLITS = {
+    "3": [(104273, 104273), (208546, 104273), (312819, 312819), (625637, 312819)],
+    "-3": [(85996, 85996), (171991, 85996), (257986, 257986), (515971, 257986)],
+    "1/2": [(66843, 66843), (133686, 66843), (200528, 200528), (401056, 200528)],
+    "-5/3": [],
+}
+
+
+def test_benchmark_inputs_split_where_pinned(fresh, monkeypatch):
+    # the survey grids stay under the threshold: no helper starts; the deep
+    # orbits split their big products, and c = -5/3 keeps its helper on den^d
     for text in ("x^3+x^2", "2*x^3+x^2"):
         run_scan(ScanConfig(X2DivisiblePoly.parse(text), 20, 6, horizon=8))
+    assert arith._helper is None and fresh == []
+    offered = []
+    real_split = arith._split
+
+    def split(a, b, na, nb):
+        offered.append((na, nb))
+        return real_split(a, b, na, nb)
+
+    monkeypatch.setattr(arith, "_split", split)
     g = X2DivisiblePoly.parse("x^3+x^2")
-    for c in (3, -3, "1/2"):
+    for c, pinned in SPLITS.items():
+        offered.clear()
+        fresh.clear()
         iterate(g, c, 13)
-    assert started == []
-    iterate(g, "-5/3", 13)
-    assert started
+        assert offered == pinned, c
+        den_powers = 2 if c == "-5/3" else 0  # its two steps with 50000-bit dens
+        assert len(fresh) == len(pinned) + den_powers, c
+    assert arith._helper is not None
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
