@@ -6,7 +6,7 @@ deterministic rho split for cofactors below 2^128.  It returns only proven
 primes and refuses, with IncompleteFactorizationError ("cannot certify"),
 whenever it cannot finish.  `mul` is the exact product the orbit step
 uses on big operands: a shift for a power of two, a Schönhage-Strassen
-transform for products of 550000 bits or more, whose one butterfly
+transform for products of 340000 bits or more, whose one butterfly
 routine also inverts it, and CPython's own multiply for the rest.  One
 forked helper process works beside the caller on a second CPU: mul hands
 it part of each big product, and `power_on_helper` a big den^d, which then
@@ -33,7 +33,7 @@ _MR_EXTRA = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _TRIAL_LIMIT = 10**6  # factor_small trial-divides up to here
 _RHO_LIMIT = 1 << 128  # cofactors at or above this are refused
 _MUL_BITS = 24_000  # mul hands a pair whose shorter operand is under this to CPython at once
-_SSA_BITS = 550_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
+_SSA_BITS = 340_000  # product bits from which mul takes Schönhage-Strassen (at most 3:1)
 _HELPER_BITS = 50_000  # den bits, or shorter-operand bits, from which the helper takes part
 
 
@@ -332,17 +332,18 @@ def mul(a: int, b: int) -> int:
     is Karatsuba on big operands.  A power of two of either sign is a shift,
     and squares share the one path: mul(a, a) hands the transform a square.
     Against a * b (CPython 3.11.7, AMD EPYC; the README has the table) the
-    transform takes 0.28-0.66 of the time from 7.6 * 10^5 to 5.1 * 10^6
-    product bits.
+    transform takes 0.84-0.99 of the time at 3.4 * 10^5 product bits, where
+    balanced pairs cross over, and 0.26-0.30 at 5.1 * 10^6.
 
     Past the shifts, a pair whose shorter operand has _HELPER_BITS bits or
     more is split with the helper process whenever it is idle (`_split`):
     the helper multiplies the high half of the longer operand by the other,
-    this side the low half, and a square a^2 sends hi * lo over and squares
-    hi and lo here.  Both sides multiply their part by these same kernels,
-    and a pipe failure makes this side compute the helper's part too, so
-    the product never depends on where it ran.  Nothing splits while a
-    request is in flight: not this side's part, and not den^d's chain.
+    this side the low half.  A square a^2, with a = hi 2^h + lo and hi its
+    top third, sends hi * (hi 2^h + 2 lo) over and squares lo here.  Both
+    sides multiply their part by these same kernels, and a pipe failure
+    makes this side compute the helper's part too, so the product never
+    depends on where it ran.  Nothing splits while a request is in flight:
+    not this side's part, and not den^d's chain.
     """
     square = a is b
     negative = (a < 0) != (b < 0)
@@ -372,20 +373,27 @@ def _kernel(a: int, b: int, na: int, nb: int) -> int:
 
 
 def _split(a: int, b: int, na: int, nb: int) -> int:
-    # a * b with part of the work on the helper, called with _helper_lock
-    # held, which keeps this side's products inline; a is b squares
-    h = na >> 1
+    """a * b for a >= b > 0, part of it on the helper; a is b squares.
+
+    Called with _helper_lock held, which keeps this side's products inline.
+    With a = hi 2^h + lo, a * b = hi far 2^h + near: hi * far goes to the
+    helper, and near is multiplied here.  A pair takes h = na // 2, far = b
+    and near = lo b.  A square takes hi as the top (na + 3) // 3 bits of a,
+    far = hi 2^h + 2 lo and near = lo^2: far has at most na + 1 <= 3
+    hi.bit_length() bits, which keeps the helper's pair within the
+    transform's 3:1, and lo is two thirds of a's length.  Each side's
+    product then has about 4 na / 3 bits, so both reach _SSA_BITS from about
+    2.55 * 10^5 bits on; a top quarter would send a 4:1 pair, which misses
+    the transform.
+    """
+    square = a is b
+    h = na - (na + 3) // 3 if square else na >> 1
     hi, lo = a >> h, a & ((1 << h) - 1)
-    if a is b:
-        # a^2 = hi^2 2^2h + 2 hi lo 2^h + lo^2, with hi * lo on the helper
-        if not _request(0, hi, lo):
-            return _kernel(a, b, na, nb)
-        near = (mul(hi, hi) << 2 * h) + mul(lo, lo)
-        return near + (_reply(mul, hi, lo) << h + 1)
-    if not _request(0, hi, b):
+    far = (hi << h) + (lo << 1) if square else b
+    if not _request(0, hi, far):
         return _kernel(a, b, na, nb)
-    near = mul(lo, b)
-    return (_reply(mul, hi, b) << h) + near
+    near = mul(lo, lo) if square else mul(lo, b)
+    return (_reply(mul, hi, far) << h) + near
 
 
 def _ssa_layout(n: int) -> tuple[int, int, int]:

@@ -197,9 +197,10 @@ def multiply_kernel_matches_plain() -> str:
     # under which it hands a pair to CPython at once: balanced and lopsided
     # pairs (long:short in quarters), mixed signs, powers of two and squares;
     # a square and a 2:1 pair on each side of the cutoff from which mul
-    # splits a product with the helper, where one can be forked; then across
-    # the Schönhage-Strassen cutoff: a square, a 2:1 pair, all-ones operands
-    # (the largest convolution coefficients) and a negative
+    # splits a product with the helper, where one can be forked, and an
+    # all-ones square past it, whose split carries; then across the
+    # Schönhage-Strassen cutoff: a square on each side, a 2:1 pair, all-ones
+    # operands (the largest convolution coefficients) and a negative
     rng = random.Random(454)
     t = _MUL_BITS
     pairs = []
@@ -212,6 +213,11 @@ def multiply_kernel_matches_plain() -> str:
         a = rng.getrandbits(2 * short) | 1 << (2 * short - 1)
         b = -(rng.getrandbits(short) | 1 << (short - 1))
         pairs += [(b, b), (a, b)]
+    ones = (1 << _HELPER_BITS + 1) - 1
+    pairs.append((ones, ones))
+    for half in (_SSA_BITS // 2 - 1, _SSA_BITS // 2):
+        a = -(rng.getrandbits(half) | 1 << (half - 1))
+        pairs.append((a, a))
     third = _SSA_BITS // 3 + 1
     a = rng.getrandbits(2 * third) | 1 << (2 * third - 1)
     b = rng.getrandbits(third) | 1 << (third - 1)

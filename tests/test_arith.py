@@ -446,11 +446,12 @@ def test_mul_takes_ssa_from_its_cutoff(ssa_calls):
 # which products reach the transform does not depend on how mul multiplies
 # the ones that do not
 SSA_CALLS = {
-    ("-5/3", 13): [(379635, 379635), (759270, 379635), (280772, 280772), (561543, 280772)],
-    ("1/2", 13): [(401056, 200528)],
+    ("-5/3", 13): [(253090, 126545), (379635, 379635), (759270, 379635), (280772, 280772),
+                   (561543, 280772)],
+    ("1/2", 13): [(200528, 200528), (401056, 200528)],
     ("3", 13): [(312819, 312819), (625637, 312819)],
-    ("-3", 13): [(515971, 257986)],
-    ("1/2", 16): [(401056, 200528), (601584, 601584), (1203167, 601584),
+    ("-3", 13): [(257986, 257986), (515971, 257986)],
+    ("1/2", 16): [(200528, 200528), (401056, 200528), (601584, 601584), (1203167, 601584),
                   (1804751, 1804751), (3609501, 1804751)],
 }
 

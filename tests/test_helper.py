@@ -107,6 +107,26 @@ def test_split_products_are_the_plain_product(fresh, monkeypatch, short, shape, 
         assert arith.mul(b, a) == product and len(fresh) == 2
 
 
+def test_squares_split_by_thirds(fresh, monkeypatch):
+    # a = hi 2^h + lo with hi the top (na + 3) // 3 bits: the helper gets hi
+    # and far = hi 2^h + 2 lo, at most 3 times hi's length, so that the pair
+    # can take the transform; all ones carries far to na + 1 bits
+    monkeypatch.setattr(arith, "_MUL_BITS", 2)
+    monkeypatch.setattr(arith, "_HELPER_BITS", 2)
+    rng = random.Random(3)
+    for na in (3000, 3001, 3002):
+        ones = (1 << na) - 1
+        for a in (rng.getrandbits(na) | 1 << (na - 1), ones):
+            for x in (a, -a):
+                fresh.clear()
+                assert arith.mul(x, x) == x * x, (na, abs(x) == ones, x < 0)
+                [(hi, far)] = fresh
+                assert hi.bit_length() == (na + 3) // 3, na
+                assert far.bit_length() <= 3 * hi.bit_length(), na
+                if abs(x) == ones:
+                    assert far.bit_length() == na + 1
+
+
 def test_powers_of_two_never_reach_the_helper(fresh, monkeypatch):
     def no_split(*args):
         raise AssertionError("a power of two reached the split")
@@ -272,6 +292,15 @@ SPLITS = {
     "1/2": [(66843, 66843), (133686, 66843), (200528, 200528), (401056, 200528)],
     "-5/3": [],
 }
+# the bit lengths of the arguments of each request the helper answers there:
+# a square sends its top third and far, a pair the high half of its longer
+# operand and the other one, and c = -5/3 sends den and d = 3 (2 bits)
+REQUESTS = {
+    "3": [(34758, 104273), (104273, 104273), (104274, 312819), (312819, 312819)],
+    "-3": [(28666, 85996), (85996, 85996), (85996, 257986), (257986, 257986)],
+    "1/2": [(22282, 66843), (66843, 66843), (66843, 200528), (200528, 200528)],
+    "-5/3": [(93591, 2), (280772, 2)],
+}
 
 
 def test_benchmark_inputs_split_where_pinned(fresh, monkeypatch):
@@ -294,8 +323,7 @@ def test_benchmark_inputs_split_where_pinned(fresh, monkeypatch):
         fresh.clear()
         iterate(g, c, 13)
         assert offered == pinned, c
-        den_powers = 2 if c == "-5/3" else 0  # its two steps with 50000-bit dens
-        assert len(fresh) == len(pinned) + den_powers, c
+        assert [tuple(v.bit_length() for v in args) for args in fresh] == REQUESTS[c], c
     assert arith._helper is not None
 
 
